@@ -1,43 +1,23 @@
 #!/usr/bin/env python3
-"""Rebuild the corpus allocation table and diff it against the classic rows.
-
-For each bundled benchmark kernel: the required-register column, the three
-allocator distributions at 64 registers, steady-state cycle counts, and a
-marker wherever our result departs from the classic hand-derived
-distribution (see CORPUS_NOTES and the README for why those rows differ).
-"""
+"""The corpus allocation table (``sralloc compare all``, which marks rows that
+depart from the classic ones), the required-register column and CORPUS_NOTES."""
 
 import sralloc as sa
+from sralloc import cli
 
 
-def main():
-    print(f"{'kernel':<8} {'ver':<4} {'registers':<16} {'used':>4} "
-          f"{'cycles':>7} {'vs v1':>7}  classic")
+def main() -> int:
+    code = cli.main(["compare", "all"])
+    print("required registers, arrays in source order")
     for name in sa.KERNEL_NAMES:
-        kernel = sa.bundled_kernels()[name]
+        kernel = sa.bundled_kernel(name)
         reuse = sa.analyze_all(kernel)
-        required = ", ".join(str(reuse[a].required_regs) for a in kernel.arrays)
-        print(f"{name:<8} req  {required:<16}")
-        base = None
-        for version, alg in (("v1", "fr"), ("v2", "pr"), ("v3", "cpa")):
-            alloc = sa.run_allocator(alg, kernel, reuse, 64)
-            report = sa.steady_state_cycles(kernel, reuse, alloc)
-            base = base or report.memory_cycles
-            beta = tuple(alloc.beta[a] for a in kernel.arrays)
-            classic = sa.REFERENCE_DISTRIBUTIONS.get(name, {}).get(version)
-            if classic is None:
-                note = ""
-            elif beta == classic[0] and alloc.registers_used == classic[1]:
-                note = "match"
-            else:
-                note = "differs: " + ", ".join(str(b) for b in classic[0])
-            pct = 100 * (base - report.memory_cycles) / base if base else 0.0
-            print(f"{'':<8} {version:<4} {', '.join(str(b) for b in beta):<16} "
-                  f"{alloc.registers_used:>4} {report.memory_cycles:>7} {pct:>6.1f}%  {note}")
+        print(f"  {name}: {', '.join(str(reuse[a].required_regs) for a in kernel.arrays)}")
     print("\nnotes:")
     for name, note in sa.CORPUS_NOTES.items():
         print(f"  {name}: {note}")
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -1,49 +1,26 @@
 #!/usr/bin/env python3
-"""Walk the bundled worked example end to end.
-
-Prints the per-array reuse metrics, the three register allocations at a
-64-register budget, the cut selection trace of the critical-path
-allocator, and the steady-state cycle counts under both residency
-policies.
-"""
+"""Walk the worked example: its reuse metrics, the cuts of its critical graph,
+and the three allocations with their cycles under both residency policies."""
 
 import sralloc as sa
+from sralloc import cli
 
 
-def main():
-    kernel = sa.bundled_kernels()["example"]
-    reuse = sa.analyze_all(kernel)
+def main() -> int:
     print(sa.kernel_source("example"))
-
-    print("reuse metrics")
-    for a in sorted(reuse):
-        i = reuse[a]
-        carrier = "-" if i.carrier is None else kernel.loops[i.carrier].index
-        print(f"  {a}: carrier {carrier:>1}  regs {i.required_regs:>3}  "
-              f"save {i.save:>5}  benefit/cost {i.bc}")
-
+    codes = [cli.main(["analyze", "example"])]
     print("\ncuts of the critical graph (all arrays at one register)")
-    g = sa.build_dfg(kernel, reuse, None)
-    cg = sa.critical_graph(g)
+    kernel = sa.bundled_kernel("example")
+    reuse = sa.analyze_all(kernel)
     ones = sa.unit_allocation(reuse, 64)
-    for cut in sa.find_cuts(cg, reuse):
+    for cut in sa.find_cuts(sa.critical_graph(sa.build_dfg(kernel, reuse)), reuse):
         need = sa.cut_register_need(cut, reuse, ones)
         print(f"  cut {cut}: full replacement {cut.omega}, incremental {need}")
-
-    print("\nallocations at 64 registers (order: " + ", ".join(kernel.arrays) + ")")
-    allocs = {}
-    for alg in ("fr", "pr", "cpa"):
-        alloc = sa.run_allocator(alg, kernel, reuse, 64)
-        allocs[alg] = alloc
-        beta = ", ".join(str(alloc.beta[a]) for a in kernel.arrays)
-        print(f"  {alloc.algorithm}: ({beta})  used {alloc.registers_used}")
-
+    print()
     for policy in sa.POLICIES:
-        print(f"\nsteady-state memory cycles, {policy} policy")
-        for alg, alloc in allocs.items():
-            r = sa.steady_state_cycles(kernel, reuse, alloc, policy)
-            print(f"  {alloc.algorithm}: {r.memory_cycles:>5}  per level {list(r.per_level)}")
+        codes.append(cli.main(["compare", "example", "--policy", policy]))
+    return max(codes)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -47,7 +47,6 @@ from .dfg import (
     critical_paths,
     cut_register_need,
     find_cuts,
-    make_cg,
     to_dot,
 )
 from .kernel import (

@@ -201,10 +201,6 @@ def critical_graph(g: Dfg) -> Dfg:
     return Dfg(nodes, edges)
 
 
-# shorter alias used throughout the allocator
-make_cg = critical_graph
-
-
 # ---------------------------------------------------------------------------
 # cuts
 

@@ -173,12 +173,6 @@ def _analysis_cached(kernel: Kernel, cap: int) -> dict[str, dict]:
     return out
 
 
-def oracle_array_counts(kernel: Kernel, cap: int = DEFAULT_CAP) -> dict[str, tuple[int, int]]:
-    """(total, after) per array from traces, forwarding excluded."""
-    full = _analysis_cached(kernel, cap)
-    return {a: (v["total"], v["after"]) for a, v in full.items()}
-
-
 def oracle_analysis(kernel: Kernel, cap: int = DEFAULT_CAP) -> dict[str, dict]:
     """Carrier, registers, and counts per array, all trace-derived."""
     return {a: dict(v) for a, v in _analysis_cached(kernel, cap).items()}

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import sralloc as sa
+from sralloc import cli
 from sralloc.cli import main
 
 
@@ -115,6 +117,53 @@ def test_verify_example(capsys):
     code, out, _ = run(capsys, "verify", "example")
     assert code == 0
     assert "checks agree" in out
+
+
+def test_verify_json(capsys):
+    code, out, _ = run(capsys, "verify", "example", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["agreed"] == data["total"] == len(data["checks"]) > 0
+    assert data["policy"] == "element-level"
+    carrier_e = [c for c in data["checks"] if c["subject"] == "e" and c["field"] == "carrier"]
+    assert carrier_e == [{"kernel": "example", "subject": "e", "field": "carrier",
+                          "analytic": None, "oracle": None}]
+
+
+def test_verify_csv_and_dump_dot(tmp_path, capsys):
+    prefix = str(tmp_path / "graphs")
+    code, out, _ = run(capsys, "verify", "mat", "--format", "csv", "--dump-dot", prefix)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "kernel,subject,field,analytic,oracle"
+    assert "mat,c,carrier,2,2" in lines
+    assert len(lines) == 1 + 3 * 5 + 3  # five fields per array, cycles per allocator
+    assert (tmp_path / "graphs.dfg.dot").read_text().startswith("digraph")
+    assert (tmp_path / "graphs.cg.dot").read_text().startswith("digraph")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_verify_disagreement_exit(fmt, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "oracle_replay", lambda *args: (-1,))
+    code, out, _ = run(capsys, "verify", "mat", "--format", fmt)
+    assert code == 1
+    assert "-1" in out
+
+
+def test_compare_classic_rows_need_the_bundled_kernel(tmp_path, capsys):
+    other = tmp_path / "other" / "fir.knl"
+    other.parent.mkdir()
+    other.write_text("loop i = 0..8 { loop j = 0..4 { S1: out[i] += coeff[j] * in[i + j]; } }\n")
+    code, out, _ = run(capsys, "compare", str(other))
+    assert code == 0 and "kernel: fir" in out and "ref" not in out
+    _, out, _ = run(capsys, "compare", str(other), "--format", "json")
+    assert not any("reference_beta" in v for v in json.loads(out)["kernels"][0]["versions"])
+
+    same = tmp_path / "fir.knl"
+    same.write_text(sa.kernel_source("fir"))
+    _, out, _ = run(capsys, "compare", str(same), "--format", "json")
+    versions = json.loads(out)["kernels"][0]["versions"]
+    assert [v["matches_reference"] for v in versions] == [True, True, False]
 
 
 def test_verify_cap_exit(capsys):

@@ -1,0 +1,33 @@
+"""Both walkthrough scripts run to completion and print the paper's numbers."""
+
+import re
+import runpy
+from pathlib import Path
+
+import pytest
+
+import sralloc as sa
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, capsys) -> str:
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_worked_example_script(capsys):
+    out = run_script("worked_example.py", capsys)
+    for cycles in ("1799", "1559", "1184", "1800", "1560", "1200"):
+        assert re.search(rf"\b{cycles}\b", out)
+    assert re.search(r"cut \{d\}: .*incremental 29\n", out)
+    assert re.search(r"cut \{a, b\}: .*incremental 628\n", out)
+
+
+def test_allocation_table_script(capsys):
+    out = run_script("allocation_table.py", capsys)
+    assert "  fir: 1, 52, 51\n" in out
+    for name, note in sa.CORPUS_NOTES.items():
+        assert f"{name}: {note}" in out
