@@ -5,6 +5,7 @@ import pytest
 import sralloc as sa
 from sralloc import cli
 from sralloc.cli import main
+from sralloc.reuse import MAX_ADDRESS_BITS
 
 
 def run(capsys, *argv):
@@ -170,6 +171,25 @@ def test_verify_cap_exit(capsys):
     code, _, err = run(capsys, "verify", "example", "--cap", "10")
     assert code == 3
     assert "cap" in err
+
+
+def test_analyze_long_loop_counts_exactly(tmp_path, capsys):
+    path = tmp_path / "long.knl"
+    path.write_text("loop i = 0..100000000 { S1: x[i] = a[i]; }\n")
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0
+    arrays = json.loads(out)["arrays"]
+    assert arrays["a"]["after"] == arrays["x"]["after"] == 100000000
+
+
+@pytest.mark.parametrize("trip", [MAX_ADDRESS_BITS + 1, 1000000000])
+def test_analyze_address_range_ceiling_exit(trip, tmp_path, capsys):
+    path = tmp_path / "huge.knl"
+    path.write_text(f"loop i = 0..{trip} {{ S1: x[i] = a[i]; }}\n")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 3
+    assert f"address range of {trip} elements" in err
+    assert f"bitset ceiling of {MAX_ADDRESS_BITS}" in err
 
 
 def test_dump_dot(tmp_path, capsys):

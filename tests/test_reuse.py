@@ -1,12 +1,21 @@
+import dataclasses
+import itertools
+import random
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from sralloc import (
     Kernel,
+    Loop,
     analyze_all,
     bc_order,
     benefit_cost,
     carrier_loop,
+    forwarded_read_ids,
     parse_kernel,
+    random_kernel,
     required_registers,
     saved_accesses,
 )
@@ -133,3 +142,135 @@ def test_group_reuse_between_two_reads():
     assert x.save > 0
     assert x.total_accesses == 16
     assert x.after_accesses == 9  # union of both footprints, loaded once each
+
+
+# ---------------------------------------------------------------------------
+# point-by-point reference: the enumerators that the bitset analysis replaced
+
+def _enum_footprint(kernel, patterns) -> set[tuple[int, ...]]:
+    """Distinct elements touched by the given subscript patterns over the nest."""
+    relevant = set().union(*(e.indices() for p in patterns for e in p)) if patterns else set()
+    loops = [lp for lp in kernel.loops if lp.index in relevant]
+    names = [lp.index for lp in loops]
+    out: set[tuple[int, ...]] = set()
+    for point in itertools.product(*(lp.range for lp in loops)):
+        env = dict(zip(names, point))
+        for p in patterns:
+            out.add(tuple(e.eval(env) for e in p))
+    return out
+
+
+def _enum_overlap(kernel, patterns, level: int) -> int:
+    """Max |WS(t) & WS(t+1)| over consecutive iterations of loops[level].
+
+    Walks inner loops that appear in some subscript and outer loops on which
+    the patterns disagree (identical outer coefficients only translate both
+    windows).
+    """
+    loops = kernel.loops
+    carrier = loops[level]
+    if carrier.trip < 2:
+        return 0
+    relevant = set().union(*(e.indices() for p in patterns for e in p))
+
+    def uniform(index: str) -> bool:
+        return len({tuple(e.coeff(index) for e in p) for p in patterns}) == 1
+
+    outer = [lp for lp in loops[:level] if lp.index in relevant and not uniform(lp.index)]
+    inner = [lp for lp in loops[level + 1:] if lp.index in relevant]
+    fixed = {lp.index: lp.lower for lp in loops if lp.index in relevant
+             and lp is not carrier and lp not in outer and lp not in inner}
+    carrier_values = carrier.range
+    if uniform(carrier.index):
+        carrier_values = range(carrier.lower, carrier.lower + 2 * carrier.step, carrier.step)
+
+    best = 0
+    for outer_vals in itertools.product(*(lp.range for lp in outer)):
+        env = dict(fixed)
+        env.update(zip((lp.index for lp in outer), outer_vals))
+        prev: set | None = None
+        for t in carrier_values:
+            env[carrier.index] = t
+            ws: set[tuple[int, ...]] = set()
+            for inner_vals in itertools.product(*(lp.range for lp in inner)):
+                env.update(zip((lp.index for lp in inner), inner_vals))
+                for p in patterns:
+                    ws.add(tuple(e.eval(env) for e in p))
+            if prev is not None:
+                best = max(best, len(prev & ws))
+            prev = ws
+    return best
+
+
+def reference_analysis(kernel) -> dict[str, tuple]:
+    """(carrier, required_regs, after_accesses) per array, by enumeration."""
+    forwarded = forwarded_read_ids(kernel)
+    per_array: dict[str, list] = {}
+    for r in kernel.refs:
+        per_array.setdefault(r.array, []).append(r)
+    out = {}
+    for array, members in per_array.items():
+        patterns = list(dict.fromkeys(m.subscripts for m in members))
+        carrier, regs = None, 1
+        for level, lp in enumerate(kernel.loops):
+            overlap = _enum_overlap(kernel, patterns, level) if lp.trip >= 2 else 0
+            if overlap:
+                carrier, regs = level, overlap
+                break
+        after = 0
+        for access in ("read", "write"):
+            pats = list(dict.fromkeys(m.subscripts for m in members
+                                      if m.access == access and m.ref_id not in forwarded))
+            after += len(_enum_footprint(kernel, pats)) if pats else 0
+        out[array] = (carrier, regs, after)
+    return out
+
+
+def assert_matches_reference(kernel):
+    got = {a: (i.carrier, i.required_regs, i.after_accesses)
+           for a, i in analyze_all(kernel).items()}
+    assert got == reference_analysis(kernel), kernel.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6),
+       st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3)), min_size=3, max_size=3))
+def test_bitset_analysis_matches_enumeration(seed, bounds):
+    kernel = random_kernel(random.Random(seed))
+    assert_matches_reference(kernel)
+    # the same kernel with shifted lower bounds and steps above one
+    loops = tuple(Loop(lp.index, lower, lower + step * (lp.trip - 1) + 1, step)
+                  for lp, (lower, step) in zip(kernel.loops, bounds))
+    assert_matches_reference(dataclasses.replace(kernel, loops=loops))
+
+
+def test_bitset_analysis_matches_enumeration_bundled(kernels, reuse_map):
+    for name, kernel in kernels.items():
+        got = {a: (i.carrier, i.required_regs, i.after_accesses)
+               for a, i in reuse_map[name].items()}
+        assert got == reference_analysis(kernel), name
+
+
+@pytest.mark.parametrize("source", [
+    # fir and statement-family shapes
+    "loop i = 0..64 { loop j = 0..52 { S1: out[i] += coeff[j] * in[i + j]; } }",
+    "loop i = 0..16 { loop j = 0..16 { S0: o0[j] += a0[2*i + j] * w0[i + j];"
+    " S1: o1[j] += a1[2*i + j] * w1[i + j]; S2: o2[j] += a2[2*i + j] * w2[i + j]; } }",
+    # negative coefficients, in one dimension and across two
+    "loop i = 0..9 { loop j = 0..5 { S: y[i] = a[i - 2*j] * b[-i][j - i]; } }",
+    # steps above one and non-zero lower bounds
+    "loop i = 1..20 step 3 { loop j = 2..11 step 2 {"
+    " S: y[i][j] = a[2*i - j][j + i] * a[i][3 - j]; } }",
+    "loop i = 2..9 step 3 { loop j = 3..7 { S: y[i] = a[2*i + j] * a[i + 2*j + 1]; } }",
+    # non-uniform carriers: the patterns move apart as the carrier advances
+    "loop i = 0..12 { S: y[i] = a[i] + a[2*i]; }",
+    "loop i = 0..6 { loop j = 0..7 { S: y[j] = a[i + j] * a[2*i + 3*j]; } }",
+    # a non-uniform outer loop above the carrier; c's overlap peaks at its last value
+    "loop i = 0..2 { loop j = 0..5 { S: c[i + 3] = c[3 - 2*i] * d[j]; } }",
+    "loop i = 0..5 { loop j = 0..6 { loop k = 0..4 {"
+    " S: y[k] += a[i + j][k] * a[j][2*i + k]; } } }",
+    # a loop that no subscript names, and a unit-trip loop
+    "loop i = 0..3 { loop j = 4..5 { loop k = 0..8 { S: y[k] = a[k] * b[2*k + 1]; } } }",
+])
+def test_bitset_analysis_matches_enumeration_shapes(source):
+    assert_matches_reference(parse_kernel(source))
