@@ -44,7 +44,7 @@ from .dfg import (
     DfgNode,
     build_dfg,
     critical_graph,
-    critical_paths,
+    critical_length,
     cut_register_need,
     find_cuts,
     to_dot,

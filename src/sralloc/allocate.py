@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_LATENCIES
 from .dfg import build_dfg, critical_graph, cut_register_need, find_cuts
 from .kernel import Kernel
 from .reuse import ReuseInfo, bc_order
@@ -151,11 +150,10 @@ def critical_path_aware(kernel: Kernel, reuse: dict[str, ReuseInfo], budget: int
     affordable cut is replaced in full; otherwise the remaining budget is
     split equally across the cut and the allocator stops.  Ties between
     cuts prefer fewer members, then lexicographically smaller array sets.
+    ``latencies`` goes to ``build_dfg`` as given: it replaces the default
+    table, and a missing op kind is an error.
     """
     _check_budget(reuse, budget)
-    lat = dict(DEFAULT_LATENCIES)
-    if latencies:
-        lat.update(latencies)
     alloc = Allocation(ALG_CRITICAL, budget, {a: 1 for a in reuse})
     if sum(i.required_regs for i in reuse.values()) <= budget:
         alloc.beta = {a: i.required_regs for a, i in reuse.items()}
@@ -164,7 +162,7 @@ def critical_path_aware(kernel: Kernel, reuse: dict[str, ReuseInfo], budget: int
     order = list(reuse)  # source order for remainder distribution
     left = budget - alloc.registers_used
     while left > 0:
-        g = build_dfg(kernel, reuse, alloc, lat)
+        g = build_dfg(kernel, reuse, alloc, latencies)
         cg = critical_graph(g)
         cuts = find_cuts(cg, reuse, alloc)
         if not cuts:

@@ -1,11 +1,17 @@
-"""Loop-body data-flow graphs, critical paths, and cuts of the critical graph.
+"""Loop-body data-flow graphs, their critical graph, and cuts of it.
 
 One graph abstracts a single innermost-body iteration.  Memory nodes carry
 latency 0 when their array is fully register resident under the current
 allocation and 1 otherwise; arithmetic nodes carry configured latencies.
-A cut is a minimal set of improvable reference nodes whose removal breaks
-every root-to-sink path of the critical graph; registering a whole cut is
-the only way to shorten all critical paths at once.
+``T_exec`` is the latency of the longest root-to-sink path.  One forward
+and one backward longest-path pass in topological order give each node the
+longest latency into it and out of it; a node or edge lies on some longest
+path exactly when its slack, ``T_exec`` minus the longest path through it,
+is zero (the critical-path method).  Those zero-slack nodes and edges form
+the critical graph.  A cut is a minimal set of improvable reference nodes
+whose removal breaks every root-to-sink path of the critical graph;
+registering a whole cut is the only way to shorten all critical paths at
+once.
 """
 
 from __future__ import annotations
@@ -31,9 +37,6 @@ class DfgNode:
 class Dfg:
     nodes: tuple[DfgNode, ...]
     edges: tuple[tuple[int, int], ...]
-
-    def node(self, node_id: int) -> DfgNode:
-        return self._by_id()[node_id]
 
     def _by_id(self) -> dict[int, DfgNode]:
         return {n.node_id: n for n in self.nodes}
@@ -64,21 +67,32 @@ class Dfg:
 
 def _toposort(g: Dfg) -> list[int]:
     preds = g.preds()
-    missing = {n.node_id: len(preds[n.node_id]) for n in g.nodes}
-    ready = sorted(nid for nid, c in missing.items() if c == 0)
     succs = g.succs()
-    order = []
-    while ready:
-        nid = ready.pop(0)
-        order.append(nid)
+    missing = {nid: len(p) for nid, p in preds.items()}
+    order = [nid for nid, c in missing.items() if c == 0]
+    for nid in order:  # the loop also visits the nodes appended below
         for s in succs[nid]:
             missing[s] -= 1
             if missing[s] == 0:
-                ready.append(s)
-        ready.sort()
+                order.append(s)
     if len(order) != len(g.nodes):
         raise KernelValidationError("cyclic dependence in data-flow graph")
     return order
+
+
+def _longest(order: list[int], weight: dict[int, int],
+             before: dict[int, list[int]]) -> dict[int, int]:
+    """Heaviest chain ending at each node, its own weight included.
+
+    Every member of ``before[n]`` must come earlier than ``n`` in
+    ``order``: a topological order with the predecessor lists gives the
+    heaviest path into each node, the reversed order with the successor
+    lists the heaviest path out of it.
+    """
+    best: dict[int, int] = {}
+    for nid in order:
+        best[nid] = weight[nid] + max((best[p] for p in before[nid]), default=0)
+    return best
 
 
 def mem_latency(info: ReuseInfo, beta: int) -> int:
@@ -156,48 +170,25 @@ def build_dfg(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc=None,
 
 
 # ---------------------------------------------------------------------------
-# critical paths
+# critical graph
 
-def critical_paths(g: Dfg) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(T_exec, all maximum-latency root-to-sink paths)."""
-    if not g.nodes:
-        return 0, ()
-    by_id = g._by_id()
-    succs = g.succs()
-    best_from: dict[int, int] = {}
-    for nid in reversed(_toposort(g)):
-        tail = max((best_from[s] for s in succs[nid]), default=0)
-        best_from[nid] = by_id[nid].latency + tail
-    t_exec = max(best_from[r] for r in g.roots())
-
-    paths: list[tuple[int, ...]] = []
-
-    def walk(nid: int, prefix: tuple[int, ...]):
-        prefix = prefix + (nid,)
-        if not succs[nid]:
-            paths.append(prefix)
-            return
-        # a path is critical iff it keeps following maximum continuations
-        for s in sorted(succs[nid]):
-            if best_from[s] == best_from[nid] - by_id[nid].latency:
-                walk(s, prefix)
-
-    for r in sorted(g.roots()):
-        if best_from[r] == t_exec:
-            walk(r, ())
-    return t_exec, tuple(paths)
+def critical_length(g: Dfg) -> int:
+    """T_exec: latency of the longest root-to-sink path, 0 for no nodes."""
+    into = _longest(_toposort(g), {n.node_id: n.latency for n in g.nodes}, g.preds())
+    return max((into[nid] for nid in g.sinks()), default=0)
 
 
 def critical_graph(g: Dfg) -> Dfg:
-    """Subgraph holding the union of all critical paths (the critical graph)."""
-    _, paths = critical_paths(g)
-    keep: set[int] = set()
-    keep_edges: set[tuple[int, int]] = set()
-    for p in paths:
-        keep.update(p)
-        keep_edges.update(zip(p, p[1:]))
-    nodes = tuple(n for n in g.nodes if n.node_id in keep)
-    edges = tuple(sorted(keep_edges))
+    """Subgraph of the zero-slack nodes and edges: the union of all critical paths."""
+    order = _toposort(g)
+    lat = {n.node_id: n.latency for n in g.nodes}
+    succs = g.succs()
+    into = _longest(order, lat, g.preds())
+    out = _longest(order[::-1], lat, succs)
+    t_exec = max((into[nid] for nid in order if not succs[nid]), default=0)
+    nodes = tuple(n for n in g.nodes
+                  if into[n.node_id] + out[n.node_id] - n.latency == t_exec)
+    edges = tuple(sorted({(a, b) for a, b in g.edges if into[a] + out[b] == t_exec}))
     return Dfg(nodes, edges)
 
 

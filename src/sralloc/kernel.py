@@ -179,15 +179,6 @@ class Kernel:
                 seen.append(r.array)
         return tuple(seen)
 
-    @property
-    def array_dims(self) -> dict[str, int]:
-        return {r.array: len(r.subscripts) for r in self.refs}
-
-    def ref_by_id(self, ref_id: int) -> ArrayRef:
-        for r in self.refs:
-            if r.ref_id == ref_id:
-                return r
-        raise KeyError(ref_id)
 
 
 def iteration_space_size(kernel: Kernel, level: int) -> int:

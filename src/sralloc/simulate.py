@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .allocate import Allocation
 from .config import CapExceededError, POLICIES, POLICY_ELEMENT, POLICY_STAGING
-from .dfg import Dfg, build_dfg, critical_paths
+from .dfg import Dfg, _longest, _toposort, build_dfg, critical_length
 from .kernel import ArrayRef, Kernel, KernelValidationError, iteration_space_size
 from .reuse import ReuseInfo, forwarded_read_ids
 
@@ -65,31 +65,20 @@ class CycleReport:
 def memory_levels(g: Dfg, ports: int = 1) -> tuple[tuple[int, ...], ...]:
     """Memory nodes grouped by dependence depth, as-soon-as-possible.
 
-    A node's depth counts the longest chain of memory nodes feeding it.
-    Same-array nodes beyond the port limit split off into follow-on
-    levels, serializing their accesses.
+    A node's depth is the largest number of memory nodes on one path into
+    it, itself excluded: one longest-path pass with weight 1 on memory
+    nodes and 0 on arithmetic ones.  Same-array nodes beyond the port
+    limit split off into follow-on levels, serializing their accesses.
     """
     if ports < 1:
         raise ValueError("ports must be >= 1")
-    preds = g.preds()
     by_id = g._by_id()
-    depth: dict[int, int] = {}
-
-    def mem_depth(nid: int) -> int:
-        if nid in depth:
-            return depth[nid]
-        d = 0
-        for p in preds[nid]:
-            pd = mem_depth(p)
-            if by_id[p].kind == "mem":
-                pd += 1
-            d = max(d, pd)
-        depth[nid] = d
-        return d
+    is_mem = {nid: int(n.kind == "mem") for nid, n in by_id.items()}
+    chain = _longest(_toposort(g), is_mem, g.preds())
 
     by_depth: dict[int, list[int]] = {}
     for n in sorted(g.mem_nodes(), key=lambda n: n.node_id):
-        by_depth.setdefault(mem_depth(n.node_id), []).append(n.node_id)
+        by_depth.setdefault(chain[n.node_id] - 1, []).append(n.node_id)
 
     levels: list[tuple[int, ...]] = []
     for d in sorted(by_depth):
@@ -201,7 +190,7 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allo
     _policy_check(policy)
     alloc.validate(reuse)
     g = build_dfg(kernel, reuse, alloc, latencies)
-    t_exec_val, _ = critical_paths(g)
+    t_exec_val = critical_length(g)
     levels = memory_levels(g, ports)
     inner_count = iteration_space_size(kernel, 1) if kernel.loops else 0
     if cap is not None and inner_count > cap:
@@ -221,6 +210,7 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allo
     state = {a: _ArrayResidency(info, alloc.beta[a], policy) for a, info in reuse.items()}
     per_level = [0] * len(levels)
     per_array = {a: 0 for a in reuse}
+    label = {n.node_id: n.label for n in g.nodes}
 
     for inner in itertools.product(*(lp.range for lp in kernel.loops[1:])):
         point = (mid,) + inner
@@ -234,7 +224,7 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allo
             for nid in level:
                 if not node_hit[nid]:
                     miss = True
-                    per_array[g.node(nid).label] += 1
+                    per_array[label[nid]] += 1
             if miss:
                 per_level[li] += 1
 
@@ -257,4 +247,4 @@ def t_exec(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allocation,
            latencies: dict[str, int] | None = None) -> int:
     """Critical-path latency of one body iteration at a worst-case point."""
     g = build_dfg(kernel, reuse, alloc, latencies)
-    return critical_paths(g)[0]
+    return critical_length(g)

@@ -3,7 +3,9 @@ import pytest
 from conftest import beta_tuple
 
 from sralloc import (
+    DEFAULT_LATENCIES,
     InfeasibleBudgetError,
+    KernelError,
     analyze_all,
     critical_path_aware,
     full_reuse,
@@ -11,6 +13,7 @@ from sralloc import (
     parse_kernel,
     partial_reuse,
     run_allocator,
+    steady_state_cycles,
 )
 
 
@@ -94,6 +97,19 @@ def test_cpa_full_alpha_accounting(example, example_reuse):
     # leaving 29 for the {a, b} split
     alloc = critical_path_aware(example, example_reuse, 64, accounting="full-alpha")
     assert alloc.beta == {"a": 16, "b": 15, "c": 1, "d": 30, "e": 1}
+
+
+def test_cpa_latency_table_used_as_given(kernels, reuse_map):
+    # one convention for the allocator and the simulator: a table replaces
+    # the defaults, so fir's accumulate is missing from this one in both
+    k, reuse = kernels["fir"], reuse_map["fir"]
+    partial = {"multiply": 3}
+    with pytest.raises(KernelError, match="unknown op kind 'accumulate'"):
+        run_allocator("cpa", k, reuse, 64, partial)
+    with pytest.raises(KernelError, match="unknown op kind 'accumulate'"):
+        steady_state_cycles(k, reuse, full_reuse(reuse, 64), latencies=partial)
+    alloc = run_allocator("cpa", k, reuse, 64, {**DEFAULT_LATENCIES, **partial})
+    assert beta_tuple(k, alloc) == (1, 32, 31)
 
 
 def test_manual_allocation_validates(example_reuse):

@@ -192,6 +192,31 @@ def test_analyze_address_range_ceiling_exit(trip, tmp_path, capsys):
     assert f"bitset ceiling of {MAX_ADDRESS_BITS}" in err
 
 
+def _simulate_t_exec(tmp_path, capsys, body: list[str]) -> int:
+    path = tmp_path / "long.knl"
+    path.write_text("loop i = 0..8 {\n" + "\n".join(body) + "\n}\n")
+    code, out, _ = run(capsys, "simulate", str(path), "--alg", "fr", "--nr", "100000",
+                       "--format", "json")
+    assert code == 0
+    return json.loads(out)["reports"][0]["t_exec_per_iter"]
+
+
+def test_simulate_many_tied_critical_paths(tmp_path, capsys):
+    # 30 equal-length diamonds after a two-load head: 2^31 critical paths
+    body = ["  S0: x0[i] = a[i] + b[i];"]
+    for k in range(30):
+        body += [f"  U{k}: u{k}[i] = x{k}[i] + c{k}[i];",
+                 f"  V{k}: v{k}[i] = x{k}[i] + d{k}[i];",
+                 f"  X{k}: x{k + 1}[i] = u{k}[i] * v{k}[i];"]
+    assert _simulate_t_exec(tmp_path, capsys, body) == 3 + 4 * 30
+
+
+def test_simulate_long_forwarding_chain(tmp_path, capsys):
+    # every statement reads the store of the one before it
+    body = [f"  S{k}: x{k}[i] = x{k - 1}[i] + a[i];" for k in range(1, 1501)]
+    assert _simulate_t_exec(tmp_path, capsys, body) == 3 + 2 * 1499
+
+
 def test_dump_dot(tmp_path, capsys):
     prefix = str(tmp_path / "graphs")
     code, _, _ = run(capsys, "allocate", "example", "--alg", "cpa",

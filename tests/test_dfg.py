@@ -3,9 +3,10 @@ import pytest
 from sralloc import (
     KernelError,
     analyze_all,
+    Dfg,
     build_dfg,
     critical_graph,
-    critical_paths,
+    critical_length,
     cut_register_need,
     find_cuts,
     full_reuse,
@@ -18,6 +19,11 @@ from sralloc import (
 
 def node_labels(g, kind=None):
     return sorted(n.label for n in g.nodes if kind is None or n.kind == kind)
+
+
+def edge_labels(g):
+    by_id = {n.node_id: n.label for n in g.nodes}
+    return sorted((by_id[a], by_id[b]) for a, b in g.edges)
 
 
 def test_build_dfg_example_all_ones(example, example_reuse):
@@ -50,7 +56,8 @@ def test_build_dfg_empty_body(example):
     bare = Kernel("empty", (), example.loops, ())
     g = build_dfg(bare, {}, None)
     assert g.nodes == () and g.edges == ()
-    assert critical_paths(g) == (0, ())
+    assert critical_length(g) == 0
+    assert critical_graph(g) == Dfg((), ())
 
 
 def test_build_dfg_unknown_op(example, example_reuse):
@@ -60,34 +67,34 @@ def test_build_dfg_unknown_op(example, example_reuse):
 
 def test_critical_paths_example(example, example_reuse):
     g = build_dfg(example, example_reuse, None)
-    t, paths = critical_paths(g)
-    assert t == 5  # load, multiply, d store, multiply, e store
-    assert len(paths) == 2  # one through a, one through b
-    by_id = {n.node_id: n for n in g.nodes}
-    ends = {tuple(by_id[n].label for n in p if by_id[n].kind == "mem") for p in paths}
-    assert ends == {("a", "d", "e"), ("b", "d", "e")}
+    assert critical_length(g) == 5  # load, multiply, d store, multiply, e store
+    cg = critical_graph(g)
+    # two critical paths, a -> d -> e and b -> d -> e, merging at the multiply
+    assert node_labels(cg, "mem") == ["a", "b", "d", "e"]
+    assert edge_labels(cg) == [("a", "multiply"), ("b", "multiply"), ("d", "multiply"),
+                               ("multiply", "d"), ("multiply", "e")]
 
 
 def test_critical_paths_longer_multiply(example, example_reuse):
     g = build_dfg(example, example_reuse, None, {"multiply": 3})
-    t, _ = critical_paths(g)
-    assert t == 3 + 2 * 3  # three memory hops plus two multiplies
+    assert critical_length(g) == 3 + 2 * 3  # three memory hops plus two multiplies
 
 
 def test_critical_path_single_node():
     k = parse_kernel("loop i = 0..2 { S: y[i] = x[i]; }")
     reuse = analyze_all(k)
     g = build_dfg(k, reuse, None)
-    t, paths = critical_paths(g)
-    assert t == 2  # load then store
-    assert len(paths) == 1
+    assert critical_length(g) == 2  # load then store
+    cg = critical_graph(g)  # the one path, x -> y
+    assert node_labels(cg) == ["x", "y"]
+    assert edge_labels(cg) == [("x", "y")]
 
 
 def test_critical_paths_drop_with_full_replacement(example, example_reuse):
     beta = {a: 1 for a in example_reuse}
     beta["d"] = 30
     g = build_dfg(example, example_reuse, manual_allocation(example_reuse, beta, 64))
-    assert critical_paths(g)[0] == 4
+    assert critical_length(g) == 4
 
 
 def test_critical_graph_example(example, example_reuse):

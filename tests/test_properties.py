@@ -1,5 +1,6 @@
 """Property tests over randomized kernels and graphs."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import sralloc as sa
-from sralloc.dfg import Dfg, DfgNode, _all_paths, critical_graph, find_cuts
+from sralloc.dfg import Dfg, DfgNode, _all_paths, critical_graph, critical_length, find_cuts
 from sralloc.reuse import ReuseInfo
 
 
@@ -235,3 +236,103 @@ def test_critical_graph_idempotent_random(seed):
     again = critical_graph(cg)
     assert set(again.nodes) == set(cg.nodes)
     assert set(again.edges) == set(cg.edges)
+
+
+# ---------------------------------------------------------------------------
+# longest-path pass against the recursive walks it replaced
+
+def reference_critical_paths(g: Dfg) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(T_exec, every maximum-latency root-to-sink path), by recursive walks."""
+    if not g.nodes:
+        return 0, ()
+    by_id = {n.node_id: n for n in g.nodes}
+    succs = g.succs()
+    best_from: dict[int, int] = {}
+
+    def longest_from(nid: int) -> int:
+        if nid not in best_from:
+            tail = max((longest_from(s) for s in succs[nid]), default=0)
+            best_from[nid] = by_id[nid].latency + tail
+        return best_from[nid]
+
+    t_exec = max(longest_from(r) for r in g.roots())
+    paths: list[tuple[int, ...]] = []
+
+    def walk(nid: int, prefix: tuple[int, ...]):
+        prefix = prefix + (nid,)
+        if not succs[nid]:
+            paths.append(prefix)
+            return
+        # a path is critical iff it keeps following maximum continuations
+        for s in sorted(succs[nid]):
+            if best_from[s] == best_from[nid] - by_id[nid].latency:
+                walk(s, prefix)
+
+    for r in sorted(g.roots()):
+        if best_from[r] == t_exec:
+            walk(r, ())
+    return t_exec, tuple(paths)
+
+
+def reference_memory_levels(g: Dfg, ports: int) -> tuple[tuple[int, ...], ...]:
+    """Memory levels from a recursive memory-chain depth."""
+    preds = g.preds()
+    by_id = {n.node_id: n for n in g.nodes}
+    depth: dict[int, int] = {}
+
+    def mem_depth(nid: int) -> int:
+        if nid in depth:
+            return depth[nid]
+        d = 0
+        for p in preds[nid]:
+            pd = mem_depth(p)
+            if by_id[p].kind == "mem":
+                pd += 1
+            d = max(d, pd)
+        depth[nid] = d
+        return d
+
+    by_depth: dict[int, list[int]] = {}
+    for n in sorted(g.mem_nodes(), key=lambda n: n.node_id):
+        by_depth.setdefault(mem_depth(n.node_id), []).append(n.node_id)
+    levels: list[tuple[int, ...]] = []
+    for d in sorted(by_depth):
+        slots: dict[int, list[int]] = {}
+        seen: dict[str, int] = {}
+        for nid in by_depth[d]:
+            label = by_id[nid].label
+            slots.setdefault(seen.get(label, 0) // ports, []).append(nid)
+            seen[label] = seen.get(label, 0) + 1
+        levels.extend(tuple(slots[s]) for s in sorted(slots))
+    return tuple(levels)
+
+
+def assert_matches_path_walk(g: Dfg):
+    t_exec, paths = reference_critical_paths(g)
+    assert critical_length(g) == t_exec
+    keep = {nid for p in paths for nid in p}
+    cg = critical_graph(g)
+    assert cg.nodes == tuple(n for n in g.nodes if n.node_id in keep)
+    assert cg.edges == tuple(sorted({e for p in paths for e in zip(p, p[1:])}))
+    for ports in (1, 2):
+        assert sa.memory_levels(g, ports) == reference_memory_levels(g, ports)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_longest_path_pass_matches_path_walk_random_dag(seed):
+    rng = random.Random(seed)
+    g = random_dag(rng)
+    # latencies 0..2 force ties between paths of different hop counts
+    nodes = tuple(dataclasses.replace(n, latency=rng.choice((0, 1, 2))) for n in g.nodes)
+    assert_matches_path_walk(Dfg(nodes, g.edges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_longest_path_pass_matches_path_walk_kernels(seed):
+    k = kernel_from_seed(seed)
+    reuse = sa.analyze_all(k)
+    full_beta = {a: i.required_regs for a, i in reuse.items()}
+    for alloc in (None, sa.manual_allocation(reuse, full_beta, sum(full_beta.values()))):
+        assert_matches_path_walk(sa.build_dfg(k, reuse, alloc))
