@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Walk the worked example: its reuse metrics, the cuts of its critical graph,
-and the three allocations with their cycles under both residency policies."""
+"""Walk the worked example: its reuse metrics, the cut each cpa-ra round
+takes, and the three allocations with their cycles under both residency
+policies."""
 
 import sralloc as sa
 from sralloc import cli
@@ -9,13 +10,24 @@ from sralloc import cli
 def main() -> int:
     print(sa.kernel_source("example"))
     codes = [cli.main(["analyze", "example"])]
-    print("\ncuts of the critical graph (all arrays at one register)")
+    print("\ncut taken by each cpa-ra round at NR=64")
     kernel = sa.bundled_kernel("example")
     reuse = sa.analyze_all(kernel)
-    ones = sa.unit_allocation(reuse, 64)
-    for cut in sa.find_cuts(sa.critical_graph(sa.build_dfg(kernel, reuse)), reuse):
-        need = sa.cut_register_need(cut, reuse, ones)
-        print(f"  cut {cut}: full replacement {cut.omega}, incremental {need}")
+    alloc = sa.unit_allocation(reuse, 64)
+    left = alloc.register_budget - alloc.registers_used
+    while left > 0:
+        cuts = sa.find_cuts(sa.critical_graph(sa.build_dfg(kernel, reuse, alloc)), reuse, alloc)
+        if not cuts:
+            break
+        (cut,) = cuts
+        need = sa.cut_register_need(cut, reuse, alloc)
+        print(f"  {left} registers left, cut {cut}: full replacement {cut.omega}, "
+              f"incremental {need}")
+        if need > left:
+            break  # cpa-ra splits what is left over this cut and stops
+        for a in cut.arrays:
+            alloc.beta[a] = reuse[a].required_regs
+        left -= need
     print()
     for policy in sa.POLICIES:
         codes.append(cli.main(["compare", "example", "--policy", policy]))

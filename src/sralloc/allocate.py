@@ -164,15 +164,15 @@ def critical_path_aware(kernel: Kernel, reuse: dict[str, ReuseInfo], budget: int
     while left > 0:
         g = build_dfg(kernel, reuse, alloc, latencies)
         cg = critical_graph(g)
-        cuts = find_cuts(cg, reuse, alloc)
+        cuts = find_cuts(cg, reuse, alloc, accounting)
         if not cuts:
             break
-        need = {c: cut_register_need(c, reuse, alloc, accounting) for c in cuts}
-        best = min(cuts, key=lambda c: (need[c], len(c.arrays), c.arrays))
-        if need[best] <= left:
+        (best,) = cuts
+        need = cut_register_need(best, reuse, alloc, accounting)
+        if need <= left:
             for a in best.arrays:
                 alloc.beta[a] = reuse[a].required_regs
-            left -= need[best]
+            left -= need
         else:
             members = sorted(best.arrays, key=order.index)
             _water_fill(alloc.beta, members, reuse, left)

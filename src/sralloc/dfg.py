@@ -11,7 +11,9 @@ is zero (the critical-path method).  Those zero-slack nodes and edges form
 the critical graph.  A cut is a minimal set of improvable reference nodes
 whose removal breaks every root-to-sink path of the critical graph;
 registering a whole cut is the only way to shorten all critical paths at
-once.
+once.  ``find_cuts`` returns only the cut cheapest to satisfy, found by
+branch-and-bound over the candidate arrays of each weakly connected part
+of the critical graph, without listing paths or cuts.
 """
 
 from __future__ import annotations
@@ -207,77 +209,167 @@ class Cut:
         return "{" + ", ".join(self.arrays) + "}"
 
 
-def _all_paths(g: Dfg) -> list[tuple[int, ...]]:
-    succs = g.succs()
-    sinks = set(g.sinks())
-    out: list[tuple[int, ...]] = []
-
-    def walk(nid, prefix):
-        prefix = prefix + (nid,)
-        if nid in sinks:
-            out.append(prefix)
-            return
-        for s in sorted(succs[nid]):
-            walk(s, prefix)
-
-    for r in sorted(g.roots()):
-        walk(r, ())
-    return out
-
-
-def _minimal_hitting_sets(requirements: list[frozenset[int]]) -> list[frozenset[int]]:
-    reqs = sorted(set(requirements), key=len)
-    reqs = [r for i, r in enumerate(reqs) if not any(q < r for q in reqs[:i])]
-    found: set[frozenset[int]] = set()
-
-    def extend(chosen: frozenset[int]):
-        for r in reqs:
-            if not (r & chosen):
-                for v in sorted(r):
-                    extend(chosen | {v})
-                return
-        found.add(chosen)
-
-    extend(frozenset())
-    return sorted((s for s in found if not any(t < s for t in found)),
-                  key=lambda s: (len(s), tuple(sorted(s))))
+def _open_path(removed: set[int], roots: list[int],
+               succs: dict[int, list[int]]) -> list[int] | None:
+    """A root-to-sink path from ``roots`` that avoids ``removed``, or None."""
+    came_from = {r: None for r in roots if r not in removed}
+    stack = list(came_from)
+    while stack:
+        nid = stack.pop()
+        if not succs[nid]:
+            path = []
+            while nid is not None:
+                path.append(nid)
+                nid = came_from[nid]
+            return path
+        for s in succs[nid]:
+            if s not in removed and s not in came_from:
+                came_from[s] = nid
+                stack.append(s)
+    return None
 
 
-def find_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None) -> tuple[Cut, ...]:
-    """Enumerate all cuts of the critical graph over improvable references.
+def _components(cg: Dfg, label: dict[int, str]) -> list[list[int]]:
+    """Weakly connected components, merged where they share a candidate array.
 
-    Candidates are memory nodes whose array still saves accesses (and, when
-    an allocation is given, is not already fully replaced).  If some
-    critical path contains no candidate at all it cannot be disconnected,
-    so no cut exists.  Worst case is exponential; critical graphs stay
-    small in practice.
+    ``label`` maps each candidate node to its array.  Node order within a
+    component follows ``cg.nodes``.
     """
-    beta = None if alloc is None else alloc.beta
-    candidates = set()
+    parent = {n.node_id: n.node_id for n in cg.nodes}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    first: dict[str, int] = {}
+    for nid, array in label.items():
+        parent[find(nid)] = find(first.setdefault(array, nid))
+    for a, b in cg.edges:
+        parent[find(a)] = find(b)
+    groups: dict[int, list[int]] = {}
+    for n in cg.nodes:
+        groups.setdefault(find(n.node_id), []).append(n.node_id)
+    return list(groups.values())
+
+
+def _cheapest_cover(nodes_of: dict[str, set[int]], need: dict[str, int],
+                    label: dict[int, str], roots: list[int],
+                    succs: dict[int, list[int]]) -> tuple[str, ...] | None:
+    """Least ``(need, size, names)`` set of arrays whose nodes break every path.
+
+    ``nodes_of`` maps each candidate array to its nodes, ``label`` each
+    candidate node to its array.  Branch-and-bound over the arrays in name
+    order, include-first, on an explicit stack.  Include-first visits
+    equal-size sets in name order, so the first set found at the best
+    ``(need, size)`` also wins the name tie-break, and a branch that can
+    only tie is pruned.  None when even every array together leaves a path.
+    """
+    arrays = sorted(nodes_of)
+
+    def still_needed(chosen: tuple[str, ...], undecided: set[str]) -> tuple[int, int] | None:
+        """Lower bound on the (need, size) still to add; None if no completion covers.
+
+        Open paths whose undecided arrays are pairwise disjoint each need
+        one more array of their own, at least the cheapest of them.
+        """
+        blocked = set().union(*(nodes_of[a] for a in chosen))
+        more, size = 0, 0
+        while (path := _open_path(blocked, roots, succs)) is not None:
+            options = {label[n] for n in path if label.get(n) in undecided}
+            if not options:
+                return None
+            more += min(need[a] for a in options)
+            size += 1
+            blocked.update(*(nodes_of[a] for a in options))
+        return more, size
+
+    best: tuple[int, int, tuple[str, ...]] | None = None
+    stack: list[tuple[int, tuple[str, ...], int]] = [(0, (), 0)]
+    while stack:
+        i, chosen, cost = stack.pop()
+        bound = still_needed(chosen, set(arrays[i:]))
+        if bound is None:
+            continue
+        more, size = bound
+        if size == 0:  # chosen already breaks every path
+            if best is None or (cost, len(chosen)) < best[:2]:
+                best = (cost, len(chosen), chosen)
+            continue
+        if best is not None and (cost + more, len(chosen) + size) >= best[:2]:
+            continue
+        stack.append((i + 1, chosen, cost))
+        stack.append((i + 1, chosen + (arrays[i],), cost + need[arrays[i]]))
+    return None if best is None else best[2]
+
+
+def find_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
+              accounting: str = "incremental") -> tuple[Cut, ...]:
+    """The cut cheapest to satisfy, as a one-element tuple, or () if none.
+
+    Candidates are memory nodes whose array still saves accesses and, when
+    an allocation is given, is not already fully replaced.  A cut's need is
+    ``cut_register_need`` under ``accounting``; ``alloc=None`` prices every
+    array at one register held, as in ``build_dfg``.  The cut returned has
+    the least ``(need, len(arrays), arrays)``; its ``node_ids`` are a
+    minimal subset of its arrays' candidate nodes that still breaks every
+    root-to-sink path.
+
+    Covering is monotone and a strict subset of an array set is strictly
+    cheaper in ``(need, size)``, so the cheapest covering array set is the
+    array set of some minimal cut.  Weakly connected components that share
+    no candidate array are independent, and the union of their cheapest
+    covers is the cheapest cover overall, name tie-break included.  Each
+    component is searched by branch-and-bound, bounded below by open paths
+    that share no undecided array; the worst case is still exponential in
+    one component's candidate arrays.
+    """
+    beta = {a: 1 for a in reuse} if alloc is None else alloc.beta
+    need = _array_needs(reuse, reuse, beta, accounting)
+    label: dict[int, str] = {}
     for n in cg.mem_nodes():
         info = reuse[n.label]
         if info.save <= 0:
             continue
-        if beta is not None and beta[n.label] >= info.required_regs:
+        if alloc is not None and beta[n.label] >= info.required_regs:
             continue
-        candidates.add(n.node_id)
-    if not candidates or not cg.nodes:
+        label[n.node_id] = n.label
+    if not label:
         return ()
 
-    requirements = []
-    for path in _all_paths(cg):
-        req = frozenset(nid for nid in path if nid in candidates)
-        if not req:
+    succs = cg.succs()
+    roots = set(cg.roots())
+    node_ids: list[int] = []
+    arrays: list[str] = []
+    for comp in _components(cg, label):
+        comp_roots = [nid for nid in comp if nid in roots]
+        nodes_of: dict[str, set[int]] = {}
+        for nid in comp:
+            if nid in label:
+                nodes_of.setdefault(label[nid], set()).add(nid)
+        best = _cheapest_cover(nodes_of, need, label, comp_roots, succs)
+        if best is None:
             return ()
-        requirements.append(req)
+        keep = set().union(*(nodes_of[a] for a in best))
+        for nid in sorted(keep, reverse=True):
+            if _open_path(keep - {nid}, comp_roots, succs) is None:
+                keep.discard(nid)
+        node_ids += keep
+        arrays += best
+    arrays.sort()
+    omega = sum(reuse[a].required_regs for a in arrays)
+    return (Cut(tuple(sorted(node_ids)), tuple(arrays), omega),)
 
-    by_id = cg._by_id()
-    cuts = []
-    for s in _minimal_hitting_sets(requirements):
-        arrays = tuple(sorted({by_id[nid].label for nid in s}))
-        omega = sum(reuse[a].required_regs for a in arrays)
-        cuts.append(Cut(tuple(sorted(s)), arrays, omega))
-    return tuple(sorted(cuts, key=lambda c: (len(c.node_ids), c.arrays, c.node_ids)))
+
+def _array_needs(arrays, reuse: dict[str, ReuseInfo], beta: dict[str, int],
+                 accounting: str) -> dict[str, int]:
+    """Registers each array needs toward full replacement under ``accounting``."""
+    if accounting == "full-alpha":
+        return {a: reuse[a].required_regs for a in arrays}
+    if accounting != "incremental":
+        raise ValueError(f"unknown accounting mode {accounting!r}")
+    return {a: max(0, reuse[a].required_regs - beta[a]) for a in arrays}
 
 
 def cut_register_need(cut: Cut, reuse: dict[str, ReuseInfo], alloc,
@@ -288,11 +380,7 @@ def cut_register_need(cut: Cut, reuse: dict[str, ReuseInfo], alloc,
     arrays already hold; "full-alpha" charges the whole replacement cost,
     mirroring the coarser bookkeeping some allocators use.
     """
-    if accounting == "full-alpha":
-        return cut.omega
-    if accounting != "incremental":
-        raise ValueError(f"unknown accounting mode {accounting!r}")
-    return sum(max(0, reuse[a].required_regs - alloc.beta[a]) for a in cut.arrays)
+    return sum(_array_needs(cut.arrays, reuse, alloc.beta, accounting).values())
 
 
 def to_dot(g: Dfg, title: str = "dfg") -> str:

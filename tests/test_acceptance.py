@@ -16,10 +16,14 @@ from sralloc import (
     REFERENCE_DISTRIBUTIONS,
     REFERENCE_REQUIRED,
 )
-from sralloc.dfg import _all_paths
 
 from conftest import beta_tuple
-from test_properties import brute_force_cuts, random_dag, synthetic_reuse
+from test_properties import (
+    assert_matches_brute_force,
+    random_dag,
+    reference_cuts,
+    synthetic_reuse,
+)
 
 
 def report(line):
@@ -205,28 +209,21 @@ def test_criterion_7_oracle_equivalence(kernels, reuse_map, oracle_map):
 
 
 def test_criterion_8_cut_machinery(example, example_reuse):
-    """Exact cut set on the example's critical graph; enumeration matches
-    exhaustive subset search on random DAGs up to 12 reference nodes."""
+    """Exact cut set on the example's critical graph, of which find_cuts
+    picks {d}; on random DAGs up to 12 reference nodes the enumeration
+    matches exhaustive subset search and find_cuts returns its cheapest cut,
+    a minimal disconnecting node set."""
     g = sa.build_dfg(example, example_reuse, None)
     cg = sa.critical_graph(g)
-    cuts = sa.find_cuts(cg, example_reuse)
-    assert [c.arrays for c in cuts] == [("d",), ("a", "b")]
+    assert [c.arrays for c in reference_cuts(cg, example_reuse)] == [("d",), ("a", "b")]
+    (cut,) = sa.find_cuts(cg, example_reuse)
+    assert (cut.arrays, cut.omega) == (("d",), 30)
 
     rng = random.Random(11)
-    paths_checked = 0
+    cuts_checked = 0
     for _ in range(150):
         dag = random_dag(rng, max_mem=12)
         reuse = synthetic_reuse(dag, rng)
-        candidates = {n.node_id for n in dag.mem_nodes() if reuse[n.label].save > 0}
-        mine = sorted((frozenset(c.node_ids) for c in sa.find_cuts(dag, reuse)),
-                      key=lambda s: (len(s), tuple(sorted(s))))
-        assert mine == brute_force_cuts(dag, candidates)
-        # independent disconnection + minimality verification
-        paths = _all_paths(dag)
-        for cut in mine:
-            assert all(cut & set(p) for p in paths)
-            for drop in cut:
-                assert not all((cut - {drop}) & set(p) for p in paths)
-            paths_checked += 1
-    report(f"8 cut machinery (example cuts {{d}},{{a,b}}; {paths_checked} random"
-           " cuts match exhaustive search): PASS")
+        cuts_checked += assert_matches_brute_force(dag, reuse)
+    report(f"8 cut machinery (example cuts {{d}},{{a,b}}, cheapest {{d}}; {cuts_checked}"
+           " random cheapest cuts match exhaustive search): PASS")

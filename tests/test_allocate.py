@@ -99,6 +99,20 @@ def test_cpa_full_alpha_accounting(example, example_reuse):
     assert alloc.beta == {"a": 16, "b": 15, "c": 1, "d": 30, "e": 1}
 
 
+def test_cpa_ladder_of_shared_arrays():
+    # S_k reads a_k and a_k+1, so every statement shares arrays with its
+    # neighbours and the critical graph is one component of 81 arrays.
+    # Each statement is cut by y_k (need 3) or by a_k and a_k+1 (need 2
+    # each); all 41 a's (need 82) beat any mix.  Enumerating the cuts
+    # took 87 s at 10 statements.
+    n = 40
+    body = "".join(f"S{k}: y{k}[i] = a{k}[i + j] + a{k + 1}[i + j]; " for k in range(n))
+    k = parse_kernel("loop j = 0..4 { loop i = 0..4 { " + body + "} }")
+    reuse = analyze_all(k)
+    alloc = critical_path_aware(k, reuse, (2 * n + 1) + 2 * (n + 1))
+    assert alloc.beta == {a: 3 if a.startswith("a") else 1 for a in reuse}
+
+
 def test_cpa_latency_table_used_as_given(kernels, reuse_map):
     # one convention for the allocator and the simulator: a table replaces
     # the defaults, so fir's accumulate is missing from this one in both

@@ -217,6 +217,19 @@ def test_simulate_long_forwarding_chain(tmp_path, capsys):
     assert _simulate_t_exec(tmp_path, capsys, body) == 3 + 2 * 1499
 
 
+def test_allocate_cpa_long_forwarding_chain(tmp_path, capsys):
+    # one component holding every array: the cut search may not recurse per array
+    body = [f"  S{k}: x{k}[i] = x{k - 1}[i] + a[i];" for k in range(1, 501)]
+    path = tmp_path / "chain.knl"
+    path.write_text("loop j = 0..3 {\n loop i = 0..4 {\n" + "\n".join(body) + "\n }\n}\n")
+    code, out, _ = run(capsys, "allocate", str(path), "--alg", "cpa", "--nr", "700",
+                       "--format", "json")
+    assert code == 0
+    alloc = json.loads(out)["allocations"][0]
+    # every x_k alone breaks the chain, so the first round fills x1, first by name
+    assert (alloc["used"], alloc["beta"]["x1"]) == (700, 4)
+
+
 def test_dump_dot(tmp_path, capsys):
     prefix = str(tmp_path / "graphs")
     code, _, _ = run(capsys, "allocate", "example", "--alg", "cpa",

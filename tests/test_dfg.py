@@ -16,6 +16,8 @@ from sralloc import (
     unit_allocation,
 )
 
+from test_properties import reference_cuts
+
 
 def node_labels(g, kind=None):
     return sorted(n.label for n in g.nodes if kind is None or n.kind == kind)
@@ -131,9 +133,14 @@ def test_critical_graph_idempotent(example, example_reuse):
 def test_find_cuts_example(example, example_reuse):
     g = build_dfg(example, example_reuse, None)
     cg = critical_graph(g)
-    cuts = find_cuts(cg, example_reuse)
+    cuts = reference_cuts(cg, example_reuse)
     assert [c.arrays for c in cuts] == [("d",), ("a", "b")]
     assert [c.omega for c in cuts] == [30, 630]
+    # {d} is the cheaper of the two under either accounting
+    for accounting in ("incremental", "full-alpha"):
+        (cut,) = find_cuts(cg, example_reuse, None, accounting)
+        assert (cut.arrays, cut.omega) == (("d",), 30)
+        assert cut.node_ids == cuts[0].node_ids
 
 
 def test_find_cuts_chain_of_two_candidates():
@@ -176,14 +183,20 @@ def test_find_cuts_empty_when_uncoverable(example, example_reuse):
 
 def test_cut_register_need_modes(example, example_reuse):
     g = build_dfg(example, example_reuse, None)
-    cuts = find_cuts(critical_graph(g), example_reuse)
-    by_arrays = {c.arrays: c for c in cuts}
+    cg = critical_graph(g)
+    by_arrays = {c.arrays: c for c in reference_cuts(cg, example_reuse)}
     ones = unit_allocation(example_reuse, 64)
     assert cut_register_need(by_arrays[("d",)], example_reuse, ones) == 29
     assert cut_register_need(by_arrays[("a", "b")], example_reuse, ones) == 628
     assert cut_register_need(by_arrays[("d",)], example_reuse, ones, "full-alpha") == 30
     full = full_reuse(example_reuse, 1000)
     assert cut_register_need(by_arrays[("d",)], example_reuse, full) == 0
+    # find_cuts prices by the same rule and rejects the same unknown mode
+    assert find_cuts(cg, example_reuse, ones) == (by_arrays[("d",)],)
+    with pytest.raises(ValueError):
+        cut_register_need(by_arrays[("d",)], example_reuse, ones, "per-node")
+    with pytest.raises(ValueError):
+        find_cuts(cg, example_reuse, ones, "per-node")
 
 
 def test_to_dot_renders(example, example_reuse):

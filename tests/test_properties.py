@@ -8,7 +8,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import sralloc as sa
-from sralloc.dfg import Dfg, DfgNode, _all_paths, critical_graph, critical_length, find_cuts
+from sralloc.config import ACCOUNTING_MODES
+from sralloc.dfg import (Cut, Dfg, DfgNode, critical_graph, critical_length,
+                         cut_register_need, find_cuts)
 from sralloc.reuse import ReuseInfo
 
 
@@ -185,8 +187,79 @@ def synthetic_reuse(g: Dfg, rng: random.Random) -> dict[str, ReuseInfo]:
     return out
 
 
+def all_paths(g: Dfg) -> list[tuple[int, ...]]:
+    """Every root-to-sink path, by a recursive walk."""
+    succs = g.succs()
+    sinks = set(g.sinks())
+    out: list[tuple[int, ...]] = []
+
+    def walk(nid, prefix):
+        prefix = prefix + (nid,)
+        if nid in sinks:
+            out.append(prefix)
+            return
+        for s in sorted(succs[nid]):
+            walk(s, prefix)
+
+    for r in sorted(g.roots()):
+        walk(r, ())
+    return out
+
+
+def minimal_hitting_sets(requirements: list[frozenset[int]]) -> list[frozenset[int]]:
+    reqs = sorted(set(requirements), key=len)
+    reqs = [r for i, r in enumerate(reqs) if not any(q < r for q in reqs[:i])]
+    found: set[frozenset[int]] = set()
+
+    def extend(chosen: frozenset[int]):
+        for r in reqs:
+            if not (r & chosen):
+                for v in sorted(r):
+                    extend(chosen | {v})
+                return
+        found.add(chosen)
+
+    extend(frozenset())
+    return sorted((s for s in found if not any(t < s for t in found)),
+                  key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def reference_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None) -> tuple[Cut, ...]:
+    """Every cut of the critical graph: the minimal hitting sets of its paths.
+
+    Candidates are memory nodes whose array saves accesses and, when an
+    allocation is given, is not already fully replaced.
+    """
+    beta = None if alloc is None else alloc.beta
+    candidates = set()
+    for n in cg.mem_nodes():
+        info = reuse[n.label]
+        if info.save <= 0:
+            continue
+        if beta is not None and beta[n.label] >= info.required_regs:
+            continue
+        candidates.add(n.node_id)
+    if not candidates or not cg.nodes:
+        return ()
+
+    requirements = []
+    for path in all_paths(cg):
+        req = frozenset(nid for nid in path if nid in candidates)
+        if not req:
+            return ()
+        requirements.append(req)
+
+    by_id = cg._by_id()
+    cuts = []
+    for s in minimal_hitting_sets(requirements):
+        arrays = tuple(sorted({by_id[nid].label for nid in s}))
+        omega = sum(reuse[a].required_regs for a in arrays)
+        cuts.append(Cut(tuple(sorted(s)), arrays, omega))
+    return tuple(sorted(cuts, key=lambda c: (len(c.node_ids), c.arrays, c.node_ids)))
+
+
 def brute_force_cuts(g: Dfg, candidates: set[int]) -> list[frozenset[int]]:
-    reqs = [frozenset(n for n in p if n in candidates) for p in _all_paths(g)]
+    reqs = [frozenset(n for n in p if n in candidates) for p in all_paths(g)]
     if not candidates or any(not r for r in reqs):
         return []
     cand = sorted(candidates)
@@ -199,17 +272,63 @@ def brute_force_cuts(g: Dfg, candidates: set[int]) -> list[frozenset[int]]:
     return sorted(winners, key=lambda s: (len(s), tuple(sorted(s))))
 
 
+def cheapest(cuts, reuse, alloc, accounting: str):
+    """The cut ``critical_path_aware`` picks: least (need, size, arrays)."""
+    held = alloc or sa.unit_allocation(reuse)
+    return min(cuts, default=None, key=lambda c: (
+        cut_register_need(c, reuse, held, accounting), len(c.arrays), c.arrays))
+
+
+def assert_minimal_disconnecting(g: Dfg, node_ids):
+    paths = all_paths(g)
+    members = set(node_ids)
+    assert all(members & set(p) for p in paths)  # removal breaks every path
+    for drop in members:
+        assert not all((members - {drop}) & set(p) for p in paths)
+
+
+def assert_cheapest_cut(cg: Dfg, reuse, alloc=None):
+    """find_cuts returns the reference's cheapest cut, under both accountings."""
+    cuts = reference_cuts(cg, reuse, alloc)
+    for accounting in ACCOUNTING_MODES:
+        want = cheapest(cuts, reuse, alloc, accounting)
+        got = find_cuts(cg, reuse, alloc, accounting)
+        assert len(got) == (want is not None)
+        if got:
+            assert (got[0].arrays, got[0].omega) == (want.arrays, want.omega)
+            assert {n.label for n in cg.nodes if n.node_id in got[0].node_ids} == set(want.arrays)
+            assert_minimal_disconnecting(cg, got[0].node_ids)
+
+
+def assert_matches_brute_force(g: Dfg, reuse) -> int:
+    """The enumeration equals exhaustive subset search, and find_cuts returns
+    its cheapest cut, a minimal disconnecting node set, under both
+    accountings.  Returns how many cuts find_cuts returned."""
+    candidates = {n.node_id for n in g.mem_nodes() if reuse[n.label].save > 0}
+    brute = brute_force_cuts(g, candidates)
+    ref = sorted((frozenset(c.node_ids) for c in reference_cuts(g, reuse)),
+                 key=lambda s: (len(s), tuple(sorted(s))))
+    assert ref == brute
+    # find_cuts prices by array; brute force only knows node sets
+    label = {n.node_id: n.label for n in g.nodes}
+    as_cuts = [Cut(tuple(sorted(s)), tuple(sorted({label[n] for n in s})), 0) for s in brute]
+    found = 0
+    for accounting in ACCOUNTING_MODES:
+        want = cheapest(as_cuts, reuse, None, accounting)
+        got = find_cuts(g, reuse, None, accounting)
+        assert [c.arrays for c in got] == ([] if want is None else [want.arrays])
+        for cut in got:
+            assert_minimal_disconnecting(g, cut.node_ids)
+        found += len(got)
+    return found
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_cut_enumeration_matches_brute_force(seed):
     rng = random.Random(seed)
     g = random_dag(rng)
-    reuse = synthetic_reuse(g, rng)
-    candidates = {n.node_id for n in g.mem_nodes() if reuse[n.label].save > 0}
-    cuts = find_cuts(g, reuse)
-    mine = sorted((frozenset(c.node_ids) for c in cuts),
-                  key=lambda s: (len(s), tuple(sorted(s))))
-    assert mine == brute_force_cuts(g, candidates)
+    assert_matches_brute_force(g, synthetic_reuse(g, rng))
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,13 +337,37 @@ def test_cut_disconnection_and_minimality(seed):
     rng = random.Random(seed)
     g = random_dag(rng)
     reuse = synthetic_reuse(g, rng)
-    paths = _all_paths(g)
-    for cut in find_cuts(g, reuse):
-        members = set(cut.node_ids)
-        assert all(members & set(p) for p in paths)  # removal breaks every path
-        for drop in members:
-            smaller = members - {drop}
-            assert not all(smaller & set(p) for p in paths)
+    for accounting in ACCOUNTING_MODES:
+        for cut in find_cuts(g, reuse, None, accounting):
+            assert_minimal_disconnecting(g, cut.node_ids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_find_cuts_is_cheapest_reference_cut_random_dag(seed):
+    # one to three DAGs side by side, whose arrays may repeat across them
+    rng = random.Random(seed)
+    nodes, edges = [], []
+    for _ in range(rng.randint(1, 3)):
+        part = random_dag(rng, max_mem=6)
+        base = len(nodes)
+        nodes += [dataclasses.replace(n, node_id=n.node_id + base) for n in part.nodes]
+        edges += [(a + base, b + base) for a, b in part.edges]
+    g = Dfg(tuple(nodes), tuple(edges))
+    reuse = synthetic_reuse(g, rng)
+    assert_cheapest_cut(g, reuse)
+    assert_cheapest_cut(g, reuse, random_alloc(rng, reuse, 10 * len(reuse)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_find_cuts_is_cheapest_reference_cut_random_kernel(seed):
+    k = kernel_from_seed(seed)
+    reuse = sa.analyze_all(k)
+    rng = random.Random(seed ^ 0x5A)
+    alloc = random_alloc(rng, reuse, len(reuse) + rng.randint(0, 24))
+    for held in (None, alloc):
+        assert_cheapest_cut(critical_graph(sa.build_dfg(k, reuse, held)), reuse, held)
 
 
 @settings(max_examples=30, deadline=None)
