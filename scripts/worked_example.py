@@ -15,8 +15,10 @@ def main() -> int:
     reuse = sa.analyze_all(kernel)
     alloc = sa.unit_allocation(reuse, 64)
     left = alloc.register_budget - alloc.registers_used
+    g = sa.build_dfg(kernel)  # one graph; each round only reprices it
     while left > 0:
-        cuts = sa.find_cuts(sa.critical_graph(sa.build_dfg(kernel, reuse, alloc)), reuse, alloc)
+        cg = sa.critical_graph(g, sa.node_latencies(g, reuse, alloc))
+        cuts = sa.find_cuts(cg, reuse, alloc)
         if not cuts:
             break
         (cut,) = cuts

@@ -47,6 +47,7 @@ from .dfg import (
     critical_length,
     cut_register_need,
     find_cuts,
+    node_latencies,
     to_dot,
 )
 from .kernel import (
@@ -88,7 +89,6 @@ from .simulate import (
     memory_levels,
     residency,
     steady_state_cycles,
-    t_exec,
 )
 
 __version__ = "0.1.0"

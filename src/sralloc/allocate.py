@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dfg import build_dfg, critical_graph, cut_register_need, find_cuts
+from .dfg import build_dfg, critical_graph, cut_register_need, find_cuts, node_latencies
 from .kernel import Kernel
 from .reuse import ReuseInfo, bc_order
 
@@ -145,13 +145,13 @@ def critical_path_aware(kernel: Kernel, reuse: dict[str, ReuseInfo], budget: int
                         accounting: str = "incremental") -> Allocation:
     """Register assignment along minimum-cost cuts of the critical graph.
 
-    Each round rebuilds the graph under the current assignment, extracts
-    the critical graph, and picks the cut cheapest to satisfy.  An
-    affordable cut is replaced in full; otherwise the remaining budget is
-    split equally across the cut and the allocator stops.  Ties between
-    cuts prefer fewer members, then lexicographically smaller array sets.
-    ``latencies`` goes to ``build_dfg`` as given: it replaces the default
-    table, and a missing op kind is an error.
+    The graph is built once.  Each round reprices it under the current
+    assignment, extracts the critical graph, and picks the cut cheapest to
+    satisfy.  An affordable cut is replaced in full; otherwise the
+    remaining budget is split equally across the cut and the allocator
+    stops.  Ties between cuts prefer fewer members, then lexicographically
+    smaller array sets.  ``latencies`` goes to ``build_dfg`` as given: it
+    replaces the default table, and a missing op kind is an error.
     """
     _check_budget(reuse, budget)
     alloc = Allocation(ALG_CRITICAL, budget, {a: 1 for a in reuse})
@@ -161,9 +161,9 @@ def critical_path_aware(kernel: Kernel, reuse: dict[str, ReuseInfo], budget: int
 
     order = list(reuse)  # source order for remainder distribution
     left = budget - alloc.registers_used
+    g = build_dfg(kernel, latencies)
     while left > 0:
-        g = build_dfg(kernel, reuse, alloc, latencies)
-        cg = critical_graph(g)
+        cg = critical_graph(g, node_latencies(g, reuse, alloc))
         cuts = find_cuts(cg, reuse, alloc, accounting)
         if not cuts:
             break

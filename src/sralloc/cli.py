@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .allocate import Allocation, InfeasibleBudgetError, run_allocator, unit_allocation
+from .allocate import Allocation, InfeasibleBudgetError, run_allocator
 from .config import (
     ACCOUNTING_MODES,
     CapExceededError,
@@ -27,7 +27,7 @@ from .config import (
     RunConfig,
 )
 from .corpus import KERNEL_NAMES, REFERENCE_DISTRIBUTIONS, bundled_kernels
-from .dfg import build_dfg, critical_graph, to_dot
+from .dfg import build_dfg, critical_graph, node_latencies, to_dot
 from .kernel import Kernel, KernelError, parse_kernel_file
 from .oracle import oracle_analysis, oracle_replay
 from .reuse import ReuseInfo, analyze_all
@@ -85,10 +85,11 @@ def _load_kernel(name_or_path: str) -> Kernel:
 
 
 def _dump_dot(prefix: str, kernel: Kernel, reuse: dict[str, ReuseInfo]):
-    g = build_dfg(kernel, reuse, unit_allocation(reuse), None)
-    for title, graph in (("dfg", g), ("cg", critical_graph(g))):
+    g = build_dfg(kernel)
+    lat = node_latencies(g, reuse)  # one register per array
+    for title, graph in (("dfg", g), ("cg", critical_graph(g, lat))):
         with open(f"{prefix}.{title}.dot", "w", encoding="utf-8") as fh:
-            fh.write(to_dot(graph, title))
+            fh.write(to_dot(graph, lat, title))
 
 
 def _analyzed(args, corpus: bool = False) -> list[tuple[Kernel, dict[str, ReuseInfo]]]:

@@ -1,24 +1,26 @@
 """Loop-body data-flow graphs, their critical graph, and cuts of it.
 
-One graph abstracts a single innermost-body iteration.  Memory nodes carry
-latency 0 when their array is fully register resident under the current
-allocation and 1 otherwise; arithmetic nodes carry configured latencies.
-``T_exec`` is the latency of the longest root-to-sink path.  One forward
-and one backward longest-path pass in topological order give each node the
-longest latency into it and out of it; a node or edge lies on some longest
-path exactly when its slack, ``T_exec`` minus the longest path through it,
-is zero (the critical-path method).  Those zero-slack nodes and edges form
-the critical graph.  A cut is a minimal set of improvable reference nodes
-whose removal breaks every root-to-sink path of the critical graph;
-registering a whole cut is the only way to shorten all critical paths at
-once.  ``find_cuts`` returns only the cut cheapest to satisfy, found by
-branch-and-bound over the candidate arrays of each weakly connected part
-of the critical graph, without listing paths or cuts.
+One graph abstracts a single innermost-body iteration; no allocation
+enters it.  ``node_latencies`` prices an allocation: arithmetic nodes keep
+configured latencies, and a memory node costs 0 when its array is fully
+register resident and 1 otherwise.  Edges point to higher node ids, so
+ascending id is a topological order.  ``T_exec`` is the latency of the
+longest root-to-sink path.  One forward and one backward longest-path pass
+give each node the longest latency into it and out of it; a node or edge
+lies on some longest path exactly when its slack, ``T_exec`` minus the
+longest path through it, is zero (the critical-path method).  Those
+zero-slack nodes and edges form the critical graph.  A cut is a minimal
+set of improvable reference nodes whose removal breaks every root-to-sink
+path of the critical graph; registering a whole cut is the only way to
+shorten all critical paths at once.  ``find_cuts`` returns only the cut
+cheapest to satisfy, found by branch-and-bound over the candidate arrays
+of each weakly connected part of the critical graph, without listing
+paths or cuts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import DEFAULT_LATENCIES
 from .kernel import Kernel, KernelError, KernelValidationError
@@ -30,30 +32,36 @@ class DfgNode:
     node_id: int
     kind: str  # "mem" | "op"
     label: str  # array name for mem nodes, operator kind for op nodes
-    latency: int
+    latency: int  # op latency; 1 (a RAM access) for mem nodes
     stmt: int
     ref_ids: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class Dfg:
+    """Edges point to higher node ids; adjacency lists, keyed in id order, are built once."""
+
     nodes: tuple[DfgNode, ...]
     edges: tuple[tuple[int, int], ...]
+    _preds: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    _succs: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
-    def _by_id(self) -> dict[int, DfgNode]:
-        return {n.node_id: n for n in self.nodes}
-
-    def succs(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {n.node_id: [] for n in self.nodes}
+    def __post_init__(self):
+        preds: dict[int, list[int]] = {nid: [] for nid in sorted(n.node_id for n in self.nodes)}
+        succs: dict[int, list[int]] = {nid: [] for nid in preds}
         for a, b in self.edges:
-            out[a].append(b)
-        return out
+            if a >= b:  # ascending id must stay a topological order
+                raise KernelValidationError("cyclic dependence in data-flow graph")
+            succs[a].append(b)
+            preds[b].append(a)
+        object.__setattr__(self, "_preds", preds)
+        object.__setattr__(self, "_succs", succs)
 
-    def preds(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {n.node_id: [] for n in self.nodes}
-        for a, b in self.edges:
-            out[b].append(a)
-        return out
+    def succs(self) -> dict[int, list[int]]:  # shared, not a copy
+        return self._succs
+
+    def preds(self) -> dict[int, list[int]]:  # shared, not a copy
+        return self._preds
 
     def roots(self) -> list[int]:
         p = self.preds()
@@ -67,32 +75,17 @@ class Dfg:
         return [n for n in self.nodes if n.kind == "mem"]
 
 
-def _toposort(g: Dfg) -> list[int]:
-    preds = g.preds()
-    succs = g.succs()
-    missing = {nid: len(p) for nid, p in preds.items()}
-    order = [nid for nid, c in missing.items() if c == 0]
-    for nid in order:  # the loop also visits the nodes appended below
-        for s in succs[nid]:
-            missing[s] -= 1
-            if missing[s] == 0:
-                order.append(s)
-    if len(order) != len(g.nodes):
-        raise KernelValidationError("cyclic dependence in data-flow graph")
-    return order
-
-
-def _longest(order: list[int], weight: dict[int, int],
-             before: dict[int, list[int]]) -> dict[int, int]:
+def _longest(before: dict[int, list[int]], weight: dict[int, int],
+             backward: bool = False) -> dict[int, int]:
     """Heaviest chain ending at each node, its own weight included.
 
-    Every member of ``before[n]`` must come earlier than ``n`` in
-    ``order``: a topological order with the predecessor lists gives the
-    heaviest path into each node, the reversed order with the successor
-    lists the heaviest path out of it.
+    Visits ``before``'s keys in order, or reversed with ``backward``, so
+    each ``before[n]`` must be visited earlier: a ``Dfg``'s predecessor
+    lists give the heaviest path into each node, its successor lists
+    visited backward the heaviest path out of it.
     """
     best: dict[int, int] = {}
-    for nid in order:
+    for nid in (reversed(before) if backward else before):
         best[nid] = weight[nid] + max((best[p] for p in before[nid]), default=0)
     return best
 
@@ -102,18 +95,26 @@ def mem_latency(info: ReuseInfo, beta: int) -> int:
     return 0 if (beta == info.required_regs and info.save > 0) else 1
 
 
-def build_dfg(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc=None,
-              latencies: dict[str, int] | None = None) -> Dfg:
-    """Data-flow graph of one body iteration under an allocation.
+def node_latencies(g: Dfg, reuse: dict[str, ReuseInfo], alloc=None) -> dict[int, int]:
+    """Each node's latency by id: op nodes keep theirs, mem nodes get ``mem_latency``.
 
-    ``alloc`` may be an Allocation or None for the mandatory one register
-    per array.  A ``latencies`` table replaces the default one entirely; a
-    statement op kind missing from it is an error.  Reads whose element was
-    written by an earlier statement in the same iteration attach to the
-    producing store node instead of loading (the d-style forwarding merge).
+    ``alloc`` may be an Allocation or None for one register per array.
+    """
+    beta = {a: 1 for a in reuse} if alloc is None else alloc.beta
+    mem = {a: mem_latency(info, beta[a]) for a, info in reuse.items()}
+    return {n.node_id: mem[n.label] if n.kind == "mem" else n.latency for n in g.nodes}
+
+
+def build_dfg(kernel: Kernel, latencies: dict[str, int] | None = None) -> Dfg:
+    """Data-flow graph of one body iteration, each node numbered after its inputs.
+
+    Memory nodes get latency 1; ``node_latencies`` prices an allocation.  A
+    ``latencies`` table replaces the default one entirely; a statement op
+    kind missing from it is an error.  Reads whose element was written by
+    an earlier statement in the same iteration attach to the producing
+    store node instead of loading (the d-style forwarding merge).
     """
     lat = dict(DEFAULT_LATENCIES) if latencies is None else dict(latencies)
-    beta = {a: 1 for a in reuse} if alloc is None else dict(alloc.beta)
 
     nodes: list[DfgNode] = []
     edges: list[tuple[int, int]] = []
@@ -139,8 +140,7 @@ def build_dfg(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc=None,
                 extra_refs.setdefault(nid, []).append(r.ref_id)
                 inputs.append(nid)
             else:
-                inputs.append(new_node("mem", r.array, mem_latency(reuse[r.array], beta[r.array]),
-                                       stmt.stmt_id, (r.ref_id,)))
+                inputs.append(new_node("mem", r.array, 1, stmt.stmt_id, (r.ref_id,)))
         top: int | None = None
         if stmt.op != "copy" and len(stmt.explicit_reads) > 1:
             top = new_node("op", stmt.op, op_latency(stmt.op), stmt.stmt_id)
@@ -155,8 +155,7 @@ def build_dfg(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc=None,
             top = acc
         w = stmt.write
         ref_ids = [w.ref_id] + [r.ref_id for r in stmt.reads if r.implicit]
-        wid = new_node("mem", w.array, mem_latency(reuse[w.array], beta[w.array]),
-                       stmt.stmt_id, ref_ids)
+        wid = new_node("mem", w.array, 1, stmt.stmt_id, ref_ids)
         if top is not None:
             edges.append((top, wid))
         write_node[(w.array, w.subscripts)] = (wid, stmt.stmt_id)
@@ -166,30 +165,28 @@ def build_dfg(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc=None,
         nodes[nid] = DfgNode(n.node_id, n.kind, n.label, n.latency, n.stmt,
                              n.ref_ids + tuple(extra))
 
-    g = Dfg(tuple(nodes), tuple(edges))
-    _toposort(g)
-    return g
+    return Dfg(tuple(nodes), tuple(edges))
 
 
 # ---------------------------------------------------------------------------
 # critical graph
 
-def critical_length(g: Dfg) -> int:
-    """T_exec: latency of the longest root-to-sink path, 0 for no nodes."""
-    into = _longest(_toposort(g), {n.node_id: n.latency for n in g.nodes}, g.preds())
+def critical_length(g: Dfg, lat: dict[int, int]) -> int:
+    """T_exec under node latencies ``lat``, 0 for no nodes."""
+    into = _longest(g.preds(), lat)
     return max((into[nid] for nid in g.sinks()), default=0)
 
 
-def critical_graph(g: Dfg) -> Dfg:
-    """Subgraph of the zero-slack nodes and edges: the union of all critical paths."""
-    order = _toposort(g)
-    lat = {n.node_id: n.latency for n in g.nodes}
-    succs = g.succs()
-    into = _longest(order, lat, g.preds())
-    out = _longest(order[::-1], lat, succs)
-    t_exec = max((into[nid] for nid in order if not succs[nid]), default=0)
+def critical_graph(g: Dfg, lat: dict[int, int]) -> Dfg:
+    """Zero-slack nodes and edges under ``lat``: the union of all critical paths.
+
+    Node ids are kept, so ``lat`` prices the result too.
+    """
+    into = _longest(g.preds(), lat)
+    out = _longest(g.succs(), lat, backward=True)
+    t_exec = max((into[nid] for nid in g.sinks()), default=0)
     nodes = tuple(n for n in g.nodes
-                  if into[n.node_id] + out[n.node_id] - n.latency == t_exec)
+                  if into[n.node_id] + out[n.node_id] - lat[n.node_id] == t_exec)
     edges = tuple(sorted({(a, b) for a, b in g.edges if into[a] + out[b] == t_exec}))
     return Dfg(nodes, edges)
 
@@ -311,8 +308,8 @@ def find_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
     Candidates are memory nodes whose array still saves accesses and, when
     an allocation is given, is not already fully replaced.  A cut's need is
     ``cut_register_need`` under ``accounting``; ``alloc=None`` prices every
-    array at one register held, as in ``build_dfg``.  The cut returned has
-    the least ``(need, len(arrays), arrays)``; its ``node_ids`` are a
+    array at one register held, as in ``node_latencies``.  The cut returned
+    has the least ``(need, len(arrays), arrays)``; its ``node_ids`` are a
     minimal subset of its arrays' candidate nodes that still breaks every
     root-to-sink path.
 
@@ -383,12 +380,12 @@ def cut_register_need(cut: Cut, reuse: dict[str, ReuseInfo], alloc,
     return sum(_array_needs(cut.arrays, reuse, alloc.beta, accounting).values())
 
 
-def to_dot(g: Dfg, title: str = "dfg") -> str:
-    """Graphviz rendering for documentation dumps."""
+def to_dot(g: Dfg, lat: dict[int, int], title: str = "dfg") -> str:
+    """Graphviz rendering under node latencies ``lat``, for documentation dumps."""
     lines = [f"digraph {title} {{", "  rankdir=TB;"]
     for n in g.nodes:
         shape = "box" if n.kind == "mem" else "ellipse"
-        lines.append(f'  n{n.node_id} [label="{n.label}\\nlat={n.latency}" shape={shape}];')
+        lines.append(f'  n{n.node_id} [label="{n.label}\\nlat={lat[n.node_id]}" shape={shape}];')
     for a, b in g.edges:
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .allocate import Allocation
 from .config import CapExceededError, POLICIES, POLICY_ELEMENT, POLICY_STAGING
-from .dfg import Dfg, _longest, _toposort, build_dfg, critical_length
+from .dfg import Dfg, DfgNode, _longest, build_dfg, critical_length, node_latencies
 from .kernel import ArrayRef, Kernel, KernelValidationError, iteration_space_size
 from .reuse import ReuseInfo, forwarded_read_ids
 
@@ -72,23 +72,21 @@ def memory_levels(g: Dfg, ports: int = 1) -> tuple[tuple[int, ...], ...]:
     """
     if ports < 1:
         raise ValueError("ports must be >= 1")
-    by_id = g._by_id()
-    is_mem = {nid: int(n.kind == "mem") for nid, n in by_id.items()}
-    chain = _longest(_toposort(g), is_mem, g.preds())
+    is_mem = {n.node_id: int(n.kind == "mem") for n in g.nodes}
+    chain = _longest(g.preds(), is_mem)
 
-    by_depth: dict[int, list[int]] = {}
+    by_depth: dict[int, list[DfgNode]] = {}
     for n in sorted(g.mem_nodes(), key=lambda n: n.node_id):
-        by_depth.setdefault(chain[n.node_id] - 1, []).append(n.node_id)
+        by_depth.setdefault(chain[n.node_id] - 1, []).append(n)
 
     levels: list[tuple[int, ...]] = []
     for d in sorted(by_depth):
         slots: dict[int, list[int]] = {}
         seen: dict[str, int] = {}
-        for nid in by_depth[d]:
-            label = by_id[nid].label
-            slot = seen.get(label, 0) // ports
-            seen[label] = seen.get(label, 0) + 1
-            slots.setdefault(slot, []).append(nid)
+        for n in by_depth[d]:
+            slot = seen.get(n.label, 0) // ports
+            seen[n.label] = seen.get(n.label, 0) + 1
+            slots.setdefault(slot, []).append(n.node_id)
         for s in sorted(slots):
             levels.append(tuple(slots[s]))
     return tuple(levels)
@@ -189,8 +187,8 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allo
     """
     _policy_check(policy)
     alloc.validate(reuse)
-    g = build_dfg(kernel, reuse, alloc, latencies)
-    t_exec_val = critical_length(g)
+    g = build_dfg(kernel, latencies)
+    t_exec_val = critical_length(g, node_latencies(g, reuse, alloc))
     levels = memory_levels(g, ports)
     inner_count = iteration_space_size(kernel, 1) if kernel.loops else 0
     if cap is not None and inner_count > cap:
@@ -241,10 +239,3 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allo
         t_exec_per_iter=t_exec_val,
         inner_iterations=inner_count,
     )
-
-
-def t_exec(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allocation,
-           latencies: dict[str, int] | None = None) -> int:
-    """Critical-path latency of one body iteration at a worst-case point."""
-    g = build_dfg(kernel, reuse, alloc, latencies)
-    return critical_length(g)

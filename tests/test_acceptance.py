@@ -213,8 +213,8 @@ def test_criterion_8_cut_machinery(example, example_reuse):
     picks {d}; on random DAGs up to 12 reference nodes the enumeration
     matches exhaustive subset search and find_cuts returns its cheapest cut,
     a minimal disconnecting node set."""
-    g = sa.build_dfg(example, example_reuse, None)
-    cg = sa.critical_graph(g)
+    g = sa.build_dfg(example)
+    cg = sa.critical_graph(g, sa.node_latencies(g, example_reuse))
     assert [c.arrays for c in reference_cuts(cg, example_reuse)] == [("d",), ("a", "b")]
     (cut,) = sa.find_cuts(cg, example_reuse)
     assert (cut.arrays, cut.omega) == (("d",), 30)

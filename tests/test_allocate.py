@@ -113,6 +113,21 @@ def test_cpa_ladder_of_shared_arrays():
     assert alloc.beta == {a: 3 if a.startswith("a") else 1 for a in reuse}
 
 
+def test_cpa_many_rounds_on_one_graph():
+    # S_k forwards x_k-1 and reads a: every x_k alone breaks the chain, so
+    # each round fills one x_k (need 3), first by name.  29 rounds spend 87
+    # of the 88 registers above the mandatory 62; the 30th gives x36 the last.
+    n = 60
+    body = "".join(f"S{k}: x{k}[i] = x{k - 1}[i] + a[i]; " for k in range(1, n + 1))
+    k = parse_kernel("loop j = 0..3 { loop i = 0..4 { " + body + "} }")
+    reuse = analyze_all(k)
+    alloc = critical_path_aware(k, reuse, 150)
+    filled = sorted(f"x{i}" for i in range(1, n + 1))[:29]
+    assert filled[-1] == "x35"
+    assert alloc.beta == {a: 4 if a in filled else 2 if a == "x36" else 1 for a in reuse}
+    assert alloc.registers_used == 150
+
+
 def test_cpa_latency_table_used_as_given(kernels, reuse_map):
     # one convention for the allocator and the simulator: a table replaces
     # the defaults, so fir's accumulate is missing from this one in both

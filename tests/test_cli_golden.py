@@ -5,6 +5,9 @@ The kernels cover a forwarded store (example), a carrier-less array (out
 of fir), an exact classic-row match (mat) and a classic-row mismatch (imi).
 A refactor of the presentation layer must leave every digest unchanged;
 a deliberate output change must update the digest here and say why.
+The ``--dump-dot`` graphs of example and fir are pinned the same way;
+fir's ``out`` costs 0 cycles under one register per array, so its
+graphs show a latency that the allocation sets.
 """
 
 import hashlib
@@ -250,3 +253,22 @@ def test_cli_output_pinned(argv, capsys):
     code = main(argv.split())
     out, err = capsys.readouterr()
     assert (code, _sha(out), _sha(err)) == GOLDEN[argv]
+
+
+#: kernel -> (sha256 of PREFIX.dfg.dot, sha256 of PREFIX.cg.dot)
+DOT_GOLDEN = {
+    "example": ("a4b5858fafd43f3ccd3ab57584a1cbf18bcb717af64622e7da1be75c270fc666",
+                "d997d4af1e9b604df040f80a3283f11c71ef5302b7853462c6a6fc530d838eb3"),
+    "fir": ("0a1491d3085b6d9bb67f7a1ada7f0d3bbc4fe06b6d18ea83acf086a2e8c5beac",
+            "963bf045499fca39a8615999d7fbcb48452d60767bd29212df7b9be13c295158"),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(DOT_GOLDEN))
+def test_dump_dot_pinned(kernel, tmp_path, capsys):
+    prefix = tmp_path / kernel
+    assert main(["allocate", kernel, "--dump-dot", str(prefix)]) == 0
+    capsys.readouterr()
+    dots = tuple(_sha((tmp_path / f"{kernel}.{title}.dot").read_text(encoding="utf-8"))
+                 for title in ("dfg", "cg"))
+    assert dots == DOT_GOLDEN[kernel]

@@ -2,8 +2,10 @@ import pytest
 
 from sralloc import (
     KernelError,
+    KernelValidationError,
     analyze_all,
     Dfg,
+    DfgNode,
     build_dfg,
     critical_graph,
     critical_length,
@@ -11,6 +13,7 @@ from sralloc import (
     find_cuts,
     full_reuse,
     manual_allocation,
+    node_latencies,
     parse_kernel,
     to_dot,
     unit_allocation,
@@ -29,10 +32,11 @@ def edge_labels(g):
 
 
 def test_build_dfg_example_all_ones(example, example_reuse):
-    g = build_dfg(example, example_reuse, None)
+    g = build_dfg(example)
+    lat = node_latencies(g, example_reuse)
     mem = {n.label: n for n in g.mem_nodes()}
     assert set(mem) == {"a", "b", "c", "d", "e"}
-    assert all(n.latency == 1 for n in mem.values())
+    assert all(lat[n.node_id] == 1 for n in mem.values())
     ops = [n for n in g.nodes if n.kind == "op"]
     assert [n.label for n in ops] == ["multiply", "multiply"]
     # the d read is forwarded: one node for the write/read pair
@@ -44,33 +48,36 @@ def test_build_dfg_residency_drops_latency(example, example_reuse):
     beta = {a: 1 for a in example_reuse}
     beta["d"] = 30
     alloc = manual_allocation(example_reuse, beta, 64)
-    g = build_dfg(example, example_reuse, alloc)
+    g = build_dfg(example)
+    lat = node_latencies(g, example_reuse, alloc)
     d = next(n for n in g.mem_nodes() if n.label == "d")
-    assert d.latency == 0
+    assert lat[d.node_id] == 0
     # e saves nothing, so one register (its full requirement) still misses
     e = next(n for n in g.mem_nodes() if n.label == "e")
-    assert e.latency == 1
+    assert lat[e.node_id] == 1
 
 
 def test_build_dfg_empty_body(example):
     from sralloc import Kernel
 
     bare = Kernel("empty", (), example.loops, ())
-    g = build_dfg(bare, {}, None)
+    g = build_dfg(bare)
+    lat = node_latencies(g, {})
     assert g.nodes == () and g.edges == ()
-    assert critical_length(g) == 0
-    assert critical_graph(g) == Dfg((), ())
+    assert critical_length(g, lat) == 0
+    assert critical_graph(g, lat) == Dfg((), ())
 
 
 def test_build_dfg_unknown_op(example, example_reuse):
     with pytest.raises(KernelError, match="unknown op"):
-        build_dfg(example, example_reuse, None, {"add": 1})
+        build_dfg(example, {"add": 1})
 
 
 def test_critical_paths_example(example, example_reuse):
-    g = build_dfg(example, example_reuse, None)
-    assert critical_length(g) == 5  # load, multiply, d store, multiply, e store
-    cg = critical_graph(g)
+    g = build_dfg(example)
+    lat = node_latencies(g, example_reuse)
+    assert critical_length(g, lat) == 5  # load, multiply, d store, multiply, e store
+    cg = critical_graph(g, lat)
     # two critical paths, a -> d -> e and b -> d -> e, merging at the multiply
     assert node_labels(cg, "mem") == ["a", "b", "d", "e"]
     assert edge_labels(cg) == [("a", "multiply"), ("b", "multiply"), ("d", "multiply"),
@@ -78,16 +85,18 @@ def test_critical_paths_example(example, example_reuse):
 
 
 def test_critical_paths_longer_multiply(example, example_reuse):
-    g = build_dfg(example, example_reuse, None, {"multiply": 3})
-    assert critical_length(g) == 3 + 2 * 3  # three memory hops plus two multiplies
+    g = build_dfg(example, {"multiply": 3})
+    lat = node_latencies(g, example_reuse)
+    assert critical_length(g, lat) == 3 + 2 * 3  # three memory hops plus two multiplies
 
 
 def test_critical_path_single_node():
     k = parse_kernel("loop i = 0..2 { S: y[i] = x[i]; }")
     reuse = analyze_all(k)
-    g = build_dfg(k, reuse, None)
-    assert critical_length(g) == 2  # load then store
-    cg = critical_graph(g)  # the one path, x -> y
+    g = build_dfg(k)
+    lat = node_latencies(g, reuse)
+    assert critical_length(g, lat) == 2  # load then store
+    cg = critical_graph(g, lat)  # the one path, x -> y
     assert node_labels(cg) == ["x", "y"]
     assert edge_labels(cg) == [("x", "y")]
 
@@ -95,13 +104,14 @@ def test_critical_path_single_node():
 def test_critical_paths_drop_with_full_replacement(example, example_reuse):
     beta = {a: 1 for a in example_reuse}
     beta["d"] = 30
-    g = build_dfg(example, example_reuse, manual_allocation(example_reuse, beta, 64))
-    assert critical_length(g) == 4
+    g = build_dfg(example)
+    lat = node_latencies(g, example_reuse, manual_allocation(example_reuse, beta, 64))
+    assert critical_length(g, lat) == 4
 
 
 def test_critical_graph_example(example, example_reuse):
-    g = build_dfg(example, example_reuse, None)
-    cg = critical_graph(g)
+    g = build_dfg(example)
+    cg = critical_graph(g, node_latencies(g, example_reuse))
     assert node_labels(cg, "mem") == ["a", "b", "d", "e"]  # c's path is shorter
     assert node_labels(cg, "op") == ["multiply", "multiply"]
 
@@ -109,30 +119,31 @@ def test_critical_graph_example(example, example_reuse):
 def test_critical_graph_tied_paths_keep_everything(example, example_reuse):
     k = parse_kernel("loop i = 0..4 { S: y[i] = a[i] + b[i]; }")
     reuse = analyze_all(k)
-    g = build_dfg(k, reuse, None)
-    cg = critical_graph(g)
+    g = build_dfg(k)
+    cg = critical_graph(g, node_latencies(g, reuse))
     assert len(cg.nodes) == len(g.nodes)
 
 
 def test_critical_graph_chain():
     k = parse_kernel("loop i = 0..4 { S: y[i] = x[i]; }")
     reuse = analyze_all(k)
-    g = build_dfg(k, reuse, None)
-    cg = critical_graph(g)
+    g = build_dfg(k)
+    cg = critical_graph(g, node_latencies(g, reuse))
     assert len(cg.nodes) == len(g.nodes) == 2
 
 
 def test_critical_graph_idempotent(example, example_reuse):
-    g = build_dfg(example, example_reuse, None)
-    cg = critical_graph(g)
-    again = critical_graph(cg)
+    g = build_dfg(example)
+    lat = node_latencies(g, example_reuse)
+    cg = critical_graph(g, lat)
+    again = critical_graph(cg, lat)
     assert set(again.nodes) == set(cg.nodes)
     assert set(again.edges) == set(cg.edges)
 
 
 def test_find_cuts_example(example, example_reuse):
-    g = build_dfg(example, example_reuse, None)
-    cg = critical_graph(g)
+    g = build_dfg(example)
+    cg = critical_graph(g, node_latencies(g, example_reuse))
     cuts = reference_cuts(cg, example_reuse)
     assert [c.arrays for c in cuts] == [("d",), ("a", "b")]
     assert [c.omega for c in cuts] == [30, 630]
@@ -146,8 +157,8 @@ def test_find_cuts_example(example, example_reuse):
 def test_find_cuts_chain_of_two_candidates():
     k = parse_kernel("loop i = 0..6 { S1: t[0] = x[0] * y[i]; S2: z[i] = w[0] * t[0]; }")
     reuse = analyze_all(k)
-    g = build_dfg(k, reuse, None)
-    cuts = find_cuts(critical_graph(g), reuse)
+    g = build_dfg(k)
+    cuts = find_cuts(critical_graph(g, node_latencies(g, reuse)), reuse)
     # x and w are loop invariant candidates on a chain through t
     assert all(len(c.arrays) >= 1 for c in cuts)
     singles = [c.arrays for c in cuts if len(c.arrays) == 1]
@@ -157,7 +168,8 @@ def test_find_cuts_chain_of_two_candidates():
 def test_find_cuts_parallel_branches_need_the_pair():
     k = parse_kernel("loop i = 0..6 { S: y[i] = a[0] + b[0]; }")
     reuse = analyze_all(k)
-    cuts = find_cuts(critical_graph(build_dfg(k, reuse, None)), reuse)
+    g = build_dfg(k)
+    cuts = find_cuts(critical_graph(g, node_latencies(g, reuse)), reuse)
     assert [c.arrays for c in cuts] == [("a", "b")]
 
 
@@ -166,8 +178,9 @@ def test_find_cuts_excludes_unimprovable(example, example_reuse):
     beta = {a: 1 for a in example_reuse}
     beta["d"] = 30
     alloc = manual_allocation(example_reuse, beta, 64)
-    g = build_dfg(example, example_reuse, alloc)
-    cuts = find_cuts(critical_graph(g), example_reuse, alloc)
+    g = build_dfg(example)
+    cuts = find_cuts(critical_graph(g, node_latencies(g, example_reuse, alloc)),
+                     example_reuse, alloc)
     assert [c.arrays for c in cuts] == [("a", "b")]
 
 
@@ -176,14 +189,15 @@ def test_find_cuts_empty_when_uncoverable(example, example_reuse):
     # improvable reference left, so no cut can break every path
     beta = {"a": 30, "b": 600, "c": 1, "d": 30, "e": 1}
     alloc = manual_allocation(example_reuse, beta, 700)
-    g = build_dfg(example, example_reuse, alloc)
-    cuts = find_cuts(critical_graph(g), example_reuse, alloc)
+    g = build_dfg(example)
+    cuts = find_cuts(critical_graph(g, node_latencies(g, example_reuse, alloc)),
+                     example_reuse, alloc)
     assert cuts == ()
 
 
 def test_cut_register_need_modes(example, example_reuse):
-    g = build_dfg(example, example_reuse, None)
-    cg = critical_graph(g)
+    g = build_dfg(example)
+    cg = critical_graph(g, node_latencies(g, example_reuse))
     by_arrays = {c.arrays: c for c in reference_cuts(cg, example_reuse)}
     ones = unit_allocation(example_reuse, 64)
     assert cut_register_need(by_arrays[("d",)], example_reuse, ones) == 29
@@ -200,7 +214,16 @@ def test_cut_register_need_modes(example, example_reuse):
 
 
 def test_to_dot_renders(example, example_reuse):
-    g = build_dfg(example, example_reuse, None)
-    dot = to_dot(g)
+    g = build_dfg(example)
+    dot = to_dot(g, node_latencies(g, example_reuse))
     assert dot.startswith("digraph")
     assert "->" in dot
+
+
+def test_dfg_rejects_backward_edges_and_self_loops():
+    # ascending node id is the topological order, so an edge must point up
+    nodes = (DfgNode(0, "mem", "x", 1, 0), DfgNode(1, "mem", "y", 1, 0))
+    assert Dfg(nodes, ((0, 1),)).succs() == {0: [1], 1: []}
+    for edges in (((1, 0),), ((0, 1), (1, 0)), ((1, 1),)):
+        with pytest.raises(KernelValidationError, match="cyclic dependence in data-flow graph"):
+            Dfg(nodes, edges)

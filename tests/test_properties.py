@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import sralloc as sa
 from sralloc.config import ACCOUNTING_MODES
 from sralloc.dfg import (Cut, Dfg, DfgNode, critical_graph, critical_length,
-                         cut_register_need, find_cuts)
+                         cut_register_need, find_cuts, node_latencies)
 from sralloc.reuse import ReuseInfo
 
 
@@ -95,11 +95,12 @@ def test_t_exec_monotone_and_full_beta_zeroes_latency(seed):
     ones = sa.unit_allocation(reuse, len(reuse))
     full_beta = {a: i.required_regs for a, i in reuse.items()}
     full = sa.manual_allocation(reuse, full_beta, sum(full_beta.values()))
-    assert sa.t_exec(k, reuse, full) <= sa.t_exec(k, reuse, ones)
-    g = sa.build_dfg(k, reuse, full)
+    g = sa.build_dfg(k)
+    lat = node_latencies(g, reuse, full)
+    assert critical_length(g, lat) <= critical_length(g, node_latencies(g, reuse, ones))
     for n in g.mem_nodes():
         if reuse[n.label].save > 0:
-            assert n.latency == 0
+            assert lat[n.node_id] == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -127,7 +128,7 @@ def test_full_residency_floor_random(seed):
     reuse = sa.analyze_all(k)
     beta = {a: i.required_regs for a, i in reuse.items()}
     alloc = sa.manual_allocation(reuse, beta, sum(beta.values()))
-    g = sa.build_dfg(k, reuse, alloc)
+    g = sa.build_dfg(k)
     by_id = {n.node_id: n for n in g.nodes}
     dead_levels = sum(
         1 for lev in sa.memory_levels(g)
@@ -249,10 +250,10 @@ def reference_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None) -> tuple[Cu
             return ()
         requirements.append(req)
 
-    by_id = cg._by_id()
+    label = {n.node_id: n.label for n in cg.nodes}
     cuts = []
     for s in minimal_hitting_sets(requirements):
-        arrays = tuple(sorted({by_id[nid].label for nid in s}))
+        arrays = tuple(sorted({label[nid] for nid in s}))
         omega = sum(reuse[a].required_regs for a in arrays)
         cuts.append(Cut(tuple(sorted(s)), arrays, omega))
     return tuple(sorted(cuts, key=lambda c: (len(c.node_ids), c.arrays, c.node_ids)))
@@ -366,8 +367,9 @@ def test_find_cuts_is_cheapest_reference_cut_random_kernel(seed):
     reuse = sa.analyze_all(k)
     rng = random.Random(seed ^ 0x5A)
     alloc = random_alloc(rng, reuse, len(reuse) + rng.randint(0, 24))
+    g = sa.build_dfg(k)
     for held in (None, alloc):
-        assert_cheapest_cut(critical_graph(sa.build_dfg(k, reuse, held)), reuse, held)
+        assert_cheapest_cut(critical_graph(g, node_latencies(g, reuse, held)), reuse, held)
 
 
 @settings(max_examples=30, deadline=None)
@@ -375,8 +377,9 @@ def test_find_cuts_is_cheapest_reference_cut_random_kernel(seed):
 def test_critical_graph_idempotent_random(seed):
     rng = random.Random(seed)
     g = random_dag(rng)
-    cg = critical_graph(g)
-    again = critical_graph(cg)
+    lat = {n.node_id: n.latency for n in g.nodes}
+    cg = critical_graph(g, lat)
+    again = critical_graph(cg, lat)
     assert set(again.nodes) == set(cg.nodes)
     assert set(again.edges) == set(cg.edges)
 
@@ -384,18 +387,17 @@ def test_critical_graph_idempotent_random(seed):
 # ---------------------------------------------------------------------------
 # longest-path pass against the recursive walks it replaced
 
-def reference_critical_paths(g: Dfg) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def reference_critical_paths(g: Dfg, lat) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(T_exec, every maximum-latency root-to-sink path), by recursive walks."""
     if not g.nodes:
         return 0, ()
-    by_id = {n.node_id: n for n in g.nodes}
     succs = g.succs()
     best_from: dict[int, int] = {}
 
     def longest_from(nid: int) -> int:
         if nid not in best_from:
             tail = max((longest_from(s) for s in succs[nid]), default=0)
-            best_from[nid] = by_id[nid].latency + tail
+            best_from[nid] = lat[nid] + tail
         return best_from[nid]
 
     t_exec = max(longest_from(r) for r in g.roots())
@@ -408,7 +410,7 @@ def reference_critical_paths(g: Dfg) -> tuple[int, tuple[tuple[int, ...], ...]]:
             return
         # a path is critical iff it keeps following maximum continuations
         for s in sorted(succs[nid]):
-            if best_from[s] == best_from[nid] - by_id[nid].latency:
+            if best_from[s] == best_from[nid] - lat[nid]:
                 walk(s, prefix)
 
     for r in sorted(g.roots()):
@@ -450,11 +452,11 @@ def reference_memory_levels(g: Dfg, ports: int) -> tuple[tuple[int, ...], ...]:
     return tuple(levels)
 
 
-def assert_matches_path_walk(g: Dfg):
-    t_exec, paths = reference_critical_paths(g)
-    assert critical_length(g) == t_exec
+def assert_matches_path_walk(g: Dfg, lat):
+    t_exec, paths = reference_critical_paths(g, lat)
+    assert critical_length(g, lat) == t_exec
     keep = {nid for p in paths for nid in p}
-    cg = critical_graph(g)
+    cg = critical_graph(g, lat)
     assert cg.nodes == tuple(n for n in g.nodes if n.node_id in keep)
     assert cg.edges == tuple(sorted({e for p in paths for e in zip(p, p[1:])}))
     for ports in (1, 2):
@@ -467,8 +469,7 @@ def test_longest_path_pass_matches_path_walk_random_dag(seed):
     rng = random.Random(seed)
     g = random_dag(rng)
     # latencies 0..2 force ties between paths of different hop counts
-    nodes = tuple(dataclasses.replace(n, latency=rng.choice((0, 1, 2))) for n in g.nodes)
-    assert_matches_path_walk(Dfg(nodes, g.edges))
+    assert_matches_path_walk(g, {n.node_id: rng.choice((0, 1, 2)) for n in g.nodes})
 
 
 @settings(max_examples=40, deadline=None)
@@ -477,5 +478,6 @@ def test_longest_path_pass_matches_path_walk_kernels(seed):
     k = kernel_from_seed(seed)
     reuse = sa.analyze_all(k)
     full_beta = {a: i.required_regs for a, i in reuse.items()}
+    g = sa.build_dfg(k)
     for alloc in (None, sa.manual_allocation(reuse, full_beta, sum(full_beta.values()))):
-        assert_matches_path_walk(sa.build_dfg(k, reuse, alloc))
+        assert_matches_path_walk(g, node_latencies(g, reuse, alloc))

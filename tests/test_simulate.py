@@ -3,20 +3,25 @@ import pytest
 from sralloc import (
     POLICY_ELEMENT,
     POLICY_STAGING,
-    analyze_all,
     build_dfg,
+    critical_length,
     full_reuse,
     manual_allocation,
     memory_levels,
+    node_latencies,
     parse_kernel,
     partial_reuse,
     critical_path_aware,
     residency,
     run_allocator,
     steady_state_cycles,
-    t_exec,
     unit_allocation,
 )
+
+
+def t_exec(kernel, reuse, alloc):
+    g = build_dfg(kernel)
+    return critical_length(g, node_latencies(g, reuse, alloc))
 
 
 def level_arrays(g, levels):
@@ -25,22 +30,20 @@ def level_arrays(g, levels):
 
 
 def test_memory_levels_example(example, example_reuse):
-    g = build_dfg(example, example_reuse, None)
+    g = build_dfg(example)
     levels = memory_levels(g)
     assert level_arrays(g, levels) == [["a", "b", "c"], ["d"], ["e"]]
 
 
 def test_memory_levels_chain():
     k = parse_kernel("loop i = 0..4 { S: y[i] = x[i]; }")
-    reuse = analyze_all(k)
-    g = build_dfg(k, reuse, None)
+    g = build_dfg(k)
     assert level_arrays(g, memory_levels(g)) == [["x"], ["y"]]
 
 
 def test_memory_levels_port_split():
     k = parse_kernel("loop i = 0..6 { S: y[i] = x[i] + x[i + 1]; }")
-    reuse = analyze_all(k)
-    g = build_dfg(k, reuse, None)
+    g = build_dfg(k)
     single = level_arrays(g, memory_levels(g, ports=1))
     dual = level_arrays(g, memory_levels(g, ports=2))
     assert single == [["x"], ["x"], ["y"]]  # serialized on one port
