@@ -87,7 +87,6 @@ from .reuse import (
 from .simulate import (
     CycleReport,
     memory_levels,
-    residency,
     steady_state_cycles,
 )
 

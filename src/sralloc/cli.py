@@ -324,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         report = args.func(args, cfg)
-    except (FileNotFoundError, KernelError, ValueError, CapExceededError) as exc:
+    except (OSError, KernelError, ValueError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_INFEASIBLE if isinstance(exc, InfeasibleBudgetError)
                 else EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_INPUT)

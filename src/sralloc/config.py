@@ -43,6 +43,12 @@ class RunConfig:
     iteration_cap: int = DEFAULT_CAP
 
     def validate(self) -> "RunConfig":
+        counts = [("register_budget", self.register_budget), ("ports", self.ports),
+                  ("iteration_cap", self.iteration_cap)]
+        counts += [(f"latency {k!r}", v) for k, v in self.latencies.items()]
+        for key, value in counts:
+            if type(value) is not int:  # bool and float are not counts
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if self.rr_accounting not in ACCOUNTING_MODES:
@@ -61,9 +67,13 @@ class RunConfig:
     def from_file(cls, path: str) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {path!r} must hold a JSON object")
         cfg = cls()
         for key, value in data.items():
             if key == "latencies":
+                if not isinstance(value, dict):
+                    raise ValueError(f"latencies must be an object, got {value!r}")
                 cfg.latencies.update(value)
             elif hasattr(cfg, key):
                 setattr(cfg, key, value)

@@ -99,9 +99,6 @@ class ArrayRef:
     slot: int  # 0 = write target, 1.. = read operands
     implicit: bool = False  # synthesized read of a reduction target
 
-    def element(self, env: dict[str, int]) -> tuple[int, ...]:
-        return tuple(e.eval(env) for e in self.subscripts)
-
     def __str__(self) -> str:
         subs = "".join(f"[{e}]" for e in self.subscripts)
         return f"{self.array}{subs}"

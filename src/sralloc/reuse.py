@@ -46,10 +46,6 @@ class ReuseInfo:
     bc: Fraction
     forwarded_store: bool  # a later statement reads the written element back
 
-    @property
-    def reusable(self) -> bool:
-        return self.save > 0
-
 
 def forwarded_read_ids(kernel: Kernel) -> frozenset[int]:
     """Reads that a strictly earlier statement writes with identical subscripts.

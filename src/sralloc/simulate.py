@@ -7,26 +7,29 @@ levels; accesses in one level touch distinct RAM blocks and overlap, so a
 level costs one cycle in an iteration exactly when some member access is
 not register resident there.
 
-Residency is decided per element: the first elements of an array's
-carrier working set, in first-access order, live in its registers.  Under
-the default element-level policy every register exploits reuse; under the
-staging-only policy a single register is a staging latch and confers
-nothing.  An array whose store is forwarded to a same-iteration read
-needs at least two registers before its stores can be deferred, because
-one register is permanently the forwarding conduit.  First-access ranks
-follow execution order: statements in sequence, reads before the write.
+Residency is one rule.  A memory node touches one element per iteration;
+its rank is that element's first-access rank in the array's carrier
+window, in execution order (statements in sequence, reads before the
+write).  The access hits exactly when the rank is below the array's
+threshold: infinite under full replacement; 0 for an array that saves
+nothing, or that holds one register under the staging-only policy (a
+staging latch) or with a store forwarded to a same-iteration read (the
+forwarding conduit); beta otherwise.  Ranks do not depend on beta (the
+inclusion property of Mattson et al.'s stack algorithm), so one streaming
+walk over integer addresses, holding one window per array, finds them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .allocate import Allocation
 from .config import CapExceededError, POLICIES, POLICY_ELEMENT, POLICY_STAGING
-from .dfg import Dfg, DfgNode, _longest, build_dfg, critical_length, node_latencies
-from .kernel import ArrayRef, Kernel, KernelValidationError, iteration_space_size
-from .reuse import ReuseInfo, forwarded_read_ids
+from .dfg import Dfg, DfgNode, _longest, build_dfg, critical_length, mem_latency, node_latencies
+from .kernel import Kernel, iteration_space_size
+from .reuse import ReuseInfo, _address_forms
 
 
 @dataclass(frozen=True)
@@ -93,82 +96,55 @@ def memory_levels(g: Dfg, ports: int = 1) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# residency
+# ranks and thresholds
 
-class _ArrayResidency:
-    """Streaming first-access ranks within the current carrier window."""
-
-    def __init__(self, info: ReuseInfo, beta: int, policy: str):
-        self.carrier = info.carrier
-        self.beta = beta
-        self.window_key: tuple | None = None
-        self.ranks: dict[tuple, int] = {}
-        always = info.save > 0 and beta == info.required_regs
-        never = (info.save <= 0
-                 or (beta < 2 and (policy == POLICY_STAGING or info.forwarded_store)))
-        self.fixed: bool | None = True if always else (False if never else None)
-
-    def touch(self, point: tuple[int, ...], element: tuple[int, ...]) -> bool:
-        if self.fixed is not None:
-            return self.fixed
-        key = point[: self.carrier + 1]
-        if key != self.window_key:
-            self.window_key = key
-            self.ranks = {}
-        rank = self.ranks.setdefault(element, len(self.ranks))
-        return rank < self.beta
+def _threshold(info: ReuseInfo, beta: int, policy: str) -> float:
+    """Lowest first-access rank that misses the registers of an array holding beta."""
+    if mem_latency(info, beta) == 0:
+        return math.inf
+    if info.save <= 0 or (beta < 2 and (policy == POLICY_STAGING or info.forwarded_store)):
+        return 0
+    return beta
 
 
-def _policy_check(policy: str):
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
+def _rank_rows(kernel: Kernel, reuse: dict[str, ReuseInfo], g: Dfg):
+    """Each memory node's first-access rank, by ascending id, at every interior inner point.
 
-
-def _access_order(kernel: Kernel) -> list[ArrayRef]:
-    """Memory accesses of one iteration in execution order.
-
-    Statements run in sequence; a statement's reads precede its write, the
-    implicit reduction read after the explicit ones.  Forwarded reads are
-    not memory accesses and are skipped.
+    The outermost index sits at its middle value; the inner points follow
+    in loop order.  A node's address is its pattern's linear form; its
+    array's ranks restart whenever the carrier window does.  Arrays with
+    no carrier rank 0: their threshold alone decides.
     """
-    forwarded = forwarded_read_ids(kernel)
-    order: list[ArrayRef] = []
-    for stmt in kernel.statements:
-        for r in stmt.reads:
-            if r.ref_id not in forwarded:
-                order.append(r)
-        order.append(stmt.write)
-    return order
+    loops = kernel.loops
+    mid = loops[0].lower + (loops[0].trip // 2) * loops[0].step if loops else 0
+    mem = g.mem_nodes()
+    pattern = {r.ref_id: r.subscripts for r in kernel.refs}
+    subs = [pattern[n.ref_ids[0]] for n in mem]
 
-
-def residency(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allocation,
-              array: str, iteration: tuple[int, ...],
-              policy: str = POLICY_ELEMENT) -> bool:
-    """Whether every access of ``array`` at ``iteration`` hits a register.
-
-    Replays the carrier window containing the iteration to recover
-    first-access ranks.
-    """
-    _policy_check(policy)
-    if len(iteration) != kernel.depth:
-        raise KernelValidationError("iteration vector length differs from nest depth")
-    info = reuse[array]
-    state = _ArrayResidency(info, alloc.beta[array], policy)
-    if state.fixed is not None:
-        return state.fixed
-    accesses = [r for r in _access_order(kernel) if r.array == array]
-    names = kernel.index_names
-    carrier = info.carrier
-    prefix = iteration[: carrier + 1]
-    hit = True
-    for inner in itertools.product(*(lp.range for lp in kernel.loops[carrier + 1:])):
-        point = prefix + inner
-        env = dict(zip(names, point))
-        for r in accesses:
-            ok = state.touch(point, r.element(env))
-            if point == tuple(iteration):
-                hit = hit and ok
-    return hit
+    # a node without a carrier reads address 0 from a never-cleared dict
+    count = math.prod(lp.trip for lp in loops[1:])
+    streams = [itertools.repeat(0, count) for _ in mem]
+    seen: list[dict[int, int]] = [{}] * len(mem)
+    windows = []
+    for a, info in reuse.items():
+        if info.carrier is None:
+            continue
+        nodes = [p for p, n in enumerate(mem) if n.label == a]
+        pats = list(dict.fromkeys(subs[p] for p in nodes))
+        form = dict(zip(pats, _address_forms(kernel, a, pats)))
+        ranks: dict[int, int] = {}
+        windows.append((ranks, iteration_space_size(kernel, info.carrier + 1)))
+        for p in nodes:
+            base, coeffs = form[subs[p]]
+            offsets = [(base + coeffs[0] * mid,)]
+            offsets += [tuple(c * x for x in lp.range) for c, lp in zip(coeffs[1:], loops[1:])]
+            streams[p] = map(sum, itertools.product(*offsets))
+            seen[p] = ranks
+    for i, addrs in enumerate(zip(*streams)):
+        for ranks, span in windows:
+            if i % span == 0:
+                ranks.clear()
+        yield [s.setdefault(a, len(s)) for s, a in zip(seen, addrs)]
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +157,12 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allo
     """Memory cycles of one interior outermost-loop iteration.
 
     Walks every inner iteration once; a dependence level charges one cycle
-    when any member access misses the registers.  Deferred stores and
-    forwarded reads charge nothing; an array that saves nothing charges on
-    every access.
+    when any member node's rank reaches its array's threshold.  Deferred
+    stores and forwarded reads charge nothing; an array that saves nothing
+    charges on every access.
     """
-    _policy_check(policy)
+    if policy not in POLICIES:
+        raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
     alloc.validate(reuse)
     g = build_dfg(kernel, latencies)
     t_exec_val = critical_length(g, node_latencies(g, reuse, alloc))
@@ -194,37 +171,20 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allo
     if cap is not None and inner_count > cap:
         raise CapExceededError(f"inner iteration space {inner_count} exceeds cap {cap}")
 
-    # map each memory node to the access that defines its element
-    ref_node: dict[int, int] = {}
-    for n in g.mem_nodes():
-        for rid in n.ref_ids:
-            ref_node[rid] = n.node_id
-    accesses = [(r, ref_node[r.ref_id]) for r in _access_order(kernel)]
-
-    names = kernel.index_names
-    outer = kernel.loops[0] if kernel.loops else None
-    mid = outer.lower + (outer.trip // 2) * outer.step if outer else 0
-
-    state = {a: _ArrayResidency(info, alloc.beta[a], policy) for a, info in reuse.items()}
+    mem = g.mem_nodes()
+    pos = {n.node_id: p for p, n in enumerate(mem)}
+    threshold = [_threshold(reuse[n.label], alloc.beta[n.label], policy) for n in mem]
+    members = [[pos[nid] for nid in level] for level in levels]
+    labels = [n.label for n in mem]
     per_level = [0] * len(levels)
     per_array = {a: 0 for a in reuse}
-    label = {n.node_id: n.label for n in g.nodes}
-
-    for inner in itertools.product(*(lp.range for lp in kernel.loops[1:])):
-        point = (mid,) + inner
-        env = dict(zip(names, point))
-        node_hit: dict[int, bool] = {}
-        for r, nid in accesses:
-            ok = state[r.array].touch(point, r.element(env))
-            node_hit[nid] = node_hit.get(nid, True) and ok
-        for li, level in enumerate(levels):
-            miss = False
-            for nid in level:
-                if not node_hit[nid]:
-                    miss = True
-                    per_array[label[nid]] += 1
-            if miss:
+    for row in _rank_rows(kernel, reuse, g):
+        for li, level in enumerate(members):
+            charged = [p for p in level if row[p] >= threshold[p]]
+            if charged:
                 per_level[li] += 1
+                for p in charged:
+                    per_array[labels[p]] += 1
 
     return CycleReport(
         kernel=kernel.name,

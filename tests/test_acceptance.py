@@ -17,7 +17,7 @@ from sralloc import (
     REFERENCE_REQUIRED,
 )
 
-from conftest import beta_tuple
+from conftest import beta_tuple, hit
 from test_properties import (
     assert_matches_brute_force,
     random_dag,
@@ -185,7 +185,7 @@ def test_criterion_7_oracle_equivalence(kernels, reuse_map, oracle_map):
         for rest in points[:: max(1, len(points) // 25)]:
             point = (mid,) + rest
             for array in reuse:
-                assert sa.residency(kernel, reuse, alloc, array, point) == \
+                assert hit(kernel, reuse, alloc, array, point) == \
                     hits[(array, point)], (name, array, point)
 
     rng = random.Random(20240817)

@@ -29,10 +29,11 @@ def test_analyze_fir_json(capsys):
     assert [arrays[a]["required_regs"] for a in ("out", "coeff", "in")] == [1, 52, 51]
 
 
-def test_analyze_missing_file(capsys):
-    code, _, err = run(capsys, "analyze", "missing.knl")
-    assert code == 2
-    assert "missing.knl" in err
+def test_analyze_missing_file(tmp_path, capsys):
+    for path in ("missing.knl", str(tmp_path)):  # absent, or a directory
+        code, _, err = run(capsys, "analyze", path)
+        assert code == 2
+        assert err.startswith("error: ") and path in err
 
 
 def test_analyze_kernel_file(tmp_path, capsys):
@@ -248,6 +249,23 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "compare", "example")
     assert code == 0
     assert "1800" in out
+
+
+@pytest.mark.parametrize("settings", [
+    {"register_budget": 64.5},
+    {"ports": "2"},
+    {"iteration_cap": True},
+    {"latencies": {"multiply": "x"}},
+    {"latencies": [1]},
+    [64],
+])
+def test_config_rejects_malformed_values(tmp_path, capsys, monkeypatch, settings):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    monkeypatch.setenv("SRALLOC_CONFIG", str(cfg))
+    code, out, err = run(capsys, "allocate", "example")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "must" in err
 
 
 def test_bad_policy_flag(capsys):

@@ -158,6 +158,86 @@ def test_policy_gap_confined_to_single_register_arrays(seed):
 
 
 # ---------------------------------------------------------------------------
+# the simulator against a per-element replay
+
+class ReferenceResidency:
+    """First-access ranks of one array's elements, replayed window by window."""
+
+    def __init__(self, info: ReuseInfo, beta: int, policy: str):
+        self.carrier = info.carrier
+        self.beta = beta
+        self.window_key = None
+        self.ranks = {}
+        always = info.save > 0 and beta == info.required_regs
+        never = (info.save <= 0
+                 or (beta < 2 and (policy == sa.POLICY_STAGING or info.forwarded_store)))
+        self.fixed = True if always else (False if never else None)
+
+    def touch(self, point, element) -> bool:
+        if self.fixed is not None:
+            return self.fixed
+        key = point[: self.carrier + 1]
+        if key != self.window_key:
+            self.window_key = key
+            self.ranks = {}
+        rank = self.ranks.setdefault(element, len(self.ranks))
+        return rank < self.beta
+
+
+def reference_cycles(kernel, reuse, alloc, policy, ports):
+    """(per_level, per_array) by replaying every access's subscript tuple.
+
+    Accesses run in statement order, reads before the write and the implicit
+    reduction read last; forwarded reads touch no memory.
+    """
+    g = sa.build_dfg(kernel)
+    levels = sa.memory_levels(g, ports)
+    forwarded = sa.forwarded_read_ids(kernel)
+    node_of = {rid: n.node_id for n in g.mem_nodes() for rid in n.ref_ids}
+    label = {n.node_id: n.label for n in g.nodes}
+    accesses = [(r, node_of[r.ref_id]) for stmt in kernel.statements
+                for r in (*stmt.reads, stmt.write) if r.ref_id not in forwarded]
+    state = {a: ReferenceResidency(info, alloc.beta[a], policy) for a, info in reuse.items()}
+    outer = kernel.loops[0]
+    mid = outer.lower + (outer.trip // 2) * outer.step
+    per_level = [0] * len(levels)
+    per_array = {a: 0 for a in reuse}
+    for inner in itertools.product(*(lp.range for lp in kernel.loops[1:])):
+        point = (mid,) + inner
+        env = dict(zip(kernel.index_names, point))
+        node_hit = {}
+        for r, nid in accesses:
+            element = tuple(e.eval(env) for e in r.subscripts)
+            node_hit[nid] = node_hit.get(nid, True) and state[r.array].touch(point, element)
+        for li, level in enumerate(levels):
+            missed = [nid for nid in level if not node_hit[nid]]
+            per_level[li] += bool(missed)
+            for nid in missed:
+                per_array[label[nid]] += 1
+    return tuple(per_level), tuple(sorted(per_array.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6))
+def test_cycles_match_reference_replay(seed):
+    """Random, all-ones and one-short-of-full allocations, both policies,
+    one and two ports: the same per-level and per-array charges."""
+    k = kernel_from_seed(seed)
+    reuse = sa.analyze_all(k)
+    rng = random.Random(seed ^ 0x7E)
+    short = {a: max(1, i.required_regs - 1) for a, i in reuse.items()}
+    allocs = (random_alloc(rng, reuse, len(reuse) + rng.randint(0, 30)),
+              sa.unit_allocation(reuse, len(reuse)),
+              sa.manual_allocation(reuse, short, sum(short.values())))
+    for alloc in allocs:
+        for policy in sa.POLICIES:
+            for ports in (1, 2):
+                r = sa.steady_state_cycles(k, reuse, alloc, policy, ports)
+                assert (r.per_level, r.per_array) == \
+                    reference_cycles(k, reuse, alloc, policy, ports), (alloc.beta, policy, ports)
+
+
+# ---------------------------------------------------------------------------
 # cut machinery against exhaustive search
 
 def random_dag(rng: random.Random, max_mem: int = 12) -> Dfg:

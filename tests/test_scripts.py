@@ -1,7 +1,8 @@
-"""Both walkthrough scripts run to completion and print the paper's numbers."""
+"""The scripts run to completion: the walkthroughs print the paper's numbers, the digest is stable."""
 
 import re
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,10 @@ def test_allocation_table_script(capsys):
     assert "  fir: 1, 52, 51\n" in out
     for name, note in sa.CORPUS_NOTES.items():
         assert f"{name}: {note}" in out
+
+
+def test_output_digest_script(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["output_digest.py", "3"])
+    first = run_script("output_digest.py", capsys)
+    assert re.fullmatch(r"\d+ records [0-9a-f]{64}\n", first)
+    assert run_script("output_digest.py", capsys) == first

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import hit
 from sralloc import (
     POLICY_ELEMENT,
     POLICY_STAGING,
@@ -12,7 +13,6 @@ from sralloc import (
     parse_kernel,
     partial_reuse,
     critical_path_aware,
-    residency,
     run_allocator,
     steady_state_cycles,
     unit_allocation,
@@ -97,21 +97,21 @@ def test_full_residency_floor(example, example_reuse):
 
 def test_residency_examples(example, example_reuse):
     cpa = critical_path_aware(example, example_reuse, 64)
-    assert residency(example, example_reuse, cpa, "a", (50, 3, 5)) is True
+    assert hit(example, example_reuse, cpa, "a", (50, 3, 5)) is True
     beta = dict(cpa.beta)
     assert beta["b"] == 16
-    assert residency(example, example_reuse, cpa, "b", (50, 0, 20)) is False
-    assert residency(example, example_reuse, cpa, "b", (50, 0, 10)) is True
+    assert hit(example, example_reuse, cpa, "b", (50, 0, 20)) is False
+    assert hit(example, example_reuse, cpa, "b", (50, 0, 10)) is True
     # full replacement is resident everywhere
-    assert residency(example, example_reuse, cpa, "d", (50, 19, 29)) is True
+    assert hit(example, example_reuse, cpa, "d", (50, 19, 29)) is True
     # no savings, never resident
-    assert residency(example, example_reuse, cpa, "e", (50, 0, 0)) is False
+    assert hit(example, example_reuse, cpa, "e", (50, 0, 0)) is False
 
 
 def test_residency_staging_single_register(example, example_reuse):
     fr = full_reuse(example_reuse, 64)  # b keeps one register
-    assert residency(example, example_reuse, fr, "b", (50, 0, 0), POLICY_ELEMENT) is True
-    assert residency(example, example_reuse, fr, "b", (50, 0, 0), POLICY_STAGING) is False
+    assert hit(example, example_reuse, fr, "b", (50, 0, 0), POLICY_ELEMENT) is True
+    assert hit(example, example_reuse, fr, "b", (50, 0, 0), POLICY_STAGING) is False
 
 
 def test_t_exec_examples(example, example_reuse):
