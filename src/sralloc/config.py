@@ -27,7 +27,7 @@ DEFAULT_CAP = 10_000_000
 
 
 class CapExceededError(RuntimeError):
-    """Iteration space larger than the configured enumeration cap."""
+    """Work past a cap: the configured enumeration cap or a fixed ceiling."""
 
 CONFIG_ENV_VAR = "SRALLOC_CONFIG"
 

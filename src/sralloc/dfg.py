@@ -22,9 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_LATENCIES
+from .config import DEFAULT_LATENCIES, CapExceededError
 from .kernel import Kernel, KernelError, KernelValidationError
 from .reuse import ReuseInfo
+
+#: branch-and-bound nodes one component's cut search may pop before it gives up
+MAX_CUT_NODES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -253,7 +256,7 @@ def _components(cg: Dfg, label: dict[int, str]) -> list[list[int]]:
 
 def _cheapest_cover(nodes_of: dict[str, set[int]], need: dict[str, int],
                     label: dict[int, str], roots: list[int],
-                    succs: dict[int, list[int]]) -> tuple[str, ...] | None:
+                    succs: dict[int, list[int]], comp_size: int) -> tuple[str, ...] | None:
     """Least ``(need, size, names)`` set of arrays whose nodes break every path.
 
     ``nodes_of`` maps each candidate array to its nodes, ``label`` each
@@ -262,6 +265,8 @@ def _cheapest_cover(nodes_of: dict[str, set[int]], need: dict[str, int],
     equal-size sets in name order, so the first set found at the best
     ``(need, size)`` also wins the name tie-break, and a branch that can
     only tie is pruned.  None when even every array together leaves a path.
+    Past ``MAX_CUT_NODES`` popped search nodes it raises
+    ``CapExceededError``, naming the component's ``comp_size`` in nodes.
     """
     arrays = sorted(nodes_of)
 
@@ -284,7 +289,13 @@ def _cheapest_cover(nodes_of: dict[str, set[int]], need: dict[str, int],
 
     best: tuple[int, int, tuple[str, ...]] | None = None
     stack: list[tuple[int, tuple[str, ...], int]] = [(0, (), 0)]
+    popped = 0
     while stack:
+        popped += 1
+        if popped > MAX_CUT_NODES:
+            raise CapExceededError(
+                f"cut search over a critical-graph component of {comp_size} nodes and "
+                f"{len(arrays)} candidate arrays passed {MAX_CUT_NODES} search nodes")
         i, chosen, cost = stack.pop()
         bound = still_needed(chosen, set(arrays[i:]))
         if bound is None:
@@ -320,7 +331,8 @@ def find_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
     covers is the cheapest cover overall, name tie-break included.  Each
     component is searched by branch-and-bound, bounded below by open paths
     that share no undecided array; the worst case is still exponential in
-    one component's candidate arrays.
+    one component's candidate arrays, so a search that pops more than
+    ``MAX_CUT_NODES`` nodes raises ``CapExceededError``.
     """
     beta = {a: 1 for a in reuse} if alloc is None else alloc.beta
     need = _array_needs(reuse, reuse, beta, accounting)
@@ -345,7 +357,7 @@ def find_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
         for nid in comp:
             if nid in label:
                 nodes_of.setdefault(label[nid], set()).add(nid)
-        best = _cheapest_cover(nodes_of, need, label, comp_roots, succs)
+        best = _cheapest_cover(nodes_of, need, label, comp_roots, succs, len(comp))
         if best is None:
             return ()
         keep = set().union(*(nodes_of[a] for a in best))

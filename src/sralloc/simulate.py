@@ -15,8 +15,23 @@ threshold: infinite under full replacement; 0 for an array that saves
 nothing, or that holds one register under the staging-only policy (a
 staging latch) or with a store forwarded to a same-iteration read (the
 forwarding conduit); beta otherwise.  Ranks do not depend on beta (the
-inclusion property of Mattson et al.'s stack algorithm), so one streaming
-walk over integer addresses, holding one window per array, finds them.
+inclusion property of Mattson et al.'s stack algorithm), and one array's
+ranks depend only on its own addresses.
+
+So the inner iterations are priced in blocks of ``BLOCK`` points: rank per
+array per window, then byteset OR and popcount per level.  A rank is below
+a threshold ``t`` exactly when the element is one of the window's first
+``t`` distinct addresses, so an array keeps only those, in a set cleared
+when its carrier window starts.  Its nodes' integer address streams are
+interleaved; each stretch of a block inside one window adds its new
+addresses to the set until it holds ``t``, then marks every access hit or
+miss by membership in one C-level pass over the stretch.  A node's
+misses in a block are a byteset, one byte per point; a level's cycles are
+the popcount of its members' OR, an array's the popcount of its nodes'
+bytesets.  Arrays that miss everywhere (threshold 0) or nowhere (infinite
+threshold, or no carrier: rank 0) are never walked.  Memory stays one
+block of addresses and one byteset per memory node, plus at most ``t``
+addresses per array.
 """
 
 from __future__ import annotations
@@ -30,6 +45,10 @@ from .config import CapExceededError, POLICIES, POLICY_ELEMENT, POLICY_STAGING
 from .dfg import Dfg, DfgNode, _longest, build_dfg, critical_length, mem_latency, node_latencies
 from .kernel import Kernel, iteration_space_size
 from .reuse import ReuseInfo, _address_forms
+
+#: inner points priced together; each node's misses in a block are one byteset
+BLOCK = 1 << 14
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 @dataclass(frozen=True)
@@ -107,44 +126,69 @@ def _threshold(info: ReuseInfo, beta: int, policy: str) -> float:
     return beta
 
 
-def _rank_rows(kernel: Kernel, reuse: dict[str, ReuseInfo], g: Dfg):
-    """Each memory node's first-access rank, by ascending id, at every interior inner point.
+def _block_misses(kernel: Kernel, reuse: dict[str, ReuseInfo], mem: list[DfgNode],
+                  threshold: dict[str, float]):
+    """Each memory node's misses, one block of interior inner points at a time.
 
     The outermost index sits at its middle value; the inner points follow
-    in loop order.  A node's address is its pattern's linear form; its
-    array's ranks restart whenever the carrier window does.  Arrays with
-    no carrier rank 0: their threshold alone decides.
+    in loop order, ``BLOCK`` to a block.  Yields one list per block,
+    indexed like ``mem``: a node's byteset has byte ``i`` set to 1 when it
+    misses at the block's ``i``-th point.  Only the arrays in ``threshold``
+    are priced; other nodes read 0.
+
+    An array misses everywhere at threshold 0, and nowhere at infinity or
+    without a carrier (rank 0).  Otherwise each stretch of a block inside
+    one carrier window extends the set of the window's first ``t`` distinct
+    addresses, the ranks below ``t``, and an access hits exactly when its
+    address is in that set.
     """
     loops = kernel.loops
-    mid = loops[0].lower + (loops[0].trip // 2) * loops[0].step if loops else 0
-    mem = g.mem_nodes()
+    mid = loops[0].lower + (loops[0].trip // 2) * loops[0].step
     pattern = {r.ref_id: r.subscripts for r in kernel.refs}
-    subs = [pattern[n.ref_ids[0]] for n in mem]
-
-    # a node without a carrier reads address 0 from a never-cleared dict
-    count = math.prod(lp.trip for lp in loops[1:])
-    streams = [itertools.repeat(0, count) for _ in mem]
-    seen: list[dict[int, int]] = [{}] * len(mem)
-    windows = []
-    for a, info in reuse.items():
-        if info.carrier is None:
-            continue
+    always: list[int] = []
+    walks = []
+    for a, t in threshold.items():
         nodes = [p for p, n in enumerate(mem) if n.label == a]
-        pats = list(dict.fromkeys(subs[p] for p in nodes))
+        if t <= 0:
+            always += nodes
+        if not 0 < t < math.inf or reuse[a].carrier is None:
+            continue
+        subs = [pattern[mem[p].ref_ids[0]] for p in nodes]
+        pats = list(dict.fromkeys(subs))
         form = dict(zip(pats, _address_forms(kernel, a, pats)))
-        ranks: dict[int, int] = {}
-        windows.append((ranks, iteration_space_size(kernel, info.carrier + 1)))
-        for p in nodes:
-            base, coeffs = form[subs[p]]
+        streams = []
+        for base, coeffs in map(form.__getitem__, subs):
             offsets = [(base + coeffs[0] * mid,)]
             offsets += [tuple(c * x for x in lp.range) for c, lp in zip(coeffs[1:], loops[1:])]
-            streams[p] = map(sum, itertools.product(*offsets))
-            seen[p] = ranks
-    for i, addrs in enumerate(zip(*streams)):
-        for ranks, span in windows:
-            if i % span == 0:
-                ranks.clear()
-        yield [s.setdefault(a, len(s)) for s, a in zip(seen, addrs)]
+            streams.append(map(sum, itertools.product(*offsets)))
+        span = iteration_space_size(kernel, reuse[a].carrier + 1)
+        walks.append((nodes, itertools.chain.from_iterable(zip(*streams)), span, t, set()))
+
+    count = iteration_space_size(kernel, 1)
+    for start in range(0, count, BLOCK):
+        end = min(count, start + BLOCK)
+        miss = [0] * len(mem)
+        everywhere = int.from_bytes(b"\1" * (end - start), "little")
+        for p in always:
+            miss[p] = everywhere
+        for nodes, stream, span, t, first in walks:
+            hits = bytearray()
+            lo = start
+            while lo < end:
+                if lo % span == 0:
+                    first.clear()
+                hi = min(end, lo - lo % span + span)
+                seg = list(itertools.islice(stream, (hi - lo) * len(nodes)))
+                # the filter reads the set as it grows: first accesses only
+                fresh = itertools.filterfalse(first.__contains__, seg)
+                for x in itertools.islice(fresh, t - len(first)):
+                    first.add(x)
+                hits.extend(map(first.__contains__, seg))
+                lo = hi
+            flags = hits.translate(_FLIP)
+            for q, p in enumerate(nodes):
+                miss[p] = int.from_bytes(flags[q::len(nodes)], "little")
+        yield miss
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +200,11 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allo
                         cap: int | None = None) -> CycleReport:
     """Memory cycles of one interior outermost-loop iteration.
 
-    Walks every inner iteration once; a dependence level charges one cycle
-    when any member node's rank reaches its array's threshold.  Deferred
-    stores and forwarded reads charge nothing; an array that saves nothing
-    charges on every access.
+    Walks every inner iteration once, a block at a time; a dependence level
+    charges one cycle at each point where any member node's rank reaches
+    its array's threshold: the popcount of the OR of its members' misses.
+    Deferred stores and forwarded reads charge nothing; an array that saves
+    nothing charges on every access.
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
@@ -173,18 +218,18 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allo
 
     mem = g.mem_nodes()
     pos = {n.node_id: p for p, n in enumerate(mem)}
-    threshold = [_threshold(reuse[n.label], alloc.beta[n.label], policy) for n in mem]
     members = [[pos[nid] for nid in level] for level in levels]
-    labels = [n.label for n in mem]
+    threshold = {a: _threshold(info, alloc.beta[a], policy) for a, info in reuse.items()}
     per_level = [0] * len(levels)
     per_array = {a: 0 for a in reuse}
-    for row in _rank_rows(kernel, reuse, g):
+    for miss in _block_misses(kernel, reuse, mem, threshold):
+        for n, m in zip(mem, miss):
+            per_array[n.label] += m.bit_count()
         for li, level in enumerate(members):
-            charged = [p for p in level if row[p] >= threshold[p]]
-            if charged:
-                per_level[li] += 1
-                for p in charged:
-                    per_array[labels[p]] += 1
+            union = 0
+            for p in level:
+                union |= miss[p]
+            per_level[li] += union.bit_count()
 
     return CycleReport(
         kernel=kernel.name,

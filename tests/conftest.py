@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 import sralloc as sa
-from sralloc.simulate import _rank_rows, _threshold
+from sralloc import simulate
+from sralloc.simulate import _block_misses, _threshold
 
 
 @pytest.fixture(scope="session")
@@ -39,13 +40,17 @@ def beta_tuple(kernel, alloc):
 def hit(kernel, reuse, alloc, array, point, policy=sa.POLICY_ELEMENT):
     """Whether every access of ``array`` at ``point`` hits a register.
 
-    Reads the simulator's rank row at the point, so the point must lie in
-    the measured window: the outermost index at its middle value.
+    Reads the simulator's miss bytesets for the block that holds the point,
+    so the point must lie in the measured window: the outermost index at
+    its middle value.
     """
     outer = kernel.loops[0]
     assert point[0] == outer.lower + (outer.trip // 2) * outer.step
-    g = sa.build_dfg(kernel)
     inner = itertools.product(*(lp.range for lp in kernel.loops[1:]))
-    row = next(row for p, row in zip(inner, _rank_rows(kernel, reuse, g)) if p == point[1:])
-    limit = _threshold(reuse[array], alloc.beta[array], policy)
-    return all(rank < limit for rank, n in zip(row, g.mem_nodes()) if n.label == array)
+    i = next(i for i, p in enumerate(inner) if p == point[1:])
+    mem = sa.build_dfg(kernel).mem_nodes()
+    limit = {array: _threshold(reuse[array], alloc.beta[array], policy)}
+    blocks = _block_misses(kernel, reuse, mem, limit)
+    miss = next(itertools.islice(blocks, i // simulate.BLOCK, None))
+    shift = 8 * (i % simulate.BLOCK)
+    return not any(m >> shift & 1 for m, n in zip(miss, mem) if n.label == array)

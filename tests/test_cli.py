@@ -3,7 +3,7 @@ import json
 import pytest
 
 import sralloc as sa
-from sralloc import cli
+from sralloc import cli, dfg
 from sralloc.cli import main
 from sralloc.reuse import MAX_ADDRESS_BITS
 
@@ -191,6 +191,20 @@ def test_analyze_address_range_ceiling_exit(trip, tmp_path, capsys):
     assert code == 3
     assert f"address range of {trip} elements" in err
     assert f"bitset ceiling of {MAX_ADDRESS_BITS}" in err
+
+
+def test_allocate_cut_search_ceiling_exit(tmp_path, capsys, monkeypatch):
+    # the ladder S_k: y_k[i] = a_k[i + j] + a_k+1[i + j] is one critical-graph
+    # component of 16 y's, 17 a's and 16 adds; its search pops 41 nodes
+    body = "".join(f"S{k}: y{k}[i] = a{k}[i + j] + a{k + 1}[i + j]; " for k in range(16))
+    path = tmp_path / "ladder.knl"
+    path.write_text("loop j = 0..4 { loop i = 0..4 { " + body + "} }\n")
+    assert run(capsys, "allocate", str(path), "--alg", "cpa")[0] == 0
+    monkeypatch.setattr(dfg, "MAX_CUT_NODES", 5)
+    code, out, err = run(capsys, "allocate", str(path), "--alg", "cpa")
+    assert (code, out) == (3, "")
+    assert err == ("error: cut search over a critical-graph component of 64 nodes and "
+                   "33 candidate arrays passed 5 search nodes\n")
 
 
 def _simulate_t_exec(tmp_path, capsys, body: list[str]) -> int:

@@ -2,12 +2,16 @@
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import sralloc as sa
+from sralloc import simulate
 from sralloc.config import ACCOUNTING_MODES
 from sralloc.dfg import (Cut, Dfg, DfgNode, critical_graph, critical_length,
                          cut_register_need, find_cuts, node_latencies)
@@ -217,6 +221,24 @@ def reference_cycles(kernel, reuse, alloc, policy, ports):
     return tuple(per_level), tuple(sorted(per_array.items()))
 
 
+def assert_matches_reference(k, reuse, allocs):
+    for alloc in allocs:
+        for policy in sa.POLICIES:
+            for ports in (1, 2):
+                r = sa.steady_state_cycles(k, reuse, alloc, policy, ports)
+                assert (r.per_level, r.per_array) == \
+                    reference_cycles(k, reuse, alloc, policy, ports), (alloc.beta, policy, ports)
+
+
+def reference_allocs(seed, reuse):
+    """A random, the all-ones and the one-short-of-full allocation."""
+    rng = random.Random(seed ^ 0x7E)
+    short = {a: max(1, i.required_regs - 1) for a, i in reuse.items()}
+    return (random_alloc(rng, reuse, len(reuse) + rng.randint(0, 30)),
+            sa.unit_allocation(reuse, len(reuse)),
+            sa.manual_allocation(reuse, short, sum(short.values())))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10**6))
 def test_cycles_match_reference_replay(seed):
@@ -224,17 +246,72 @@ def test_cycles_match_reference_replay(seed):
     one and two ports: the same per-level and per-array charges."""
     k = kernel_from_seed(seed)
     reuse = sa.analyze_all(k)
-    rng = random.Random(seed ^ 0x7E)
-    short = {a: max(1, i.required_regs - 1) for a, i in reuse.items()}
-    allocs = (random_alloc(rng, reuse, len(reuse) + rng.randint(0, 30)),
-              sa.unit_allocation(reuse, len(reuse)),
-              sa.manual_allocation(reuse, short, sum(short.values())))
-    for alloc in allocs:
-        for policy in sa.POLICIES:
-            for ports in (1, 2):
-                r = sa.steady_state_cycles(k, reuse, alloc, policy, ports)
-                assert (r.per_level, r.per_array) == \
-                    reference_cycles(k, reuse, alloc, policy, ports), (alloc.beta, policy, ports)
+    assert_matches_reference(k, reuse, reference_allocs(seed, reuse))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_cycles_match_reference_replay_in_small_blocks(seed):
+    """The same, priced 7 points to a block, so windows straddle block edges."""
+    k = kernel_from_seed(seed)
+    reuse = sa.analyze_all(k)
+    with mock.patch.object(simulate, "BLOCK", 7):
+        assert_matches_reference(k, reuse, reference_allocs(seed, reuse))
+
+
+# 5 x 6 inner points: carrier windows of 1, 6 and 30 points, none a
+# multiple of 7, so with BLOCK = 7 they straddle block edges
+BLOCK_SHAPES = {
+    # c's carrier is the innermost loop, as in mat; a's is the middle one,
+    # and its window slides with j
+    "carrier-below-outer":
+        "S1: c[i][j] += a[i][j + k] * b[k][j];",
+    "two-nodes-one-array":
+        "S1: y[j][k] = a[j + k] + a[2*j + k + 1];",
+    "forwarded-store":
+        "S1: x[k] = a[j + k] + b[j]; S2: y[j][k] = x[k] * c[k];",
+    # e has no carrier but saves: threshold infinite at one register, or 0
+    # under staging-only; y has no carrier and saves nothing
+    "no-carrier":
+        "S1: y[i][j][k] = e[i][j][k] * e[i][j][k]; S2: z[k] = e[i][j][k] + a[k];",
+}
+
+
+def block_shape(name):
+    return sa.parse_kernel("loop i = 0..4 { loop j = 0..5 { loop k = 0..6 { "
+                           + BLOCK_SHAPES[name] + " } } }")
+
+
+def test_block_shapes_cover_their_cases():
+    shapes = {name: block_shape(name) for name in BLOCK_SHAPES}
+    reuse = {name: sa.analyze_all(k) for name, k in shapes.items()}
+    assert {a: i.carrier for a, i in reuse["carrier-below-outer"].items()} == \
+        {"c": 2, "a": 1, "b": 0}
+    mem = sa.build_dfg(shapes["two-nodes-one-array"]).mem_nodes()
+    assert [n.label for n in mem].count("a") == 2
+    assert reuse["forwarded-store"]["x"].forwarded_store
+    no_carrier = reuse["no-carrier"]
+    assert no_carrier["e"].carrier is None and no_carrier["e"].save > 0
+    assert no_carrier["y"].carrier is None and no_carrier["y"].save == 0
+    thresholds = {simulate._threshold(info, beta, policy)
+                  for r in reuse.values() for info in r.values()
+                  for beta in (1, max(1, info.required_regs - 1), info.required_regs)
+                  for policy in sa.POLICIES}
+    assert {0, math.inf} < thresholds
+
+
+@pytest.mark.parametrize("block", [7, simulate.BLOCK])
+@pytest.mark.parametrize("name", sorted(BLOCK_SHAPES))
+def test_block_pricing_matches_reference_replay(name, block, monkeypatch):
+    """All-ones, one-short-of-full and full allocations (thresholds 0, beta
+    and infinity), both policies, one and two ports."""
+    monkeypatch.setattr(simulate, "BLOCK", block)
+    k = block_shape(name)
+    reuse = sa.analyze_all(k)
+    allocs = [sa.manual_allocation(reuse, {a: beta(i) for a, i in reuse.items()})
+              for beta in (lambda i: 1, lambda i: max(1, i.required_regs - 1),
+                           lambda i: i.required_regs)]
+    assert_matches_reference(k, reuse, allocs)
 
 
 # ---------------------------------------------------------------------------

@@ -39,3 +39,11 @@ def test_output_digest_script(capsys, monkeypatch):
     first = run_script("output_digest.py", capsys)
     assert re.fullmatch(r"\d+ records [0-9a-f]{64}\n", first)
     assert run_script("output_digest.py", capsys) == first
+
+
+def test_output_digest_pinned(capsys, monkeypatch):
+    # every analytic output on the corpus plus 20 random kernels; a change to
+    # any of them changes this line, so a refactor must leave it as it is
+    monkeypatch.setattr(sys, "argv", ["output_digest.py", "20"])
+    assert run_script("output_digest.py", capsys) == \
+        "2457 records 4a980f80791c321597c8096509bd0be505b0392692f0b0466bbd6831a1fd4323\n"
