@@ -1,22 +1,28 @@
 """Brute-force ground truth for the analytic modules.
 
-Everything here walks the full iteration space and keeps its own
-bookkeeping: linearized addresses instead of subscript tuples, trace
-grouping instead of window algebra, fill-once register files instead of
-rank arithmetic, and its own dependence leveling.  Agreement with the
-analytic modules is therefore evidence of correctness rather than shared
-code, at the price of being much slower.
+Everything here enumerates every iteration point and keeps its own
+bookkeeping.  A reference's trace is the linearized address at each point,
+in loop order, computed from the oracle's own per-dimension layout rather
+than from the analyzer's address forms.  A carrier window is a contiguous
+slice of that trace, not a window in the analyzer's algebra.  The replay
+uses fill-once register files instead of rank arithmetic, and the oracle
+levels dependences on its own.  Agreement with the analytic modules is
+therefore evidence of correctness rather than shared code, at the price of
+being slower.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, compress, cycle, pairwise, product, repeat, starmap
+from math import prod
 
 from .config import CapExceededError, DEFAULT_CAP, POLICY_ELEMENT, POLICY_STAGING
-from .kernel import ArrayRef, Kernel, parse_kernel
+from .kernel import ArrayRef, Kernel, Loop, parse_kernel
 
 
 @dataclass(frozen=True)
@@ -24,13 +30,14 @@ class AccessTrace:
     ref_id: int
     array: str
     access: str
-    entries: tuple[tuple[tuple[int, ...], int], ...]  # (iteration vector, address)
+    shape: tuple[int, ...]  # trip count of each loop
+    addrs: array  # linearized address at every iteration point, in loop order
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.addrs)
 
     def addresses(self) -> set[int]:
-        return {addr for _, addr in self.entries}
+        return set(self.addrs)
 
 
 def _array_layouts(kernel: Kernel) -> dict[str, tuple[tuple[int, int], ...]]:
@@ -51,13 +58,6 @@ def _array_layouts(kernel: Kernel) -> dict[str, tuple[tuple[int, int], ...]]:
     return {a: tuple((lo, hi) for lo, hi in dims) for a, dims in layouts.items()}
 
 
-def _linearize(layout, values) -> int:
-    addr = 0
-    for (lo, hi), v in zip(layout, values):
-        addr = addr * (hi - lo + 1) + (v - lo)
-    return addr
-
-
 def space_size(kernel: Kernel) -> int:
     n = 1
     for lp in kernel.loops:
@@ -65,27 +65,27 @@ def space_size(kernel: Kernel) -> int:
     return n
 
 
-def _address_plan(kernel: Kernel, ref: ArrayRef, layout):
-    """Closure computing the linearized address straight from a point tuple."""
-    pos = {n: i for i, n in enumerate(kernel.index_names)}
-    dims = [(e.const, tuple((pos[n], c) for n, c in e.terms)) for e in ref.subscripts]
-    strides = []
-    stride = 1
-    for lo, hi in reversed(layout):
-        strides.append((stride, lo))
+def _address_stream(ref: ArrayRef, layout, loops) -> array:
+    """Linearized address of ``ref`` at every point of ``loops``, in loop order.
+
+    The layout's row-major strides fold the subscripts into one address
+    column per loop.  The stream then grows one loop at a time: each
+    address so far is repeated once per entry of the next loop's column
+    and that entry is added to it.
+    """
+    stride, base, coef = 1, 0, {}
+    for expr, (lo, hi) in zip(reversed(ref.subscripts), reversed(layout)):
+        base += (expr.const - lo) * stride
+        for name, c in expr.terms:
+            coef[name] = coef.get(name, 0) + c * stride
         stride *= hi - lo + 1
-    strides.reverse()
-
-    def addr(point: tuple[int, ...]) -> int:
-        total = 0
-        for (const, terms), (stride, lo) in zip(dims, strides):
-            v = const
-            for p, c in terms:
-                v += c * point[p]
-            total += (v - lo) * stride
-        return total
-
-    return addr
+    cur = array("q", [base])
+    for lp in loops:
+        col = [coef.get(lp.index, 0) * v for v in lp.range]
+        cur = array("q", map(operator.add,
+                             chain.from_iterable(map(repeat, cur, repeat(len(col)))),
+                             chain.from_iterable(repeat(col, len(cur)))))
+    return cur
 
 
 def trace(kernel: Kernel, ref: ArrayRef, cap: int = DEFAULT_CAP) -> AccessTrace:
@@ -93,11 +93,9 @@ def trace(kernel: Kernel, ref: ArrayRef, cap: int = DEFAULT_CAP) -> AccessTrace:
     if space_size(kernel) > cap:
         raise CapExceededError(
             f"iteration space {space_size(kernel)} exceeds cap {cap}")
-    addr = _address_plan(kernel, ref, _array_layouts(kernel)[ref.array])
-    entries = []
-    for point in itertools.product(*(lp.range for lp in kernel.loops)):
-        entries.append((point, addr(point)))
-    return AccessTrace(ref.ref_id, ref.array, ref.access, tuple(entries))
+    addrs = _address_stream(ref, _array_layouts(kernel)[ref.array], kernel.loops)
+    return AccessTrace(ref.ref_id, ref.array, ref.access,
+                       tuple(lp.trip for lp in kernel.loops), addrs)
 
 
 def _forwarded(kernel: Kernel) -> set[int]:
@@ -117,30 +115,26 @@ def _forwarded(kernel: Kernel) -> set[int]:
 # ---------------------------------------------------------------------------
 # reuse quantities from traces
 
-def _windows(trc: AccessTrace | list[AccessTrace], carrier: int) -> dict[tuple, set[int]]:
+def oracle_alpha(trc: AccessTrace | list[AccessTrace], carrier: int) -> int:
+    """Max overlap of consecutive carrier-iteration working sets in a trace.
+
+    A carrier window is a contiguous slice of the loop-order trace; a
+    group's window is the union of its traces' slices.  The pair that
+    straddles a wrap of the carrier loop is not consecutive and is skipped.
+    """
     traces = trc if isinstance(trc, list) else [trc]
-    wins: dict[tuple, set[int]] = {}
-    for t in traces:
-        for point, addr in t.entries:
-            wins.setdefault(point[: carrier + 1], set()).add(addr)
-    return wins
-
-
-def oracle_alpha(trc: AccessTrace | list[AccessTrace], carrier: int, step: int = 1) -> int:
-    """Max overlap of consecutive carrier-iteration working sets in a trace."""
-    wins = _windows(trc, carrier)
-    best = 0
-    for key, ws in wins.items():
-        nxt = key[:-1] + (key[-1] + step,)
-        if nxt in wins:
-            best = max(best, len(ws & wins[nxt]))
-    return best
+    shape = traces[0].shape
+    width = prod(shape[carrier + 1:])
+    slices = zip(*(zip(*[iter(t.addrs)] * width) for t in traces))
+    windows = starmap(set().union, slices)
+    consecutive = compress(pairwise(windows), cycle([True] * (shape[carrier] - 1) + [False]))
+    return max((len(a & b) for a, b in consecutive), default=0)
 
 
 def oracle_carrier(kernel: Kernel, traces: list[AccessTrace]) -> tuple[int | None, int]:
     """(carrier level, registers) recomputed from exhaustive traces."""
-    for level, lp in enumerate(kernel.loops):
-        overlap = oracle_alpha(traces, level, lp.step)
+    for level in range(kernel.depth):
+        overlap = oracle_alpha(traces, level)
         if overlap > 0:
             return level, overlap
     return None, 1
@@ -255,33 +249,35 @@ def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
     outer = kernel.loops[0]
     mid = outer.lower + (outer.trip // 2) * outer.step
 
-    def hits(array: str, window: tuple, addr: int) -> bool:
-        info = analysis[array]
-        beta = alloc.beta[array]
+    def hits(name: str, window: tuple, addr: int) -> bool:
+        info = analysis[name]
+        beta = alloc.beta[name]
         if info["save"] == 0:
             return False
         if beta == info["required_regs"]:
             return True
         if beta < 2 and (policy == POLICY_STAGING or info["forwarded_store"]):
             return False
-        return files[array].access(window, addr)
+        return files[name].access(window, addr)
 
+    loops = (Loop(outer.index, mid, mid + 1),) + kernel.loops[1:]
     plans = []
     for _, ref in events:
         carrier = analysis[ref.array]["carrier"]
         window_len = (carrier if carrier is not None else 0) + 1
         plans.append((ref.array, window_len,
-                      _address_plan(kernel, ref, layouts[ref.array])))
+                      _address_stream(ref, layouts[ref.array], loops)))
 
     cycles = 0
     hit_map: dict[tuple[str, tuple], bool] = {}
-    for inner in itertools.product(*(lp.range for lp in kernel.loops[1:])):
+    inner_points = product(*(lp.range for lp in kernel.loops[1:]))
+    for pos, inner in enumerate(inner_points):
         point = (mid,) + inner
         event_hit: dict[int, bool] = {}
-        for idx, (array, window_len, addr_of) in enumerate(plans):
-            ok = hits(array, point[:window_len], addr_of(point))
+        for idx, (name, window_len, addrs) in enumerate(plans):
+            ok = hits(name, point[:window_len], addrs[pos])
             event_hit[idx] = ok
-            key = (array, point)
+            key = (name, point)
             hit_map[key] = hit_map.get(key, True) and ok
         for level in levels:
             if any(not event_hit[idx] for idx in level):

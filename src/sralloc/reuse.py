@@ -72,7 +72,7 @@ def _address_forms(kernel: Kernel, array: str, patterns) -> list[tuple[int, tupl
 
     The patterns share one row-major layout over their per-dimension bounding
     box, so distinct elements have distinct addresses, all non-negative.
-    Dimensions are folded in Horner form, as ``oracle._linearize`` does.
+    Dimensions are folded in Horner form, the first dimension most significant.
     """
     ends = {lp.index: (lp.lower, lp.lower + (lp.trip - 1) * lp.step) for lp in kernel.loops}
     forms = [(0, (0,) * kernel.depth) for _ in patterns]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -172,6 +173,15 @@ def test_verify_cap_exit(capsys):
     code, _, err = run(capsys, "verify", "example", "--cap", "10")
     assert code == 3
     assert "cap" in err
+
+
+def test_verify_all_json_pinned(capsys):
+    # every oracle check on the whole corpus; a change to the oracle's traces,
+    # windows or replay that moves any figure changes this digest
+    code, out, err = run(capsys, "verify", "all", "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "316c5849e095f1001c55140cf9be4c2568fbf82a22dbf1438ca08c2a17d13dfc"
 
 
 def test_analyze_long_loop_counts_exactly(tmp_path, capsys):

@@ -1,14 +1,19 @@
+import collections
+import itertools
 import random
 
 import pytest
+from test_reuse import SHAPES
 
 from sralloc import (
     CapExceededError,
     POLICIES,
+    analyze_all,
     critical_path_aware,
     full_reuse,
     manual_allocation,
     oracle_alpha,
+    oracle_analysis,
     oracle_carrier,
     oracle_replay,
     oracle_residency_cycles,
@@ -18,6 +23,7 @@ from sralloc import (
     steady_state_cycles,
     trace,
 )
+from sralloc import oracle
 
 
 def ref_of(kernel, array, access="read"):
@@ -112,3 +118,124 @@ def test_oracle_replay_hit_map(example, example_reuse):
     assert hits[("b", (50, 0, 0))] is True
     assert hits[("b", (50, 0, 1))] is False
     assert hits[("a", (50, 7, 21))] is True
+
+
+# ---------------------------------------------------------------------------
+# the trace and window arithmetic against a per-point reference
+
+def reference_trace(kernel, ref):
+    """(point, address) at every point, from a per-point closure over the oracle's layout."""
+    layout = oracle._array_layouts(kernel)[ref.array]
+    pos = {n: i for i, n in enumerate(kernel.index_names)}
+    dims = [(e.const, tuple((pos[n], c) for n, c in e.terms)) for e in ref.subscripts]
+    strides = []
+    stride = 1
+    for lo, hi in reversed(layout):
+        strides.append((stride, lo))
+        stride *= hi - lo + 1
+    strides.reverse()
+
+    def addr(point):
+        total = 0
+        for (const, terms), (stride, lo) in zip(dims, strides):
+            v = const
+            for p, c in terms:
+                v += c * point[p]
+            total += (v - lo) * stride
+        return total
+
+    return [(point, addr(point))
+            for point in itertools.product(*(lp.range for lp in kernel.loops))]
+
+
+def reference_alpha(entries, carrier, step):
+    """Max overlap of windows keyed by the point's prefix, paired by ``key[-1] + step``."""
+    wins = collections.defaultdict(set)
+    for trc in entries:
+        for point, addr in trc:
+            wins[point[: carrier + 1]].add(addr)
+    best = 0
+    for key, ws in wins.items():
+        nxt = key[:-1] + (key[-1] + step,)
+        if nxt in wins:
+            best = max(best, len(ws & wins[nxt]))
+    return best
+
+
+def assert_matches_reference(kernel):
+    traces = {r.ref_id: trace(kernel, r) for r in kernel.refs}
+    entries = {r.ref_id: reference_trace(kernel, r) for r in kernel.refs}
+    for rid, t in traces.items():
+        assert t.shape == tuple(lp.trip for lp in kernel.loops)
+        assert list(t.addrs) == [addr for _, addr in entries[rid]], (kernel.name, rid)
+    for group in ([r.ref_id for r in kernel.refs if r.array == a] for a in kernel.arrays):
+        for level, lp in enumerate(kernel.loops):
+            want = reference_alpha([entries[rid] for rid in group], level, lp.step)
+            got = oracle_alpha([traces[rid] for rid in group], level)
+            assert got == want, (kernel.name, group, level)
+
+
+#: one array read (or read and written) through several references, so
+#: that a window is the union of several traces' slices
+MULTI_REF = [
+    "loop i = 0..8 { loop j = 0..6 { S: y[j] = a[i + j] + a[i + 2*j + 1]; } }",
+    "loop i = 0..5 { loop j = 0..4 { loop k = 0..3 {"
+    " S: a[i][k] += a[j][k] * a[2*j - k][i + 1]; } } }",
+    "loop i = 0..7 { loop j = 0..5 { S0: x[i + j] = a[j] * a[i];"
+    " S1: y[j] = x[i + j] + x[i - j + 4]; } }",
+]
+
+
+def test_trace_matches_reference_bundled(kernels):
+    for name, kernel in kernels.items():
+        if name != "bic":
+            assert_matches_reference(kernel)
+
+
+@pytest.mark.parametrize("source", SHAPES + MULTI_REF)
+def test_trace_matches_reference_shapes(source):
+    assert_matches_reference(parse_kernel(source))
+
+
+def test_trace_matches_reference_random():
+    for seed in range(100):
+        assert_matches_reference(random_kernel(random.Random(seed)))
+
+
+def test_alpha_skips_the_carrier_wrap():
+    # the only shared address, a[i + 1], is across the j wrap
+    k = parse_kernel("loop i = 0..3 { loop j = 0..2 { S: y[i][j] = a[i + j]; } }")
+    assert oracle_alpha(trace(k, ref_of(k, "a")), carrier=1) == 0
+    assert oracle_alpha(trace(k, ref_of(k, "a")), carrier=0) == 1
+    # a unit-trip carrier has no consecutive pair at all
+    k = parse_kernel("loop i = 0..3 { loop j = 0..1 { loop k = 0..4 { S: y[k] = a[k]; } } }")
+    assert oracle_alpha(trace(k, ref_of(k, "a")), carrier=1) == 0
+    assert oracle_alpha(trace(k, ref_of(k, "a")), carrier=0) == 4
+
+
+def test_replay_streams_are_the_middle_outer_iteration(monkeypatch, kernels):
+    cases = [k for name, k in kernels.items() if name != "bic"]
+    cases += [parse_kernel(src) for src in SHAPES + MULTI_REF]
+    cases += [random_kernel(random.Random(seed)) for seed in range(20)]
+    real = oracle._address_stream
+    seen = []
+
+    def spy(ref, layout, loops):
+        stream = real(ref, layout, loops)
+        seen.append((ref, stream))
+        return stream
+
+    for kernel in cases:
+        full = {r.ref_id: trace(kernel, r).addrs for r in kernel.refs}
+        outer = kernel.loops[0]
+        width = oracle.space_size(kernel) // outer.trip
+        start = (outer.trip // 2) * width
+        alloc = run_allocator("fr", kernel, analyze_all(kernel), 64)
+        oracle_analysis(kernel)  # cached, so the replay builds only its own streams
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_address_stream", spy)
+            oracle_replay(kernel, alloc)
+        assert seen, kernel.name
+        for ref, stream in seen:
+            assert stream == full[ref.ref_id][start:start + width], (kernel.name, ref.ref_id)

@@ -251,7 +251,8 @@ def test_bitset_analysis_matches_enumeration_bundled(kernels, reuse_map):
         assert got == reference_analysis(kernel), name
 
 
-@pytest.mark.parametrize("source", [
+#: hand-picked shapes for the enumeration check; tests/test_oracle.py reuses them
+SHAPES = [
     # fir and statement-family shapes
     "loop i = 0..64 { loop j = 0..52 { S1: out[i] += coeff[j] * in[i + j]; } }",
     "loop i = 0..16 { loop j = 0..16 { S0: o0[j] += a0[2*i + j] * w0[i + j];"
@@ -271,6 +272,9 @@ def test_bitset_analysis_matches_enumeration_bundled(kernels, reuse_map):
     " S: y[k] += a[i + j][k] * a[j][2*i + k]; } } }",
     # a loop that no subscript names, and a unit-trip loop
     "loop i = 0..3 { loop j = 4..5 { loop k = 0..8 { S: y[k] = a[k] * b[2*k + 1]; } } }",
-])
+]
+
+
+@pytest.mark.parametrize("source", SHAPES)
 def test_bitset_analysis_matches_enumeration_shapes(source):
     assert_matches_reference(parse_kernel(source))
