@@ -5,15 +5,15 @@ bookkeeping.  A reference's trace is the linearized address at each point,
 in loop order, computed from the oracle's own per-dimension layout rather
 than from the analyzer's address forms.  A carrier window is a contiguous
 slice of that trace, not a window in the analyzer's algebra.  The replay
-uses fill-once register files instead of rank arithmetic, and the oracle
-levels dependences on its own.  Agreement with the analytic modules is
-therefore evidence of correctness rather than shared code, at the price of
-being slower.
+reads the middle outer iteration's slice of the same traces and feeds each
+array's fill-once register file that array's events point-major, in event
+order, instead of using rank arithmetic; the oracle levels dependences on
+its own.  Agreement with the analytic modules is therefore evidence of
+correctness rather than shared code, at the price of being slower.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 from array import array
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ from itertools import chain, compress, cycle, pairwise, product, repeat, starmap
 from math import prod
 
 from .config import CapExceededError, DEFAULT_CAP, POLICY_ELEMENT, POLICY_STAGING
-from .kernel import ArrayRef, Kernel, Loop, parse_kernel
+from .kernel import ArrayRef, Kernel, parse_kernel
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,10 @@ def _address_stream(ref: ArrayRef, layout, loops) -> array:
     """Linearized address of ``ref`` at every point of ``loops``, in loop order.
 
     The layout's row-major strides fold the subscripts into one address
-    column per loop.  The stream then grows one loop at a time: each
-    address so far is repeated once per entry of the next loop's column
-    and that entry is added to it.
+    column per loop.  The stream then grows one loop at a time: the next
+    loop's column is added to each address so far, in chunks of about 2^12
+    addresses (one column, if that is longer), so the stream is never held
+    as a list.
     """
     stride, base, coef = 1, 0, {}
     for expr, (lo, hi) in zip(reversed(ref.subscripts), reversed(layout)):
@@ -82,18 +83,21 @@ def _address_stream(ref: ArrayRef, layout, loops) -> array:
     cur = array("q", [base])
     for lp in loops:
         col = [coef.get(lp.index, 0) * v for v in lp.range]
-        cur = array("q", map(operator.add,
-                             chain.from_iterable(map(repeat, cur, repeat(len(col)))),
-                             chain.from_iterable(repeat(col, len(cur)))))
+        out, step = array("q"), max(1, 2**12 // len(col))
+        for s in range(0, len(cur), step):
+            out.fromlist([a + c for a in cur[s:s + step] for c in col])
+        cur = out
     return cur
 
 
-def trace(kernel: Kernel, ref: ArrayRef, cap: int = DEFAULT_CAP) -> AccessTrace:
+def trace(kernel: Kernel, ref: ArrayRef, cap: int = DEFAULT_CAP,
+          layouts: dict | None = None) -> AccessTrace:
     """Exhaustive access trace of one static reference, in loop order."""
     if space_size(kernel) > cap:
         raise CapExceededError(
             f"iteration space {space_size(kernel)} exceeds cap {cap}")
-    addrs = _address_stream(ref, _array_layouts(kernel)[ref.array], kernel.loops)
+    layouts = _array_layouts(kernel) if layouts is None else layouts
+    addrs = _address_stream(ref, layouts[ref.array], kernel.loops)
     return AccessTrace(ref.ref_id, ref.array, ref.access,
                        tuple(lp.trip for lp in kernel.loops), addrs)
 
@@ -141,11 +145,19 @@ def oracle_carrier(kernel: Kernel, traces: list[AccessTrace]) -> tuple[int | Non
 
 
 @lru_cache(maxsize=32)
-def _analysis_cached(kernel: Kernel, cap: int) -> dict[str, dict]:
+def _analysis_cached(kernel: Kernel, cap: int):
+    """(per-array results, each reference's trace cut to the middle outer
+    iteration, event schedule): everything the replay reads."""
     fwd = _forwarded(kernel)
+    layouts = _array_layouts(kernel)
+    width = space_size(kernel) // kernel.loops[0].trip
+    start = (kernel.loops[0].trip // 2) * width
     per_array: dict[str, list[AccessTrace]] = {}
+    middle: dict[int, array] = {}
     for r in kernel.refs:
-        per_array.setdefault(r.array, []).append(trace(kernel, r, cap))
+        t = trace(kernel, r, cap, layouts)
+        per_array.setdefault(r.array, []).append(t)
+        middle[r.ref_id] = t.addrs[start:start + width]
     out = {}
     for array, traces in per_array.items():
         carrier, regs = oracle_carrier(kernel, traces)
@@ -164,12 +176,12 @@ def _analysis_cached(kernel: Kernel, cap: int) -> dict[str, dict]:
             "save": total - after,
             "forwarded_store": any(t.ref_id in fwd for t in traces),
         }
-    return out
+    return out, middle, _event_schedule(kernel)
 
 
 def oracle_analysis(kernel: Kernel, cap: int = DEFAULT_CAP) -> dict[str, dict]:
     """Carrier, registers, and counts per array, all trace-derived."""
-    return {a: dict(v) for a, v in _analysis_cached(kernel, cap).items()}
+    return {a: dict(v) for a, v in _analysis_cached(kernel, cap)[0].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -240,48 +252,38 @@ def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
                   ports: int = 1, cap: int = DEFAULT_CAP):
     """(memory cycles, per-iteration per-array hit map) for one interior
     outermost iteration, simulated with explicit register files."""
-    analysis = oracle_analysis(kernel, cap)
-    layouts = _array_layouts(kernel)
-    events, depth_groups = _event_schedule(kernel)
+    analysis, middle, (events, depth_groups) = _analysis_cached(kernel, cap)
     levels = [sub for grp in depth_groups for sub in _split_ports(events, grp, ports)]
-
-    files = {a: _RegisterFile(alloc.beta[a]) for a in analysis}
     outer = kernel.loops[0]
     mid = outer.lower + (outer.trip // 2) * outer.step
+    points = [(mid,) + inner for inner in product(*(lp.range for lp in kernel.loops[1:]))]
+    n = len(points)
 
-    def hits(name: str, window: tuple, addr: int) -> bool:
-        info = analysis[name]
-        beta = alloc.beta[name]
-        if info["save"] == 0:
-            return False
-        if beta == info["required_regs"]:
-            return True
-        if beta < 2 and (policy == POLICY_STAGING or info["forwarded_store"]):
-            return False
-        return files[name].access(window, addr)
-
-    loops = (Loop(outer.index, mid, mid + 1),) + kernel.loops[1:]
-    plans = []
-    for _, ref in events:
-        carrier = analysis[ref.array]["carrier"]
-        window_len = (carrier if carrier is not None else 0) + 1
-        plans.append((ref.array, window_len,
-                      _address_stream(ref, layouts[ref.array], loops)))
-
-    cycles = 0
+    by_array: dict[str, list[int]] = {}
+    for idx, (_, ref) in enumerate(events):
+        by_array.setdefault(ref.array, []).append(idx)
+    cols: list[list[bool]] = [[]] * len(events)
     hit_map: dict[tuple[str, tuple], bool] = {}
-    inner_points = product(*(lp.range for lp in kernel.loops[1:]))
-    for pos, inner in enumerate(inner_points):
-        point = (mid,) + inner
-        event_hit: dict[int, bool] = {}
-        for idx, (name, window_len, addrs) in enumerate(plans):
-            ok = hits(name, point[:window_len], addrs[pos])
-            event_hit[idx] = ok
-            key = (name, point)
-            hit_map[key] = hit_map.get(key, True) and ok
-        for level in levels:
-            if any(not event_hit[idx] for idx in level):
-                cycles += 1
+    for name, idxs in by_array.items():
+        info, beta = analysis[name], alloc.beta[name]
+        if info["save"] == 0 or beta == info["required_regs"] or (
+                beta < 2 and (policy == POLICY_STAGING or info["forwarded_store"])):
+            fixed = info["save"] != 0 and beta == info["required_regs"]
+            for idx in idxs:
+                cols[idx] = [fixed] * n
+        else:
+            # one file per array, fed point-major in event order
+            rf = _RegisterFile(beta)
+            window_len = (info["carrier"] if info["carrier"] is not None else 0) + 1
+            windows = [p[:window_len] for p in points]
+            addrs = zip(*(middle[events[idx][1].ref_id] for idx in idxs))
+            flat = list(map(rf.access, chain.from_iterable(map(repeat, windows, repeat(len(idxs)))),
+                            chain.from_iterable(addrs)))
+            for j, idx in enumerate(idxs):
+                cols[idx] = flat[j::len(idxs)]
+        hit_map.update(zip(zip(repeat(name), points), map(all, zip(*(cols[i] for i in idxs)))))
+
+    cycles = sum(n - sum(map(all, zip(*(cols[i] for i in level)))) for level in levels)
     return cycles, hit_map
 
 

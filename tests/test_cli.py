@@ -184,6 +184,16 @@ def test_verify_all_json_pinned(capsys):
         "316c5849e095f1001c55140cf9be4c2568fbf82a22dbf1438ca08c2a17d13dfc"
 
 
+def test_verify_all_json_pinned_two_ports(capsys):
+    # the replay's cycles at ports > 1, under the policy that empties
+    # one-register files
+    code, out, err = run(capsys, "verify", "all", "--ports", "2",
+                         "--policy", "staging-only", "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "47f6a45c485f09260caea1e9013285277691817bf74070b3d8e16205d9a13451"
+
+
 def test_analyze_long_loop_counts_exactly(tmp_path, capsys):
     path = tmp_path / "long.knl"
     path.write_text("loop i = 0..100000000 { S1: x[i] = a[i]; }\n")

@@ -1,13 +1,19 @@
 import collections
 import itertools
 import random
+import tracemalloc
+from itertools import product
 
 import pytest
 from test_reuse import SHAPES
 
 from sralloc import (
     CapExceededError,
+    DEFAULT_CAP,
+    Loop,
     POLICIES,
+    POLICY_ELEMENT,
+    POLICY_STAGING,
     analyze_all,
     critical_path_aware,
     full_reuse,
@@ -88,15 +94,23 @@ def test_oracle_agreement_bundled(kernels, reuse_map, oracle_map):
             assert got["after"] == info.after_accesses, (name, array)
 
 
-def test_oracle_cycles_agreement_bundled(kernels, reuse_map):
+def assert_cycles_agree(kernels, reuse_map, ports):
     for name, kernel in kernels.items():
         reuse = reuse_map[name]
         for alg in ("fr", "pr", "cpa"):
             alloc = run_allocator(alg, kernel, reuse, 64)
             for policy in POLICIES:
-                mine = steady_state_cycles(kernel, reuse, alloc, policy).memory_cycles
-                assert oracle_residency_cycles(kernel, alloc, policy) == mine, \
+                mine = steady_state_cycles(kernel, reuse, alloc, policy, ports).memory_cycles
+                assert oracle_residency_cycles(kernel, alloc, policy, ports) == mine, \
                     (name, alg, policy)
+
+
+def test_oracle_cycles_agreement_bundled(kernels, reuse_map):
+    assert_cycles_agree(kernels, reuse_map, ports=1)
+
+
+def test_oracle_cycles_agreement_bundled_two_ports(kernels, reuse_map):
+    assert_cycles_agree(kernels, reuse_map, ports=2)
 
 
 def test_random_kernel_generator_bounds():
@@ -213,29 +227,104 @@ def test_alpha_skips_the_carrier_wrap():
     assert oracle_alpha(trace(k, ref_of(k, "a")), carrier=0) == 4
 
 
-def test_replay_streams_are_the_middle_outer_iteration(monkeypatch, kernels):
+def replay_cases(kernels):
     cases = [k for name, k in kernels.items() if name != "bic"]
     cases += [parse_kernel(src) for src in SHAPES + MULTI_REF]
-    cases += [random_kernel(random.Random(seed)) for seed in range(20)]
-    real = oracle._address_stream
-    seen = []
+    return cases + [random_kernel(random.Random(seed)) for seed in range(100)]
 
-    def spy(ref, layout, loops):
-        stream = real(ref, layout, loops)
-        seen.append((ref, stream))
-        return stream
 
-    for kernel in cases:
-        full = {r.ref_id: trace(kernel, r).addrs for r in kernel.refs}
+def test_replay_streams_are_the_middle_outer_iteration(kernels):
+    for kernel in replay_cases(kernels):
         outer = kernel.loops[0]
         width = oracle.space_size(kernel) // outer.trip
         start = (outer.trip // 2) * width
-        alloc = run_allocator("fr", kernel, analyze_all(kernel), 64)
-        oracle_analysis(kernel)  # cached, so the replay builds only its own streams
-        seen.clear()
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_address_stream", spy)
-            oracle_replay(kernel, alloc)
-        assert seen, kernel.name
-        for ref, stream in seen:
-            assert stream == full[ref.ref_id][start:start + width], (kernel.name, ref.ref_id)
+        _, middle, _ = oracle._analysis_cached(kernel, DEFAULT_CAP)
+        assert middle.keys() == {r.ref_id for r in kernel.refs}, kernel.name
+        for r in kernel.refs:
+            assert middle[r.ref_id] == trace(kernel, r).addrs[start:start + width], \
+                (kernel.name, r.ref_id)
+
+
+# ---------------------------------------------------------------------------
+# the column replay against a per-point reference
+
+def reference_replay(kernel, alloc, policy=POLICY_ELEMENT, ports=1, cap=DEFAULT_CAP):
+    """The per-point replay: a dict per point and one register-file call per event."""
+    analysis = oracle_analysis(kernel, cap)
+    layouts = oracle._array_layouts(kernel)
+    events, depth_groups = oracle._event_schedule(kernel)
+    levels = [sub for grp in depth_groups for sub in oracle._split_ports(events, grp, ports)]
+
+    files = {a: oracle._RegisterFile(alloc.beta[a]) for a in analysis}
+    outer = kernel.loops[0]
+    mid = outer.lower + (outer.trip // 2) * outer.step
+
+    def hits(name: str, window: tuple, addr: int) -> bool:
+        info = analysis[name]
+        beta = alloc.beta[name]
+        if info["save"] == 0:
+            return False
+        if beta == info["required_regs"]:
+            return True
+        if beta < 2 and (policy == POLICY_STAGING or info["forwarded_store"]):
+            return False
+        return files[name].access(window, addr)
+
+    loops = (Loop(outer.index, mid, mid + 1),) + kernel.loops[1:]
+    plans = []
+    for _, ref in events:
+        carrier = analysis[ref.array]["carrier"]
+        window_len = (carrier if carrier is not None else 0) + 1
+        plans.append((ref.array, window_len,
+                      oracle._address_stream(ref, layouts[ref.array], loops)))
+
+    cycles = 0
+    hit_map: dict[tuple[str, tuple], bool] = {}
+    inner_points = product(*(lp.range for lp in kernel.loops[1:]))
+    for pos, inner in enumerate(inner_points):
+        point = (mid,) + inner
+        event_hit: dict[int, bool] = {}
+        for idx, (name, window_len, addrs) in enumerate(plans):
+            ok = hits(name, point[:window_len], addrs[pos])
+            event_hit[idx] = ok
+            key = (name, point)
+            hit_map[key] = hit_map.get(key, True) and ok
+        for level in levels:
+            if any(not event_hit[idx] for idx in level):
+                cycles += 1
+    return cycles, hit_map
+
+
+def replay_allocations(kernel):
+    """fr, pr and cpa at 64, all ones, and each array one register short."""
+    reuse = analyze_all(kernel)
+    allocs = [run_allocator(alg, kernel, reuse, 64) for alg in ("fr", "pr", "cpa")]
+    allocs.append(manual_allocation(reuse, {a: 1 for a in reuse}))
+    full = {a: info.required_regs for a, info in reuse.items()}
+    for a, regs in full.items():
+        if regs > 1:
+            allocs.append(manual_allocation(reuse, {**full, a: regs - 1}))
+    return allocs
+
+
+def test_replay_matches_reference_replay(kernels):
+    for kernel in replay_cases(kernels):
+        for alloc in replay_allocations(kernel):
+            for policy, ports in itertools.product(POLICIES, (1, 2, 3)):
+                assert oracle_replay(kernel, alloc, policy, ports) == \
+                    reference_replay(kernel, alloc, policy, ports), \
+                    (kernel.name, alloc.beta, policy, ports)
+
+
+def test_oracle_analysis_memory_is_one_trace_per_reference():
+    # 8 bytes per point per reference, plus one window's set and one chunk
+    k = parse_kernel("loop i = 0..64 { loop j = 0..64 { loop k = 0..64 {"
+                     " S: y[i][j] = a[j + k] + b[k]; } } }")
+    oracle._analysis_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        oracle_analysis(k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * oracle.space_size(k) * len(k.refs)
