@@ -5,10 +5,10 @@ bookkeeping.  A reference's trace is the linearized address at each point,
 in loop order, computed from the oracle's own per-dimension layout rather
 than from the analyzer's address forms.  A carrier window is a contiguous
 slice of that trace, not a window in the analyzer's algebra.  The replay
-reads the middle outer iteration's slice of the same traces and feeds each
-array's fill-once register file that array's events point-major, in event
-order, instead of using rank arithmetic; the oracle levels dependences on
-its own.  Agreement with the analytic modules is therefore evidence of
+builds the middle outer iteration's streams from the same layout and feeds
+each array's fill-once register file that array's events point-major, in
+event order, instead of using rank arithmetic; the oracle levels
+dependences on its own.  Agreement with the analytic modules is therefore evidence of
 correctness rather than shared code, at the price of being slower.
 """
 
@@ -22,7 +22,7 @@ from itertools import chain, compress, cycle, pairwise, product, repeat, starmap
 from math import prod
 
 from .config import CapExceededError, DEFAULT_CAP, POLICY_ELEMENT, POLICY_STAGING
-from .kernel import ArrayRef, Kernel, parse_kernel
+from .kernel import ArrayRef, Kernel, Loop, parse_kernel
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,12 @@ def _address_stream(ref: ArrayRef, layout, loops) -> array:
     return cur
 
 
-def trace(kernel: Kernel, ref: ArrayRef, cap: int = DEFAULT_CAP,
-          layouts: dict | None = None) -> AccessTrace:
+def trace(kernel: Kernel, ref: ArrayRef, cap: int = DEFAULT_CAP) -> AccessTrace:
     """Exhaustive access trace of one static reference, in loop order."""
     if space_size(kernel) > cap:
         raise CapExceededError(
             f"iteration space {space_size(kernel)} exceeds cap {cap}")
-    layouts = _array_layouts(kernel) if layouts is None else layouts
-    addrs = _address_stream(ref, layouts[ref.array], kernel.loops)
+    addrs = _address_stream(ref, _array_layouts(kernel)[ref.array], kernel.loops)
     return AccessTrace(ref.ref_id, ref.array, ref.access,
                        tuple(lp.trip for lp in kernel.loops), addrs)
 
@@ -145,19 +143,11 @@ def oracle_carrier(kernel: Kernel, traces: list[AccessTrace]) -> tuple[int | Non
 
 
 @lru_cache(maxsize=32)
-def _analysis_cached(kernel: Kernel, cap: int):
-    """(per-array results, each reference's trace cut to the middle outer
-    iteration, event schedule): everything the replay reads."""
+def _analysis_cached(kernel: Kernel, cap: int) -> dict[str, dict]:
     fwd = _forwarded(kernel)
-    layouts = _array_layouts(kernel)
-    width = space_size(kernel) // kernel.loops[0].trip
-    start = (kernel.loops[0].trip // 2) * width
     per_array: dict[str, list[AccessTrace]] = {}
-    middle: dict[int, array] = {}
     for r in kernel.refs:
-        t = trace(kernel, r, cap, layouts)
-        per_array.setdefault(r.array, []).append(t)
-        middle[r.ref_id] = t.addrs[start:start + width]
+        per_array.setdefault(r.array, []).append(trace(kernel, r, cap))
     out = {}
     for array, traces in per_array.items():
         carrier, regs = oracle_carrier(kernel, traces)
@@ -176,12 +166,12 @@ def _analysis_cached(kernel: Kernel, cap: int):
             "save": total - after,
             "forwarded_store": any(t.ref_id in fwd for t in traces),
         }
-    return out, middle, _event_schedule(kernel)
+    return out
 
 
 def oracle_analysis(kernel: Kernel, cap: int = DEFAULT_CAP) -> dict[str, dict]:
     """Carrier, registers, and counts per array, all trace-derived."""
-    return {a: dict(v) for a, v in _analysis_cached(kernel, cap)[0].items()}
+    return {a: dict(v) for a, v in _analysis_cached(kernel, cap).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +242,14 @@ def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
                   ports: int = 1, cap: int = DEFAULT_CAP):
     """(memory cycles, per-iteration per-array hit map) for one interior
     outermost iteration, simulated with explicit register files."""
-    analysis, middle, (events, depth_groups) = _analysis_cached(kernel, cap)
+    analysis = _analysis_cached(kernel, cap)
+    layouts = _array_layouts(kernel)
+    events, depth_groups = _event_schedule(kernel)
     levels = [sub for grp in depth_groups for sub in _split_ports(events, grp, ports)]
     outer = kernel.loops[0]
     mid = outer.lower + (outer.trip // 2) * outer.step
-    points = [(mid,) + inner for inner in product(*(lp.range for lp in kernel.loops[1:]))]
+    loops = (Loop(outer.index, mid, mid + 1),) + kernel.loops[1:]
+    points = list(product(*(lp.range for lp in loops)))
     n = len(points)
 
     by_array: dict[str, list[int]] = {}
@@ -275,8 +268,8 @@ def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
             # one file per array, fed point-major in event order
             rf = _RegisterFile(beta)
             window_len = (info["carrier"] if info["carrier"] is not None else 0) + 1
-            windows = [p[:window_len] for p in points]
-            addrs = zip(*(middle[events[idx][1].ref_id] for idx in idxs))
+            windows = (p[:window_len] for p in points)
+            addrs = zip(*(_address_stream(events[idx][1], layouts[name], loops) for idx in idxs))
             flat = list(map(rf.access, chain.from_iterable(map(repeat, windows, repeat(len(idxs)))),
                             chain.from_iterable(addrs)))
             for j, idx in enumerate(idxs):

@@ -233,16 +233,35 @@ def replay_cases(kernels):
     return cases + [random_kernel(random.Random(seed)) for seed in range(100)]
 
 
-def test_replay_streams_are_the_middle_outer_iteration(kernels):
-    for kernel in replay_cases(kernels):
+def test_replay_streams_are_the_middle_outer_iteration(monkeypatch, kernels):
+    # the replay streams only the arrays it runs through a register file
+    real = oracle._address_stream
+    seen = []
+
+    def spy(ref, layout, loops):
+        stream = real(ref, layout, loops)
+        seen.append((ref, stream))
+        return stream
+
+    cases = replay_cases(kernels)
+    streamed = []
+    for kernel in cases:
+        full = {r.ref_id: trace(kernel, r).addrs for r in kernel.refs}
         outer = kernel.loops[0]
         width = oracle.space_size(kernel) // outer.trip
         start = (outer.trip // 2) * width
-        _, middle, _ = oracle._analysis_cached(kernel, DEFAULT_CAP)
-        assert middle.keys() == {r.ref_id for r in kernel.refs}, kernel.name
-        for r in kernel.refs:
-            assert middle[r.ref_id] == trace(kernel, r).addrs[start:start + width], \
-                (kernel.name, r.ref_id)
+        allocs = replay_allocations(kernel)
+        oracle_analysis(kernel)  # cached, so the replay builds only its own streams
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_address_stream", spy)
+            for alloc in allocs:
+                oracle_replay(kernel, alloc)
+        if seen:
+            streamed.append(kernel.name)
+        for ref, stream in seen:
+            assert stream == full[ref.ref_id][start:start + width], (kernel.name, ref.ref_id)
+    assert len(streamed) >= len(cases) // 2  # 75 of 119
 
 
 # ---------------------------------------------------------------------------
@@ -328,3 +347,27 @@ def test_oracle_analysis_memory_is_one_trace_per_reference():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * oracle.space_size(k) * len(k.refs)
+
+
+def test_oracle_keeps_no_trace_when_the_outer_loop_runs_once():
+    # the middle outer iteration is then the whole space; neither the
+    # analysis cache nor the replay may keep a copy of a trace
+    k = parse_kernel("loop h = 0..1 { loop i = 0..32 { loop j = 0..32 { loop k = 0..32 {"
+                     " S: y[i][j] = a[j + k] + b[k]; } } } }")
+    alloc = run_allocator("fr", k, analyze_all(k), 64)
+    unit = 8 * oracle.space_size(k) * len(k.refs)
+    oracle._analysis_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        oracle_analysis(k)
+        after_analysis, peak = tracemalloc.get_traced_memory()
+        oracle_replay(k, alloc)
+        after_replay = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after_analysis - base <= 0.01 * unit
+    # about 0.3x: the interpreter's tuple free lists, not a trace
+    assert after_replay - base <= 0.5 * unit
+    # about 3.1x: the carrier-0 window is the whole trace, held as Python ints
+    assert peak <= 3.6 * unit
