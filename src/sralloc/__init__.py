@@ -70,7 +70,6 @@ from .oracle import (
     oracle_analysis,
     oracle_carrier,
     oracle_replay,
-    oracle_residency_cycles,
     random_kernel,
     trace,
 )

@@ -3,23 +3,26 @@
 Everything here enumerates every iteration point and keeps its own
 bookkeeping.  A reference's trace is the linearized address at each point,
 in loop order, computed from the oracle's own per-dimension layout rather
-than from the analyzer's address forms.  A carrier window is a contiguous
-slice of that trace, not a window in the analyzer's algebra.  The replay
-builds the middle outer iteration's streams from the same layout and feeds
-each array's fill-once register file that array's events point-major, in
-event order, instead of using rank arithmetic; the oracle levels
-dependences on its own.  Agreement with the analytic modules is therefore evidence of
-correctness rather than shared code, at the price of being slower.
+than from the analyzer's address forms; references with the same array and
+subscripts share one.  A carrier window is a contiguous slice of a trace,
+not a window in the analyzer's algebra, and a one-point window of one trace
+is compared as an address.  The replay builds the middle outer iteration's
+streams from the same layout and feeds each array's fill-once register file
+that array's events point-major, in event order, instead of using rank
+arithmetic; the oracle levels dependences on its own.  Agreement with the
+analytic modules is therefore evidence of correctness rather than shared
+code, at the price of being slower.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, compress, cycle, pairwise, product, repeat, starmap
+from itertools import chain, compress, cycle, islice, pairwise, product, repeat, starmap
 from math import prod
+from operator import eq
 
 from .config import CapExceededError, DEFAULT_CAP, POLICY_ELEMENT, POLICY_STAGING
 from .kernel import ArrayRef, Kernel, Loop, parse_kernel
@@ -35,9 +38,6 @@ class AccessTrace:
 
     def __len__(self) -> int:
         return len(self.addrs)
-
-    def addresses(self) -> set[int]:
-        return set(self.addrs)
 
 
 def _array_layouts(kernel: Kernel) -> dict[str, tuple[tuple[int, int], ...]]:
@@ -121,16 +121,27 @@ def oracle_alpha(trc: AccessTrace | list[AccessTrace], carrier: int) -> int:
     """Max overlap of consecutive carrier-iteration working sets in a trace.
 
     A carrier window is a contiguous slice of the loop-order trace; a
-    group's window is the union of its traces' slices.  The pair that
-    straddles a wrap of the carrier loop is not consecutive and is skipped.
+    group's window is the union of its traces' slices, and equal traces add
+    nothing to it.  The pair that straddles a wrap of the carrier loop is not
+    consecutive and is skipped.  One-point windows of a single trace overlap
+    exactly where neighbouring addresses are equal.
     """
     traces = trc if isinstance(trc, list) else [trc]
     shape = traces[0].shape
+    if shape[carrier] < 2:
+        return 0
+    cols: list[array] = []
+    for t in traces:
+        if t.addrs not in cols:  # array equality, so callers' own traces count too
+            cols.append(t.addrs)
     width = prod(shape[carrier + 1:])
-    slices = zip(*(zip(*[iter(t.addrs)] * width) for t in traces))
+    keep = cycle([True] * (shape[carrier] - 1) + [False])
+    if width == 1 and len(cols) == 1:
+        a = cols[0]
+        return int(any(compress(map(eq, a, islice(a, 1, None)), keep)))
+    slices = zip(*(zip(*[iter(c)] * width) for c in cols))
     windows = starmap(set().union, slices)
-    consecutive = compress(pairwise(windows), cycle([True] * (shape[carrier] - 1) + [False]))
-    return max((len(a & b) for a, b in consecutive), default=0)
+    return max((len(a & b) for a, b in compress(pairwise(windows), keep)), default=0)
 
 
 def oracle_carrier(kernel: Kernel, traces: list[AccessTrace]) -> tuple[int | None, int]:
@@ -145,18 +156,21 @@ def oracle_carrier(kernel: Kernel, traces: list[AccessTrace]) -> tuple[int | Non
 @lru_cache(maxsize=32)
 def _analysis_cached(kernel: Kernel, cap: int) -> dict[str, dict]:
     fwd = _forwarded(kernel)
+    built: dict[tuple, AccessTrace] = {}  # one trace per distinct stream
     per_array: dict[str, list[AccessTrace]] = {}
     for r in kernel.refs:
-        per_array.setdefault(r.array, []).append(trace(kernel, r, cap))
+        key = (r.array, tuple(str(e) for e in r.subscripts))
+        if key not in built:
+            built[key] = trace(kernel, r, cap)
+        per_array.setdefault(r.array, []).append(
+            replace(built[key], ref_id=r.ref_id, access=r.access))
     out = {}
     for array, traces in per_array.items():
         carrier, regs = oracle_carrier(kernel, traces)
         counted = [t for t in traces if t.ref_id not in fwd]
         total = sum(len(t) for t in counted)
-        reads = set().union(*(t.addresses() for t in counted if t.access == "read")) \
-            if any(t.access == "read" for t in counted) else set()
-        writes = set().union(*(t.addresses() for t in counted if t.access == "write")) \
-            if any(t.access == "write" for t in counted) else set()
+        reads = set().union(*(t.addrs for t in counted if t.access == "read"))
+        writes = set().union(*(t.addrs for t in counted if t.access == "write"))
         after = len(reads) + len(writes)
         out[array] = {
             "carrier": carrier,
@@ -278,11 +292,6 @@ def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
 
     cycles = sum(n - sum(map(all, zip(*(cols[i] for i in level)))) for level in levels)
     return cycles, hit_map
-
-
-def oracle_residency_cycles(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
-                            ports: int = 1, cap: int = DEFAULT_CAP) -> int:
-    return oracle_replay(kernel, alloc, policy, ports, cap)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def test_criterion_7_oracle_equivalence(kernels, reuse_map, oracle_map):
             alloc = sa.run_allocator(alg, k, reuse, budget)
             for policy in (POLICY_ELEMENT, POLICY_STAGING):
                 mine = sa.steady_state_cycles(k, reuse, alloc, policy).memory_cycles
-                assert mine == sa.oracle_residency_cycles(k, alloc, policy), \
+                assert mine == sa.oracle_replay(k, alloc, policy)[0], \
                     (trial, alg, policy)
     report("7 oracle equivalence (7 kernels x 3 algorithms x 2 policies"
            " + 200 random kernels): PASS")

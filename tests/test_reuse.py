@@ -272,6 +272,9 @@ SHAPES = [
     " S: y[k] += a[i + j][k] * a[j][2*i + k]; } } }",
     # a loop that no subscript names, and a unit-trip loop
     "loop i = 0..3 { loop j = 4..5 { loop k = 0..8 { S: y[k] = a[k] * b[2*k + 1]; } } }",
+    # an accumulator, whose read and write are one stream, and a unit-trip outer loop
+    "loop i = 0..10 { loop j = 0..4 { S: out[i] += c[j] * x[i + j]; } }",
+    "loop h = 0..1 { loop i = 0..6 { loop j = 0..5 { S: y[i] += a[i + j] * b[j]; } } }",
 ]
 
 
