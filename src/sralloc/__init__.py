@@ -77,11 +77,7 @@ from .reuse import (
     ReuseInfo,
     analyze_all,
     bc_order,
-    benefit_cost,
-    carrier_loop,
     forwarded_read_ids,
-    required_registers,
-    saved_accesses,
 )
 from .simulate import (
     CycleReport,

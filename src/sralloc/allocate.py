@@ -76,9 +76,6 @@ def full_reuse(reuse: dict[str, ReuseInfo], budget: int) -> Allocation:
     """Greedy all-or-nothing assignment in descending benefit/cost order."""
     _check_budget(reuse, budget)
     beta = {a: 1 for a in reuse}
-    if sum(i.required_regs for i in reuse.values()) <= budget:
-        beta = {a: i.required_regs for a, i in reuse.items()}
-        return Allocation(ALG_FULL, budget, beta)
     left = budget - len(beta)
     for array in bc_order(reuse):
         need = reuse[array].required_regs - 1

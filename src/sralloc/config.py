@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 #: arithmetic latencies in cycles; memory accesses cost 0 (register) or 1 (RAM)
 DEFAULT_LATENCIES: dict[str, int] = {
@@ -75,7 +75,7 @@ class RunConfig:
                 if not isinstance(value, dict):
                     raise ValueError(f"latencies must be an object, got {value!r}")
                 cfg.latencies.update(value)
-            elif hasattr(cfg, key):
+            elif key in {f.name for f in fields(cls)}:
                 setattr(cfg, key, value)
             else:
                 raise ValueError(f"unknown config key {key!r}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_LATENCIES, CapExceededError
 from .kernel import Kernel, KernelError, KernelValidationError
-from .reuse import ReuseInfo
+from .reuse import ReuseInfo, forwarded_read_ids
 
 #: branch-and-bound nodes one component's cut search may pop before it gives up
 MAX_CUT_NODES = 1 << 14
@@ -36,7 +36,6 @@ class DfgNode:
     kind: str  # "mem" | "op"
     label: str  # array name for mem nodes, operator kind for op nodes
     latency: int  # op latency; 1 (a RAM access) for mem nodes
-    stmt: int
     ref_ids: tuple[int, ...] = ()
 
 
@@ -113,19 +112,20 @@ def build_dfg(kernel: Kernel, latencies: dict[str, int] | None = None) -> Dfg:
 
     Memory nodes get latency 1; ``node_latencies`` prices an allocation.  A
     ``latencies`` table replaces the default one entirely; a statement op
-    kind missing from it is an error.  Reads whose element was written by
-    an earlier statement in the same iteration attach to the producing
-    store node instead of loading (the d-style forwarding merge).
+    kind missing from it is an error.  ``forwarded_read_ids`` reads attach
+    to the latest earlier store of their pattern instead of loading (the
+    d-style forwarding merge).
     """
     lat = dict(DEFAULT_LATENCIES) if latencies is None else dict(latencies)
 
     nodes: list[DfgNode] = []
     edges: list[tuple[int, int]] = []
-    write_node: dict[tuple[str, tuple], tuple[int, int]] = {}  # pattern -> (node, stmt)
+    forwarded = forwarded_read_ids(kernel)
+    write_node: dict[tuple[str, tuple], int] = {}  # pattern -> latest store node
     extra_refs: dict[int, list[int]] = {}  # node -> forwarded read refs it serves
 
-    def new_node(kind, label, latency, stmt, ref_ids=()):
-        n = DfgNode(len(nodes), kind, label, latency, stmt, tuple(ref_ids))
+    def new_node(kind, label, latency, ref_ids=()):
+        n = DfgNode(len(nodes), kind, label, latency, tuple(ref_ids))
         nodes.append(n)
         return n.node_id
 
@@ -137,36 +137,34 @@ def build_dfg(kernel: Kernel, latencies: dict[str, int] | None = None) -> Dfg:
     for stmt in kernel.statements:
         inputs: list[int] = []
         for r in stmt.explicit_reads:
-            key = (r.array, r.subscripts)
-            if key in write_node and write_node[key][1] < stmt.stmt_id:
-                nid = write_node[key][0]  # forwarded, no load node
+            if r.ref_id in forwarded:
+                nid = write_node[(r.array, r.subscripts)]  # no load node
                 extra_refs.setdefault(nid, []).append(r.ref_id)
                 inputs.append(nid)
             else:
-                inputs.append(new_node("mem", r.array, 1, stmt.stmt_id, (r.ref_id,)))
+                inputs.append(new_node("mem", r.array, 1, (r.ref_id,)))
         top: int | None = None
         if stmt.op != "copy" and len(stmt.explicit_reads) > 1:
-            top = new_node("op", stmt.op, op_latency(stmt.op), stmt.stmt_id)
+            top = new_node("op", stmt.op, op_latency(stmt.op))
             for i in inputs:
                 edges.append((i, top))
         elif inputs:
             top = inputs[0]
         if stmt.accumulate:
-            acc = new_node("op", "accumulate", op_latency("accumulate"), stmt.stmt_id)
+            acc = new_node("op", "accumulate", op_latency("accumulate"))
             if top is not None:
                 edges.append((top, acc))
             top = acc
         w = stmt.write
         ref_ids = [w.ref_id] + [r.ref_id for r in stmt.reads if r.implicit]
-        wid = new_node("mem", w.array, 1, stmt.stmt_id, ref_ids)
+        wid = new_node("mem", w.array, 1, ref_ids)
         if top is not None:
             edges.append((top, wid))
-        write_node[(w.array, w.subscripts)] = (wid, stmt.stmt_id)
+        write_node[(w.array, w.subscripts)] = wid
 
     for nid, extra in extra_refs.items():
         n = nodes[nid]
-        nodes[nid] = DfgNode(n.node_id, n.kind, n.label, n.latency, n.stmt,
-                             n.ref_ids + tuple(extra))
+        nodes[nid] = DfgNode(n.node_id, n.kind, n.label, n.latency, n.ref_ids + tuple(extra))
 
     return Dfg(tuple(nodes), tuple(edges))
 

@@ -51,9 +51,6 @@ class AffineExpr:
     def make(const: int, coeffs: dict[str, int]) -> "AffineExpr":
         return AffineExpr(const, tuple(sorted((n, c) for n, c in coeffs.items() if c)))
 
-    def eval(self, env: dict[str, int]) -> int:
-        return self.const + sum(c * env[n] for n, c in self.terms)
-
     def indices(self) -> frozenset[str]:
         return frozenset(n for n, _ in self.terms)
 
@@ -95,8 +92,6 @@ class ArrayRef:
     array: str
     subscripts: tuple[AffineExpr, ...]
     access: str  # "read" | "write"
-    stmt: int
-    slot: int  # 0 = write target, 1.. = read operands
     implicit: bool = False  # synthesized read of a reduction target
 
     def __str__(self) -> str:
@@ -155,10 +150,6 @@ class Kernel:
     @property
     def depth(self) -> int:
         return len(self.loops)
-
-    @property
-    def index_names(self) -> tuple[str, ...]:
-        return tuple(lp.index for lp in self.loops)
 
     @property
     def refs(self) -> tuple[ArrayRef, ...]:
@@ -362,7 +353,7 @@ def parse_kernel(source: str, name: str = "kernel") -> Kernel:
         line_no = lp.line
 
         if head[1] == "param":
-            if stack or root is not None:
+            if root is not None:
                 lp.error("param after the loop nest started")
             lp.take()
             pname = lp.take("name")[1]
@@ -399,10 +390,8 @@ def parse_kernel(source: str, name: str = "kernel") -> Kernel:
             nest = _Nest(Loop(idx, lower, upper, step))
             if stack:
                 stack[-1].children.append(nest)
-            elif root is None:
-                root = nest
             else:
-                raise KernelValidationError(f"line {line_no}: a kernel holds exactly one loop nest")
+                root = nest
             stack.append(nest)
 
         elif head[1] == "}":
@@ -476,14 +465,14 @@ def parse_kernel(source: str, name: str = "kernel") -> Kernel:
         check_dims(warr, wsubs, line_no)
         for rarr, rsubs in reads:
             check_dims(rarr, rsubs, line_no)
-        write = ArrayRef(next_ref, warr, wsubs, "write", stmt_id, 0)
+        write = ArrayRef(next_ref, warr, wsubs, "write")
         next_ref += 1
         rrefs = []
-        for slot, (rarr, rsubs) in enumerate(reads, start=1):
-            rrefs.append(ArrayRef(next_ref, rarr, rsubs, "read", stmt_id, slot))
+        for rarr, rsubs in reads:
+            rrefs.append(ArrayRef(next_ref, rarr, rsubs, "read"))
             next_ref += 1
         if accumulate:
-            rrefs.append(ArrayRef(next_ref, warr, wsubs, "read", stmt_id, len(reads) + 1, implicit=True))
+            rrefs.append(ArrayRef(next_ref, warr, wsubs, "read", implicit=True))
             next_ref += 1
         statements.append(Statement(stmt_id, label, write, tuple(rrefs), op, accumulate))
 

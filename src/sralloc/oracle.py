@@ -102,15 +102,13 @@ def trace(kernel: Kernel, ref: ArrayRef, cap: int = DEFAULT_CAP) -> AccessTrace:
 
 def _forwarded(kernel: Kernel) -> set[int]:
     """Re-derived set of reads fed by an earlier same-iteration write."""
-    seen: dict[tuple, int] = {}
+    seen: set[tuple] = set()
     out: set[int] = set()
     for stmt in kernel.statements:
         for r in stmt.reads:
-            key = (r.array, tuple(str(e) for e in r.subscripts))
-            if key in seen and seen[key] < stmt.stmt_id:
+            if (r.array, tuple(str(e) for e in r.subscripts)) in seen:
                 out.add(r.ref_id)
-        wkey = (stmt.write.array, tuple(str(e) for e in stmt.write.subscripts))
-        seen[wkey] = stmt.stmt_id
+        seen.add((stmt.write.array, tuple(str(e) for e in stmt.write.subscripts)))
     return out
 
 
@@ -197,23 +195,22 @@ def _event_schedule(kernel: Kernel) -> tuple[list[tuple[int, ArrayRef]], list[li
     Returns the events in execution order (statement sequence, reads before
     the write) and the event indices grouped by depth.
     """
-    fwd = _forwarded(kernel)
     events: list[tuple[int, ArrayRef]] = []
-    write_depth: dict[tuple, tuple[int, int]] = {}
+    write_depth: dict[tuple, int] = {}  # a read forwards iff its pattern is here
     for stmt in kernel.statements:
         feeding = [0]
         for r in stmt.reads:
             if r.implicit:
                 continue  # reduction read rides with the write transaction
             key = (r.array, tuple(str(e) for e in r.subscripts))
-            if r.ref_id in fwd:
-                feeding.append(write_depth[key][0])
+            if key in write_depth:
+                feeding.append(write_depth[key])
             else:
                 events.append((0, r))
         depth = max(feeding) + 1
         events.append((depth, stmt.write))
         wkey = (stmt.write.array, tuple(str(e) for e in stmt.write.subscripts))
-        write_depth[wkey] = (depth, stmt.stmt_id)
+        write_depth[wkey] = depth
     groups: dict[int, list[int]] = {}
     for idx, (depth, _) in enumerate(events):
         groups.setdefault(depth, []).append(idx)

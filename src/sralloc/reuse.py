@@ -53,14 +53,11 @@ def forwarded_read_ids(kernel: Kernel) -> frozenset[int]:
     Such reads are satisfied by value forwarding inside the iteration and
     never touch memory under any allocation.
     """
-    writes: dict[tuple[str, tuple], int] = {}
+    written: set[tuple[str, tuple]] = set()  # a statement's own write joins after its reads
     out = set()
     for stmt in kernel.statements:
-        for r in stmt.reads:
-            key = (r.array, r.subscripts)
-            if key in writes and writes[key] < stmt.stmt_id:
-                out.add(r.ref_id)
-        writes[(stmt.write.array, stmt.write.subscripts)] = stmt.stmt_id
+        out.update(r.ref_id for r in stmt.reads if (r.array, r.subscripts) in written)
+        written.add((stmt.write.array, stmt.write.subscripts))
     return frozenset(out)
 
 
@@ -172,47 +169,15 @@ def _window_overlap(kernel: Kernel, forms, level: int) -> int:
 
 
 def _carrier_and_regs(kernel: Kernel, forms) -> tuple[int | None, int]:
-    for level, lp in enumerate(kernel.loops):
-        if lp.trip < 2:
-            continue
+    for level in range(kernel.depth):
         overlap = _window_overlap(kernel, forms, level)
         if overlap > 0:
             return level, overlap
     return None, 1
 
 
-# ---------------------------------------------------------------------------
-# per-reference operations
-
-def carrier_loop(kernel: Kernel, ref: ArrayRef) -> int | None:
-    """Outermost loop level at which consecutive iterations re-access elements of ref."""
-    return _carrier_and_regs(kernel, _address_forms(kernel, ref.array, [ref.subscripts]))[0]
-
-
-def required_registers(kernel: Kernel, ref: ArrayRef) -> int:
-    """Registers for full scalar replacement: consecutive working-set overlap."""
-    return _carrier_and_regs(kernel, _address_forms(kernel, ref.array, [ref.subscripts]))[1]
-
-
-def saved_accesses(kernel: Kernel, ref: ArrayRef) -> tuple[int, int, int]:
-    """(total, after, save) for one static reference under full replacement.
-
-    Each distinct element costs one residual access: the single load of a
-    read reference, or the final store of a write reference (intermediate
-    stores of a re-written element are deferred).  A write that never
-    re-writes an element keeps all of its stores.
-    """
-    total = iteration_space_size(kernel, 0)
-    after = _footprint(kernel, _address_forms(kernel, ref.array, [ref.subscripts]))
-    return total, after, total - after
-
-
-def benefit_cost(info: ReuseInfo) -> Fraction:
-    """Saved accesses per required register; floors at 1 when nothing is saved."""
-    return _bc(info.save, info.required_regs)
-
-
 def _bc(save: int, required_regs: int) -> Fraction:
+    """Saved accesses per required register; floors at 1 when nothing is saved."""
     if save <= 0:
         return Fraction(1)
     return Fraction(save, required_regs)
@@ -226,7 +191,10 @@ def analyze_all(kernel: Kernel) -> dict[str, ReuseInfo]:
 
     Static references to one array share a register pool, so identical
     write/read subscript pairs collapse into a single record; forwarded
-    reads contribute no memory accesses.
+    reads contribute no memory accesses.  After full replacement each
+    distinct element costs one residual access per direction: one load if
+    it is read, one final store if it is written (intermediate stores of a
+    re-written element are deferred).
     """
     forwarded = forwarded_read_ids(kernel)
     per_array: dict[str, list[ArrayRef]] = {}

@@ -32,6 +32,11 @@ def example_reuse(reuse_map):
     return reuse_map["example"]
 
 
+def affine_value(expr, env):
+    """Value of an AffineExpr at the index values in ``env``."""
+    return expr.const + sum(c * env[n] for n, c in expr.terms)
+
+
 def beta_tuple(kernel, alloc):
     """Allocation vector in source (first-appearance) order."""
     return tuple(alloc.beta[a] for a in kernel.arrays)

@@ -292,6 +292,8 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
     {"latencies": {"multiply": "x"}},
     {"latencies": [1]},
     [64],
+    {"validate": 1},  # a method of RunConfig, not a field
+    {"__class__": 1},
 ])
 def test_config_rejects_malformed_values(tmp_path, capsys, monkeypatch, settings):
     cfg = tmp_path / "cfg.json"
@@ -299,7 +301,9 @@ def test_config_rejects_malformed_values(tmp_path, capsys, monkeypatch, settings
     monkeypatch.setenv("SRALLOC_CONFIG", str(cfg))
     code, out, err = run(capsys, "allocate", "example")
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "must" in err
+    unknown = "validate" in settings or "__class__" in settings
+    assert err.startswith("error: ")
+    assert ("unknown config key" if unknown else "must") in err
 
 
 def test_bad_policy_flag(capsys):

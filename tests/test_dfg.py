@@ -44,6 +44,26 @@ def test_build_dfg_example_all_ones(example, example_reuse):
     assert len(g.nodes) == 7
 
 
+@pytest.mark.parametrize("src,nodes,edges", [
+    # S3's read of x[i] joins S2's store, the latest earlier store of x[i];
+    # S2's implicit reduction read is forwarded onto the same node
+    ("loop i = 0..4 { S1: x[i] = a[i]; S2: x[i] += b[i]; S3: y[i] = x[i]; }",
+     [("mem", "a", (1,)), ("mem", "x", (0,)), ("mem", "b", (3,)), ("op", "accumulate", ()),
+      ("mem", "x", (2, 4, 6)), ("mem", "y", (5,))],
+     ((0, 1), (2, 3), (3, 4), (4, 5))),
+    # S1 reads x[i] before its first store, so that read loads; S3's read is forwarded
+    ("loop i = 0..4 { S1: y[i] = x[i] * a[i]; S2: x[i] = b[i]; S3: z[i] = x[i]; }",
+     [("mem", "x", (1,)), ("mem", "a", (2,)), ("op", "multiply", ()), ("mem", "y", (0,)),
+      ("mem", "b", (4,)), ("mem", "x", (3, 6)), ("mem", "z", (5,))],
+     ((0, 2), (1, 2), (2, 3), (4, 5), (5, 6))),
+], ids=["latest-store", "read-before-store"])
+def test_build_dfg_forwards_to_latest_earlier_store(src, nodes, edges):
+    g = build_dfg(parse_kernel(src))
+    assert [(n.kind, n.label, n.ref_ids) for n in g.nodes] == nodes
+    assert [n.node_id for n in g.nodes] == list(range(len(nodes)))
+    assert g.edges == edges
+
+
 def test_build_dfg_residency_drops_latency(example, example_reuse):
     beta = {a: 1 for a in example_reuse}
     beta["d"] = 30
@@ -222,7 +242,7 @@ def test_to_dot_renders(example, example_reuse):
 
 def test_dfg_rejects_backward_edges_and_self_loops():
     # ascending node id is the topological order, so an edge must point up
-    nodes = (DfgNode(0, "mem", "x", 1, 0), DfgNode(1, "mem", "y", 1, 0))
+    nodes = (DfgNode(0, "mem", "x", 1), DfgNode(1, "mem", "y", 1))
     assert Dfg(nodes, ((0, 1),)).succs() == {0: [1], 1: []}
     for edges in (((1, 0),), ((0, 1), (1, 0)), ((1, 1),)):
         with pytest.raises(KernelValidationError, match="cyclic dependence in data-flow graph"):

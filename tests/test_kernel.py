@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import affine_value
 from sralloc import (
     KERNEL_NAMES,
     KernelError,
@@ -65,10 +66,10 @@ loop i = 0..4 {
 """
     k = parse_kernel(src)
     write = k.statements[0].write
-    assert write.subscripts[0].eval({"i": 3, "j": 2}) == 7
+    assert affine_value(write.subscripts[0], {"i": 3, "j": 2}) == 7
     assert write.subscripts[1].const == 8
     read = k.statements[0].reads[0]
-    assert read.subscripts[0].eval({"i": 1, "j": 1}) == 9
+    assert affine_value(read.subscripts[0], {"i": 1, "j": 1}) == 9
 
 
 def test_accumulate_adds_implicit_read():
@@ -90,6 +91,11 @@ def test_accumulate_adds_implicit_read():
     ("loop i = 4..4 { S: y[i] = x[i]; }", "empty loop"),
     ("loop i = 0..4 { S: y[i] = x[i][i]; T: z[i] = x[i]; }", "subscripts"),
     ("param N = 2;\nparam N = 3;\nloop i = 0..4 { S: y[i] = x[i]; }", "duplicate param"),
+    ("loop i = 0..4 { S: y[i] = x[i]; }\nloop j = 0..4 { T: z[j] = x[j]; }",
+     "loop after the nest closed"),
+    ("loop i = 0..4 { S: y[i] = x[i]; } }", "unmatched '}'"),
+    ("loop i = 0..4 { S: y[i] = x[i]; }\nparam N = 4;", "param after the loop nest started"),
+    ("S: y[0] = x[0];\nloop i = 0..4 { T: y[i] = x[i]; }", "statement outside any loop"),
 ])
 def test_validation_errors(src, match):
     with pytest.raises(KernelError, match=match):

@@ -140,7 +140,7 @@ def test_oracle_replay_hit_map(example, example_reuse):
 def reference_trace(kernel, ref):
     """(point, address) at every point, from a per-point closure over the oracle's layout."""
     layout = oracle._array_layouts(kernel)[ref.array]
-    pos = {n: i for i, n in enumerate(kernel.index_names)}
+    pos = {lp.index: i for i, lp in enumerate(kernel.loops)}
     dims = [(e.const, tuple((pos[n], c) for n, c in e.terms)) for e in ref.subscripts]
     strides = []
     stride = 1

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sralloc as sa
+from conftest import affine_value
 from sralloc import simulate
 from sralloc.config import ACCOUNTING_MODES
 from sralloc.dfg import (Cut, Dfg, DfgNode, critical_graph, critical_length,
@@ -208,10 +209,10 @@ def reference_cycles(kernel, reuse, alloc, policy, ports):
     per_array = {a: 0 for a in reuse}
     for inner in itertools.product(*(lp.range for lp in kernel.loops[1:])):
         point = (mid,) + inner
-        env = dict(zip(kernel.index_names, point))
+        env = dict(zip((lp.index for lp in kernel.loops), point))
         node_hit = {}
         for r, nid in accesses:
-            element = tuple(e.eval(env) for e in r.subscripts)
+            element = tuple(affine_value(e, env) for e in r.subscripts)
             node_hit[nid] = node_hit.get(nid, True) and state[r.array].touch(point, element)
         for li, level in enumerate(levels):
             missed = [nid for nid in level if not node_hit[nid]]
@@ -326,7 +327,7 @@ def random_dag(rng: random.Random, max_mem: int = 12) -> Dfg:
     arrays = [f"m{i}" for i in range(rng.randint(1, n_mem))]
     for nid, kind in enumerate(kinds):
         label = rng.choice(arrays) if kind == "mem" else "op"
-        nodes.append(DfgNode(nid, kind, label, 1, 0, ()))
+        nodes.append(DfgNode(nid, kind, label, 1, ()))
         for prev in range(nid):
             if rng.random() < 0.25:
                 edges.append((prev, nid))

@@ -6,65 +6,61 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import affine_value
 from sralloc import (
     Kernel,
     Loop,
     analyze_all,
     bc_order,
-    benefit_cost,
-    carrier_loop,
     forwarded_read_ids,
     parse_kernel,
     random_kernel,
-    required_registers,
-    saved_accesses,
 )
 
 
-def ref_of(kernel, array, access):
-    return next(r for r in kernel.refs if r.array == array and r.access == access
-                and not r.implicit)
+def counts(info):
+    return info.total_accesses, info.after_accesses, info.save
 
 
-def test_carrier_levels_example(example):
-    assert carrier_loop(example, ref_of(example, "b", "read")) == 0
-    assert carrier_loop(example, ref_of(example, "e", "write")) is None
-    assert carrier_loop(example, ref_of(example, "d", "write")) == 1
-    assert carrier_loop(example, ref_of(example, "c", "read")) == 0
+def test_carrier_levels_example(example_reuse):
+    assert example_reuse["b"].carrier == 0
+    assert example_reuse["e"].carrier is None
+    assert example_reuse["d"].carrier == 1
+    assert example_reuse["c"].carrier == 0
 
 
-def test_carrier_fir_window(kernels):
-    fir = kernels["fir"]
-    assert carrier_loop(fir, ref_of(fir, "in", "read")) == 0
-    assert required_registers(fir, ref_of(fir, "in", "read")) == 51
+def test_carrier_fir_window(reuse_map):
+    fir = reuse_map["fir"]
+    assert fir["in"].carrier == 0
+    assert fir["in"].required_regs == 51
 
 
-def test_required_registers_example(example):
+def test_required_registers_example(example_reuse):
     expected = {"a": 30, "b": 600, "c": 20, "d": 30, "e": 1}
     for array, regs in expected.items():
-        access = "write" if array in ("d", "e") else "read"
-        assert required_registers(example, ref_of(example, array, access)) == regs
+        assert example_reuse[array].required_regs == regs
 
 
 def test_full_rank_reference_needs_one_register():
     k = parse_kernel("loop i = 0..5 { loop j = 0..5 { S: y[i][j] = x[i][j]; } }")
-    assert required_registers(k, ref_of(k, "x", "read")) == 1
-    assert carrier_loop(k, ref_of(k, "x", "read")) is None
+    x = analyze_all(k)["x"]
+    assert x.required_regs == 1
+    assert x.carrier is None
 
 
-def test_saved_accesses_example(example):
-    assert saved_accesses(example, ref_of(example, "b", "read")) == (60000, 600, 59400)
-    # the read of d sees 3000 distinct elements, one residual access each
-    d_read = next(r for r in example.refs if r.array == "d" and r.access == "read")
-    assert saved_accesses(example, d_read) == (60000, 3000, 57000)
-    assert saved_accesses(example, ref_of(example, "e", "write")) == (60000, 60000, 0)
+def test_saved_accesses_example(example_reuse):
+    assert counts(example_reuse["b"]) == (60000, 600, 59400)
+    # the d write and its forwarded read pool: 3000 distinct elements, one
+    # residual access each, and the forwarded read touches no memory
+    assert counts(example_reuse["d"]) == (60000, 3000, 57000)
+    assert counts(example_reuse["e"]) == (60000, 60000, 0)
 
 
 def test_benefit_cost_values(example_reuse):
     assert example_reuse["a"].bc == 1999
     assert example_reuse["c"].bc == 2999
     assert example_reuse["e"].bc == 1  # floor when nothing is saved
-    assert benefit_cost(example_reuse["d"]) == Fraction(1900)
+    assert example_reuse["d"].bc == Fraction(1900)
 
 
 def test_analyze_all_merges_static_refs(example, example_reuse):
@@ -156,7 +152,7 @@ def _enum_footprint(kernel, patterns) -> set[tuple[int, ...]]:
     for point in itertools.product(*(lp.range for lp in loops)):
         env = dict(zip(names, point))
         for p in patterns:
-            out.add(tuple(e.eval(env) for e in p))
+            out.add(tuple(affine_value(e, env) for e in p))
     return out
 
 
@@ -195,7 +191,7 @@ def _enum_overlap(kernel, patterns, level: int) -> int:
             for inner_vals in itertools.product(*(lp.range for lp in inner)):
                 env.update(zip((lp.index for lp in inner), inner_vals))
                 for p in patterns:
-                    ws.add(tuple(e.eval(env) for e in p))
+                    ws.add(tuple(affine_value(e, env) for e in p))
             if prev is not None:
                 best = max(best, len(prev & ws))
             prev = ws
