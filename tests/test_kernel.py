@@ -1,15 +1,20 @@
+import random
+
 import pytest
 
 from conftest import affine_value
 from sralloc import (
     KERNEL_NAMES,
+    Kernel,
     KernelError,
     KernelSyntaxError,
     KernelValidationError,
     bundled_kernels,
     iteration_space_size,
+    kernel_source,
     kernel_to_source,
     parse_kernel,
+    random_kernel,
 )
 
 FIG_SOURCE = """\
@@ -96,10 +101,44 @@ def test_accumulate_adds_implicit_read():
     ("loop i = 0..4 { S: y[i] = x[i]; } }", "unmatched '}'"),
     ("loop i = 0..4 { S: y[i] = x[i]; }\nparam N = 4;", "param after the loop nest started"),
     ("S: y[0] = x[0];\nloop i = 0..4 { T: y[i] = x[i]; }", "statement outside any loop"),
+    ("loop i = 0..4 { S: y[i] = x[i];", "unclosed loop"),
+    ("", "no loop nest found"),
+    ("param N = 4;\n", "no loop nest found"),
+    ("loop i = 0..4 { S: y[i] = x[i]; loop j = 0..4 { T: z[j] = x[j]; } }",
+     "mixes statements and a nested loop"),
+    ("loop i = 0..4 step 0 { S: y[i] = x[i]; }", "loop step must be >= 1"),
+    ("loop i = 0..4 { param N = 4; S: y[i] = x[i]; }", "param after the loop nest started"),
+    ("loop i = 0..4 { S: y[i] = x[i]; }\nT: z[0] = x[0];", "statement outside any loop"),
+    ("loop i = 0..4 { { S: y[i] = x[i]; } }", "expected name, found '{'"),
+    ("loop i = 0..4 { S: y[i] * x[i]; }", r"expected '=' or '\+='"),
 ])
 def test_validation_errors(src, match):
     with pytest.raises(KernelError, match=match):
         parse_kernel(src)
+
+
+def test_mutated_sources_parse_or_raise_kernel_error():
+    # character-level mutations of valid sources end in a Kernel or a
+    # KernelError, never in another exception
+    rng = random.Random(13)
+    sources = [kernel_source(n) for n in KERNEL_NAMES]
+    sources += [kernel_to_source(random_kernel(rng)) for _ in range(40)]
+    alphabet = "ijkNx0129 \n#{}[]()+-*=;:.,_@"
+    for _ in range(2000):
+        chars = list(rng.choice(sources))
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(chars))
+            edit = rng.randrange(3)
+            if edit == 0:
+                del chars[at]
+            elif edit == 1:
+                chars.insert(at, rng.choice(alphabet))
+            else:
+                chars[at] = rng.choice(alphabet)
+        try:
+            assert isinstance(parse_kernel("".join(chars)), Kernel)
+        except KernelError:
+            pass
 
 
 def test_syntax_error_carries_position():
