@@ -107,34 +107,22 @@ def partial_reuse(reuse: dict[str, ReuseInfo], budget: int) -> Allocation:
 
 
 def _water_fill(beta: dict[str, int], members: list[str],
-                reuse: dict[str, ReuseInfo], budget: int) -> int:
+                reuse: dict[str, ReuseInfo], budget: int) -> None:
     """Spread budget equally over members, respecting per-array caps.
 
-    Equal quotients first; capacity freed by a capped member flows to the
-    rest; a sub-member remainder goes one register each in source order.
-    Returns the budget actually spent.
+    Each pass gives every member below its cap, in source order, an equal
+    share of what is left (at least one register), so capacity freed by a
+    capped member flows to the rest and a remainder goes one each.
     """
-    spent = 0
-    open_members = [a for a in members if beta[a] < reuse[a].required_regs]
-    left = budget
-    while left > 0 and open_members:
-        share = left // len(open_members)
-        if share == 0:
-            for a in open_members:
-                if left == 0:
-                    break
-                beta[a] += 1
-                left -= 1
-                spent += 1
-            break
-        for a in list(open_members):
-            take = min(share, reuse[a].required_regs - beta[a])
+    while budget > 0:
+        open_members = [a for a in members if beta[a] < reuse[a].required_regs]
+        if not open_members:
+            return
+        share = max(1, budget // len(open_members))
+        for a in open_members:
+            take = min(share, reuse[a].required_regs - beta[a], budget)
             beta[a] += take
-            left -= take
-            spent += take
-            if beta[a] == reuse[a].required_regs:
-                open_members.remove(a)
-    return spent
+            budget -= take
 
 
 def critical_path_aware(kernel: Kernel, reuse: dict[str, ReuseInfo], budget: int,

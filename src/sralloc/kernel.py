@@ -2,8 +2,10 @@
 
 A kernel is a single perfectly nested loop with compile-time constant
 bounds; the innermost body is a list of statements whose array subscripts
-are integer-linear in the enclosing loop indices.  Comments run from ``#``
-to end of line; newlines are otherwise just whitespace::
+are integer-linear in the enclosing loop indices.  Params come first, then
+the nest, in which each loop holds exactly one loop or the statements.
+Comments run from ``#`` to end of line; newlines are otherwise just
+whitespace::
 
     # comment
     param N = 16;
@@ -13,6 +15,8 @@ to end of line; newlines are otherwise just whitespace::
       }
     }
 
+A loop is ``loop index = lower..upper [step s] {``: the bounds are integers
+or params, ``upper`` is exclusive, and the integer step ``s`` is >= 1.
 Statements are ``label: ref (=|+=) term [(*|+|-|==) term];`` where a term
 is an array reference and every subscript is an integer-linear combination
 of enclosing indices and params.  ``+=`` marks a reduction; it contributes
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import count
 
 
 class KernelError(ValueError):
@@ -168,7 +173,6 @@ class Kernel:
         return tuple(seen)
 
 
-
 def iteration_space_size(kernel: Kernel, level: int) -> int:
     """Product of trip counts of loops at depth >= level; level 0 is the whole nest."""
     if not 0 <= level <= kernel.depth:
@@ -215,7 +219,9 @@ class _TokenParser:
         self.toks = tokens
         self.i = 0
         self.params: dict[str, int] = {}
-        self.indices: tuple[str, ...] = ()
+        self.indices: tuple[str, ...] = ()  # enclosing loop indices
+        self.dims: dict[str, int] = {}  # subscript count of each array seen
+        self.ref_ids = count()
 
     @property
     def line(self) -> int:
@@ -308,9 +314,10 @@ class _TokenParser:
     # --- references and statements ------------------------------------------
 
     def array_ref(self) -> tuple[str, tuple[AffineExpr, ...]]:
-        name = self.take("name")[1]
+        line = self.line
+        _, name, col = self.take("name")
         if name in self.params or name in self.indices:
-            raise KernelSyntaxError(f"{name!r} is not an array", self.line, 0)
+            raise KernelSyntaxError(f"{name!r} is not an array", line, col)
         subs = []
         while self.peek()[1] == "[":
             self.take()
@@ -321,6 +328,7 @@ class _TokenParser:
         return name, tuple(subs)
 
     def bound(self) -> int:
+        line = self.line
         kind, val, col = self.take()
         if kind == "int":
             return int(val)
@@ -328,155 +336,116 @@ class _TokenParser:
             if val in self.params:
                 return self.params[val]
             if val in self.indices:
-                raise KernelSyntaxError(f"non-constant bound {val!r}", self.line, col)
-            raise KernelSyntaxError(f"undefined identifier {val!r}", self.line, col)
-        raise KernelSyntaxError("expected integer or param name", self.line, col)
+                raise KernelSyntaxError(f"non-constant bound {val!r}", line, col)
+            raise KernelSyntaxError(f"undefined identifier {val!r}", line, col)
+        raise KernelSyntaxError("expected integer or param name", line, col)
+
+    # --- params, loop headers and statements ---------------------------------
+
+    def param(self) -> None:
+        line = self.line
+        self.take()
+        pname = self.take("name")[1]
+        if pname in self.params:
+            raise KernelValidationError(f"line {line}: duplicate param {pname!r}")
+        self.take("sym", "=")
+        neg = self.peek()[1] == "-"
+        if neg:
+            self.take()
+        value = int(self.take("int")[1])
+        self.take("sym", ";")
+        self.params[pname] = -value if neg else value
+
+    def loop(self) -> Loop:
+        """One ``loop`` header through its ``{``; its index then encloses what follows."""
+        line = self.line
+        self.take()
+        idx = self.take("name")[1]
+        if idx in self.params or idx in self.indices:
+            raise KernelValidationError(f"line {line}: duplicate identifier {idx!r}")
+        self.take("sym", "=")
+        lower = self.bound()
+        self.take("sym", "..")
+        upper = self.bound()
+        step = 1
+        if self.peek()[1] == "step":
+            self.take()
+            step = int(self.take("int")[1])
+        self.take("sym", "{")
+        if step < 1:
+            raise KernelValidationError(f"line {line}: loop step must be >= 1")
+        if lower >= upper:
+            raise KernelValidationError(f"line {line}: empty loop {idx!r} ({lower}..{upper})")
+        self.indices += (idx,)
+        return Loop(idx, lower, upper, step)
+
+    def statement(self, stmt_id: int) -> Statement:
+        """One statement; its refs are numbered write, reads, implicit reduction read."""
+        line = self.line
+        label = self.take("name")[1]
+        self.take("sym", ":")
+        target = self.array_ref()
+        assign = self.take("sym")[1]
+        if assign not in ("=", "+="):
+            self.error("expected '=' or '+='")
+        terms = [self.array_ref()]
+        op = "add" if assign == "+=" else "copy"  # a one-term reduction still adds
+        if self.peek()[1] in _OP_TOKEN:
+            op = _OP_TOKEN[self.take()[1]]
+            terms.append(self.array_ref())
+        self.take("sym", ";")
+        for arr, subs in [target, *terms]:
+            if self.dims.setdefault(arr, len(subs)) != len(subs):
+                raise KernelValidationError(
+                    f"line {line}: array {arr!r} used with {len(subs)} subscripts, "
+                    f"expected {self.dims[arr]}")
+        write = ArrayRef(next(self.ref_ids), *target, "write")
+        reads = [ArrayRef(next(self.ref_ids), *t, "read") for t in terms]
+        if assign == "+=":
+            reads.append(ArrayRef(next(self.ref_ids), *target, "read", implicit=True))
+        return Statement(stmt_id, label, write, tuple(reads), op, assign == "+=")
 
 
-class _Nest:
-    def __init__(self, loop: Loop):
-        self.loop = loop
-        self.children: list[_Nest] = []
-        self.stmts: list[tuple] = []  # (label, write, reads, op, accumulate, line)
+#: the fault named by each token that may not follow the closed nest
+_AFTER_NEST = {"param": "param after the loop nest started",
+               "loop": "loop after the nest closed", "}": "unmatched '}'"}
 
 
 def parse_kernel(source: str, name: str = "kernel") -> Kernel:
-    """Parse DSL text into a validated Kernel."""
+    """Parse DSL text into a validated Kernel.
+
+    One pass reads the grammar in order: params, a chain of loop headers,
+    the statements, one ``}`` per loop, the end of input.  Each nest-shape
+    fault is raised where it is found.
+    """
     lp = _TokenParser(_tokenize(source))
-    root: _Nest | None = None
-    stack: list[_Nest] = []
-    closed = False
-
-    while not lp.at_end():
-        lp.indices = tuple(n.loop.index for n in stack)
-        head = lp.peek()
-        line_no = lp.line
-
-        if head[1] == "param":
-            if root is not None:
-                lp.error("param after the loop nest started")
-            lp.take()
-            pname = lp.take("name")[1]
-            if pname in lp.params:
-                raise KernelValidationError(f"line {line_no}: duplicate param {pname!r}")
-            lp.take("sym", "=")
-            neg = lp.peek()[1] == "-"
-            if neg:
-                lp.take()
-            value = int(lp.take("int")[1]) * (-1 if neg else 1)
-            lp.take("sym", ";")
-            lp.params[pname] = value
-
-        elif head[1] == "loop":
-            if closed:
-                lp.error("loop after the nest closed")
-            lp.take()
-            idx = lp.take("name")[1]
-            if idx in lp.params or any(idx == n.loop.index for n in stack):
-                raise KernelValidationError(f"line {line_no}: duplicate identifier {idx!r}")
-            lp.take("sym", "=")
-            lower = lp.bound()
-            lp.take("sym", "..")
-            upper = lp.bound()
-            step = 1
-            if lp.peek()[1] == "step":
-                lp.take()
-                step = int(lp.take("int")[1])
-            lp.take("sym", "{")
-            if step < 1:
-                raise KernelValidationError(f"line {line_no}: loop step must be >= 1")
-            if lower >= upper:
-                raise KernelValidationError(f"line {line_no}: empty loop {idx!r} ({lower}..{upper})")
-            nest = _Nest(Loop(idx, lower, upper, step))
-            if stack:
-                stack[-1].children.append(nest)
-            else:
-                root = nest
-            stack.append(nest)
-
-        elif head[1] == "}":
-            if not stack:
-                lp.error("unmatched '}'")
-            lp.take()
-            stack.pop()
-            if not stack:
-                closed = True
-
-        else:
-            if not stack:
-                lp.error("statement outside any loop")
-            label = lp.take("name")[1]
-            lp.take("sym", ":")
-            arr, subs = lp.array_ref()
-            assign = lp.take("sym")
-            if assign[1] not in ("=", "+="):
-                lp.error("expected '=' or '+='")
-            accumulate = assign[1] == "+="
-            reads = [lp.array_ref()]
-            op = "copy"
-            nxt = lp.peek()
-            if nxt[1] in _OP_TOKEN:
-                lp.take()
-                op = _OP_TOKEN[nxt[1]]
-                reads.append(lp.array_ref())
-            lp.take("sym", ";")
-            if accumulate and op == "copy":
-                op = "add"  # reduction of a single term still adds into the target
-            stack[-1].stmts.append((label, (arr, subs), reads, op, accumulate, line_no))
-
-    if root is None:
-        raise KernelValidationError("no loop nest found")
-    if stack:
-        raise KernelSyntaxError("unclosed loop", len(source.splitlines()), 0)
-    params = lp.params
-
-    # flatten, enforcing a perfect nest
+    while lp.peek()[1] == "param":
+        lp.param()
     loops: list[Loop] = []
-    nest: _Nest | None = root
-    body: list[tuple] = []
-    while nest is not None:
-        loops.append(nest.loop)
-        if nest.children and nest.stmts:
-            raise KernelValidationError(
-                f"imperfect nest: loop {nest.loop.index!r} mixes statements and a nested loop")
-        if len(nest.children) > 1:
-            raise KernelValidationError(
-                f"imperfect nest: loop {nest.loop.index!r} contains {len(nest.children)} sibling loops")
-        if nest.children:
-            nest = nest.children[0]
-        else:
-            body = nest.stmts
-            nest = None
-    if not body:
-        raise KernelValidationError(f"innermost loop {loops[-1].index!r} has no statements")
-
-    # materialize statements with stable ref ids (write first, then reads)
-    dims: dict[str, int] = {}
-
-    def check_dims(arr: str, subs, line_no: int):
-        if arr in dims and dims[arr] != len(subs):
-            raise KernelValidationError(
-                f"line {line_no}: array {arr!r} used with {len(subs)} subscripts, expected {dims[arr]}")
-        dims.setdefault(arr, len(subs))
-
+    while lp.peek()[1] == "loop":
+        loops.append(lp.loop())
     statements: list[Statement] = []
-    next_ref = 0
-    for stmt_id, (label, (warr, wsubs), reads, op, accumulate, line_no) in enumerate(body):
-        check_dims(warr, wsubs, line_no)
-        for rarr, rsubs in reads:
-            check_dims(rarr, rsubs, line_no)
-        write = ArrayRef(next_ref, warr, wsubs, "write")
-        next_ref += 1
-        rrefs = []
-        for rarr, rsubs in reads:
-            rrefs.append(ArrayRef(next_ref, rarr, rsubs, "read"))
-            next_ref += 1
-        if accumulate:
-            rrefs.append(ArrayRef(next_ref, warr, wsubs, "read", implicit=True))
-            next_ref += 1
-        statements.append(Statement(stmt_id, label, write, tuple(rrefs), op, accumulate))
-
-    return Kernel(name, tuple(sorted(params.items())), tuple(loops), tuple(statements))
+    while loops and not lp.at_end() and lp.peek()[1] not in ("param", "loop", "}"):
+        statements.append(lp.statement(len(statements)))
+    for level in reversed(range(len(loops))):  # innermost '}' first
+        val = lp.peek()[1]
+        if val == "}":
+            lp.take()
+            continue
+        if val == "param":
+            lp.error(_AFTER_NEST["param"])
+        if lp.at_end():
+            raise KernelSyntaxError("unclosed loop", len(source.splitlines()), 0)
+        shape = ("contains sibling loops" if val == "loop" and level < len(loops) - 1
+                 else "mixes statements and a nested loop")
+        raise KernelValidationError(f"imperfect nest: loop {loops[level].index!r} {shape}")
+    if not lp.at_end():
+        lp.error(_AFTER_NEST.get(lp.peek()[1], "statement outside any loop"))
+    if not loops:
+        raise KernelValidationError("no loop nest found")
+    if not statements:
+        raise KernelValidationError(f"innermost loop {loops[-1].index!r} has no statements")
+    return Kernel(name, tuple(sorted(lp.params.items())), tuple(loops), tuple(statements))
 
 
 def parse_kernel_file(path: str) -> Kernel:

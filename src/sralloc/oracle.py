@@ -25,7 +25,7 @@ from math import prod
 from operator import eq
 
 from .config import CapExceededError, DEFAULT_CAP, POLICY_ELEMENT, POLICY_STAGING
-from .kernel import ArrayRef, Kernel, Loop, parse_kernel
+from .kernel import ArrayRef, Kernel, Loop, iteration_space_size, parse_kernel
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,6 @@ def _array_layouts(kernel: Kernel) -> dict[str, tuple[tuple[int, int], ...]]:
     return {a: tuple((lo, hi) for lo, hi in dims) for a, dims in layouts.items()}
 
 
-def space_size(kernel: Kernel) -> int:
-    n = 1
-    for lp in kernel.loops:
-        n *= lp.trip
-    return n
-
-
 def _address_stream(ref: ArrayRef, layout, loops) -> array:
     """Linearized address of ``ref`` at every point of ``loops``, in loop order.
 
@@ -92,9 +85,9 @@ def _address_stream(ref: ArrayRef, layout, loops) -> array:
 
 def trace(kernel: Kernel, ref: ArrayRef, cap: int = DEFAULT_CAP) -> AccessTrace:
     """Exhaustive access trace of one static reference, in loop order."""
-    if space_size(kernel) > cap:
-        raise CapExceededError(
-            f"iteration space {space_size(kernel)} exceeds cap {cap}")
+    points = iteration_space_size(kernel, 0)
+    if points > cap:
+        raise CapExceededError(f"iteration space {points} exceeds cap {cap}")
     addrs = _address_stream(ref, _array_layouts(kernel)[ref.array], kernel.loops)
     return AccessTrace(ref.ref_id, ref.array, ref.access,
                        tuple(lp.trip for lp in kernel.loops), addrs)

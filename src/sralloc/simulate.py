@@ -212,7 +212,7 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allo
     g = build_dfg(kernel, latencies)
     t_exec_val = critical_length(g, node_latencies(g, reuse, alloc))
     levels = memory_levels(g, ports)
-    inner_count = iteration_space_size(kernel, 1) if kernel.loops else 0
+    inner_count = iteration_space_size(kernel, 1)
     if cap is not None and inner_count > cap:
         raise CapExceededError(f"inner iteration space {inner_count} exceeds cap {cap}")
 

@@ -146,6 +146,16 @@ def test_syntax_error_carries_position():
         parse_kernel("loop i = 0..4 {\n  S: y[i] = ;\n}")
 
 
+@pytest.mark.parametrize("src,match,line,column", [
+    ("loop i = 0..4 {\n  loop j = 0..i\n  { S: y[i] = x[j]; } }", "non-constant bound", 2, 15),
+    ("param N = 3;\nloop i = 0..4 {\n  S: y[i] = N\n[i]; }", "'N' is not an array", 3, 13),
+])
+def test_syntax_error_points_at_the_offending_token(src, match, line, column):
+    with pytest.raises(KernelSyntaxError, match=match) as err:
+        parse_kernel(src)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_two_sibling_loops_rejected():
     src = """\
 loop i = 0..4 {
@@ -153,7 +163,8 @@ loop i = 0..4 {
   loop k = 0..4 { T: z[i][k] = x[k][i]; }
 }
 """
-    with pytest.raises(KernelValidationError, match="sibling"):
+    with pytest.raises(KernelValidationError,
+                       match="imperfect nest: loop 'i' contains sibling loops"):
         parse_kernel(src)
 
 

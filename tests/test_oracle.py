@@ -19,6 +19,7 @@ from sralloc import (
     analyze_all,
     critical_path_aware,
     full_reuse,
+    iteration_space_size,
     manual_allocation,
     oracle_alpha,
     oracle_analysis,
@@ -279,7 +280,7 @@ def test_replay_streams_are_the_middle_outer_iteration(monkeypatch, kernels):
     for kernel in cases:
         full = {r.ref_id: trace(kernel, r).addrs for r in kernel.refs}
         outer = kernel.loops[0]
-        width = oracle.space_size(kernel) // outer.trip
+        width = iteration_space_size(kernel, 0) // outer.trip
         start = (outer.trip // 2) * width
         allocs = replay_allocations(kernel)
         oracle_analysis(kernel)  # cached, so the replay builds only its own streams
@@ -377,7 +378,7 @@ def test_oracle_analysis_memory_is_one_trace_per_reference():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 8 * oracle.space_size(k) * len(k.refs)
+    assert peak <= 1.5 * 8 * iteration_space_size(k, 0) * len(k.refs)
 
 
 def test_oracle_keeps_no_trace_when_the_outer_loop_runs_once():
@@ -386,7 +387,7 @@ def test_oracle_keeps_no_trace_when_the_outer_loop_runs_once():
     k = parse_kernel("loop h = 0..1 { loop i = 0..32 { loop j = 0..32 { loop k = 0..32 {"
                      " S: y[i][j] = a[j + k] + b[k]; } } } }")
     alloc = run_allocator("fr", k, analyze_all(k), 64)
-    unit = 8 * oracle.space_size(k) * len(k.refs)
+    unit = 8 * iteration_space_size(k, 0) * len(k.refs)
     oracle._analysis_cached.cache_clear()
     tracemalloc.start()
     try:

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import sralloc as sa
 from conftest import affine_value
 from sralloc import simulate
+from sralloc.allocate import _water_fill
 from sralloc.config import ACCOUNTING_MODES
 from sralloc.dfg import (Cut, Dfg, DfgNode, critical_graph, critical_length,
                          cut_register_need, find_cuts, node_latencies)
@@ -75,6 +77,45 @@ def test_partial_dominates_full(seed):
         c_fr = sa.steady_state_cycles(k, reuse, fr, policy).memory_cycles
         c_pr = sa.steady_state_cycles(k, reuse, pr, policy).memory_cycles
         assert c_pr <= c_fr
+
+
+def reference_water_fill(beta, members, reuse, budget):
+    """The cut-split water fill before it was shortened, kept to pin its results."""
+    spent = 0
+    open_members = [a for a in members if beta[a] < reuse[a].required_regs]
+    left = budget
+    while left > 0 and open_members:
+        share = left // len(open_members)
+        if share == 0:
+            for a in open_members:
+                if left == 0:
+                    break
+                beta[a] += 1
+                left -= 1
+                spent += 1
+            break
+        for a in list(open_members):
+            take = min(share, reuse[a].required_regs - beta[a])
+            beta[a] += take
+            left -= take
+            spent += take
+            if beta[a] == reuse[a].required_regs:
+                open_members.remove(a)
+    return spent
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 40)), min_size=1, max_size=8),
+       st.integers(0, 400))
+def test_water_fill_matches_reference(arrays, budget):
+    # (cap, headroom) per array: beta starts at cap - headroom, floored at 1
+    reuse = {f"a{n}": SimpleNamespace(required_regs=cap) for n, (cap, _) in enumerate(arrays)}
+    beta = {f"a{n}": max(1, cap - room) for n, (cap, room) in enumerate(arrays)}
+    members = list(reuse)
+    expect = dict(beta)
+    reference_water_fill(expect, members, reuse, budget)
+    _water_fill(beta, members, reuse, budget)
+    assert beta == expect
 
 
 @settings(max_examples=25, deadline=None)
