@@ -385,9 +385,10 @@ class _TokenParser:
         label = self.take("name")[1]
         self.take("sym", ":")
         target = self.array_ref()
-        assign = self.take("sym")[1]
+        assign_line = self.line
+        _, assign, col = self.take("sym")
         if assign not in ("=", "+="):
-            self.error("expected '=' or '+='")
+            raise KernelSyntaxError("expected '=' or '+='", assign_line, col)
         terms = [self.array_ref()]
         op = "add" if assign == "+=" else "copy"  # a one-term reduction still adds
         if self.peek()[1] in _OP_TOKEN:

@@ -14,31 +14,35 @@ write).  The access hits exactly when the rank is below the array's
 threshold: infinite under full replacement; 0 for an array that saves
 nothing, or that holds one register under the staging-only policy (a
 staging latch) or with a store forwarded to a same-iteration read (the
-forwarding conduit); beta otherwise.  Ranks do not depend on beta (the
-inclusion property of Mattson et al.'s stack algorithm), and one array's
-ranks depend only on its own addresses.
+forwarding conduit); beta otherwise.
 
-So the inner iterations are priced in blocks of ``BLOCK`` points: rank per
-array per window, then byteset OR and popcount per level.  A rank is below
-a threshold ``t`` exactly when the element is one of the window's first
-``t`` distinct addresses, so an array keeps only those, in a set cleared
-when its carrier window starts.  Its nodes' integer address streams are
-interleaved; each stretch of a block inside one window adds its new
-addresses to the set until it holds ``t``, then marks every access hit or
-miss by membership in one C-level pass over the stretch.  A node's
-misses in a block are a byteset, one byte per point; a level's cycles are
-the popcount of its members' OR, an array's the popcount of its nodes'
-bytesets.  Arrays that miss everywhere (threshold 0) or nowhere (infinite
-threshold, or no carrier: rank 0) are never walked.  Memory stays one
-block of addresses and one byteset per memory node, plus at most ``t``
-addresses per array.
+Ranks do not depend on beta (the inclusion property of Mattson et al.'s
+stack algorithm), so each array is walked once per kernel.  The first call
+for a kernel object, port count and latency table builds a cost model: the
+graph, the memory levels and, per walked array, carrier and
+``required_regs``, a column of each access's rank at every interior inner
+point, 1, 2 or 4 bytes per walked access (the narrowest ``array`` typecode).
+Clipping ranks at ``required_regs`` loses nothing, since beta =
+``required_regs`` prices at infinity; a window's rank dict holds at most
+that many addresses as they stream through it ``BLOCK`` points at a time.
+A node misses where its rank is ``>= t``, the threshold: a byteset memoised
+per column and ``t`` (one byte per access), and a level's cycles are the
+popcount of its members' OR.  Arrays that miss everywhere (threshold 0) or
+nowhere (infinite threshold, or no carrier: rank 0) are never walked, and a
+call walks at most ``MAX_RANK_ENTRIES`` accesses.  The models sit in a
+``WeakKeyDictionary`` keyed by the kernel and hold no reference to it, so a
+model lives as long as its kernel object.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
+from array import array
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .allocate import Allocation
 from .config import CapExceededError, POLICIES, POLICY_ELEMENT, POLICY_STAGING
@@ -46,9 +50,10 @@ from .dfg import Dfg, DfgNode, _longest, build_dfg, critical_length, mem_latency
 from .kernel import Kernel, iteration_space_size
 from .reuse import ReuseInfo, _address_forms
 
-#: inner points priced together; each node's misses in a block are one byteset
+#: inner points whose addresses are streamed together while a rank column is built
 BLOCK = 1 << 14
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+#: accesses one call may rank: interior inner points times walked memory nodes
+MAX_RANK_ENTRIES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -126,34 +131,48 @@ def _threshold(info: ReuseInfo, beta: int, policy: str) -> float:
     return beta
 
 
-def _block_misses(kernel: Kernel, reuse: dict[str, ReuseInfo], mem: list[DfgNode],
-                  threshold: dict[str, float]):
-    """Each memory node's misses, one block of interior inner points at a time.
+class _CostModel:
+    """One kernel's graph, memory levels and rank columns; holds no reference to the kernel."""
 
-    The outermost index sits at its middle value; the inner points follow
-    in loop order, ``BLOCK`` to a block.  Yields one list per block,
-    indexed like ``mem``: a node's byteset has byte ``i`` set to 1 when it
-    misses at the block's ``i``-th point.  Only the arrays in ``threshold``
-    are priced; other nodes read 0.
+    def __init__(self, kernel: Kernel, ports: int, latencies: dict[str, int] | None):
+        self.graph = build_dfg(kernel, latencies)
+        self.mem = self.graph.mem_nodes()
+        pos = {n.node_id: p for p, n in enumerate(self.mem)}
+        self.members = [[pos[nid] for nid in lev] for lev in memory_levels(self.graph, ports)]
+        self.points = iteration_space_size(kernel, 1)
+        self.ranks: dict[tuple, array] = {}  # (array, carrier, required_regs) -> column
+        self.flags: dict[tuple, list[int]] = {}  # the same plus t -> each node's misses
 
-    An array misses everywhere at threshold 0, and nowhere at infinity or
-    without a carrier (rank 0).  Otherwise each stretch of a block inside
-    one carrier window extends the set of the window's first ``t`` distinct
-    addresses, the ranks below ``t``, and an access hits exactly when its
-    address is in that set.
-    """
-    loops = kernel.loops
-    mid = loops[0].lower + (loops[0].trip // 2) * loops[0].step
-    pattern = {r.ref_id: r.subscripts for r in kernel.refs}
-    always: list[int] = []
-    walks = []
-    for a, t in threshold.items():
-        nodes = [p for p, n in enumerate(mem) if n.label == a]
-        if t <= 0:
-            always += nodes
-        if not 0 < t < math.inf or reuse[a].carrier is None:
-            continue
-        subs = [pattern[mem[p].ref_ids[0]] for p in nodes]
+    def misses(self, kernel: Kernel, reuse: dict[str, ReuseInfo],
+               threshold: dict[str, float]) -> list[int]:
+        """Miss bytesets, indexed like ``mem``; nodes of arrays not in ``threshold`` read 0."""
+        walk = {a: t for a, t in threshold.items()
+                if 0 < t < math.inf and reuse[a].carrier is not None}
+        entries = self.points * sum(n.label in walk for n in self.mem)
+        if entries > MAX_RANK_ENTRIES:
+            raise CapExceededError(
+                f"kernel {kernel.name!r} walks {entries} accesses for first-access "
+                f"ranks, above the rank ceiling of {MAX_RANK_ENTRIES}")
+        everywhere = int.from_bytes(b"\1" * self.points, "little")
+        bits = {a: itertools.repeat(everywhere) for a, t in threshold.items() if t <= 0}
+        for a, t in walk.items():
+            key = (a, reuse[a].carrier, reuse[a].required_regs)
+            if key + (t,) not in self.flags:
+                if key not in self.ranks:
+                    self.ranks[key] = self._walk(kernel, *key)
+                flags = bytes(map(t.__le__, self.ranks[key]))
+                k = sum(n.label == a for n in self.mem)
+                self.flags[key + (t,)] = [int.from_bytes(flags[q::k], "little") for q in range(k)]
+            bits[a] = iter(self.flags[key + (t,)])  # in the order of a's nodes
+        return [next(bits[n.label]) if n.label in bits else 0 for n in self.mem]
+
+    def _walk(self, kernel: Kernel, a: str, carrier: int, clip: int) -> array:
+        """``a``'s ranks, clipped at ``clip``: inner points in loop order, the outermost
+        index at its middle value, and at each point ``a``'s nodes in execution order."""
+        loops = kernel.loops
+        mid = loops[0].lower + (loops[0].trip // 2) * loops[0].step
+        pattern = {r.ref_id: r.subscripts for r in kernel.refs}
+        subs = [pattern[n.ref_ids[0]] for n in self.mem if n.label == a]
         pats = list(dict.fromkeys(subs))
         form = dict(zip(pats, _address_forms(kernel, a, pats)))
         streams = []
@@ -161,34 +180,23 @@ def _block_misses(kernel: Kernel, reuse: dict[str, ReuseInfo], mem: list[DfgNode
             offsets = [(base + coeffs[0] * mid,)]
             offsets += [tuple(c * x for x in lp.range) for c, lp in zip(coeffs[1:], loops[1:])]
             streams.append(map(sum, itertools.product(*offsets)))
-        span = iteration_space_size(kernel, reuse[a].carrier + 1)
-        walks.append((nodes, itertools.chain.from_iterable(zip(*streams)), span, t, set()))
-
-    count = iteration_space_size(kernel, 1)
-    for start in range(0, count, BLOCK):
-        end = min(count, start + BLOCK)
-        miss = [0] * len(mem)
-        everywhere = int.from_bytes(b"\1" * (end - start), "little")
-        for p in always:
-            miss[p] = everywhere
-        for nodes, stream, span, t, first in walks:
-            hits = bytearray()
-            lo = start
-            while lo < end:
-                if lo % span == 0:
-                    first.clear()
-                hi = min(end, lo - lo % span + span)
-                seg = list(itertools.islice(stream, (hi - lo) * len(nodes)))
-                # the filter reads the set as it grows: first accesses only
+        stream = streams[0] if len(streams) == 1 else itertools.chain.from_iterable(zip(*streams))
+        span = iteration_space_size(kernel, carrier + 1)
+        column = array("B" if clip < 1 << 8 else "H" if clip < 1 << 16 else "I")
+        for _ in range(self.points // span):
+            first: dict[int, int] = {}
+            for lo in range(0, span, BLOCK):
+                seg = list(itertools.islice(stream, min(BLOCK, span - lo) * len(subs)))
+                # the filter reads the dict as it grows: first accesses only
                 fresh = itertools.filterfalse(first.__contains__, seg)
-                for x in itertools.islice(fresh, t - len(first)):
-                    first.add(x)
-                hits.extend(map(first.__contains__, seg))
-                lo = hi
-            flags = hits.translate(_FLIP)
-            for q, p in enumerate(nodes):
-                miss[p] = int.from_bytes(flags[q::len(nodes)], "little")
-        yield miss
+                for x in itertools.islice(fresh, clip - len(first)):
+                    first[x] = len(first)
+                column.extend(map(first.get, seg, itertools.repeat(clip)))
+        return column
+
+
+#: each live kernel's cost models by ports and latencies; an entry dies with its kernel
+_MODELS: weakref.WeakKeyDictionary[Kernel, dict] = weakref.WeakKeyDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -200,36 +208,27 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allo
                         cap: int | None = None) -> CycleReport:
     """Memory cycles of one interior outermost-loop iteration.
 
-    Walks every inner iteration once, a block at a time; a dependence level
+    Prices the allocation on the kernel's cost model: a dependence level
     charges one cycle at each point where any member node's rank reaches
-    its array's threshold: the popcount of the OR of its members' misses.
-    Deferred stores and forwarded reads charge nothing; an array that saves
-    nothing charges on every access.
+    its array's threshold.  Deferred stores and forwarded reads charge
+    nothing; an array that saves nothing charges on every access.
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
     alloc.validate(reuse)
-    g = build_dfg(kernel, latencies)
-    t_exec_val = critical_length(g, node_latencies(g, reuse, alloc))
-    levels = memory_levels(g, ports)
-    inner_count = iteration_space_size(kernel, 1)
-    if cap is not None and inner_count > cap:
-        raise CapExceededError(f"inner iteration space {inner_count} exceeds cap {cap}")
-
-    mem = g.mem_nodes()
-    pos = {n.node_id: p for p, n in enumerate(mem)}
-    members = [[pos[nid] for nid in level] for level in levels]
+    models = _MODELS.setdefault(kernel, {})
+    key = (ports, latencies if latencies is None else tuple(sorted(latencies.items())))
+    model = models[key] = models.get(key) or _CostModel(kernel, ports, latencies)
+    t_exec_val = critical_length(model.graph, node_latencies(model.graph, reuse, alloc))
+    if cap is not None and model.points > cap:
+        raise CapExceededError(f"inner iteration space {model.points} exceeds cap {cap}")
     threshold = {a: _threshold(info, alloc.beta[a], policy) for a, info in reuse.items()}
-    per_level = [0] * len(levels)
+    miss = model.misses(kernel, reuse, threshold)
     per_array = {a: 0 for a in reuse}
-    for miss in _block_misses(kernel, reuse, mem, threshold):
-        for n, m in zip(mem, miss):
-            per_array[n.label] += m.bit_count()
-        for li, level in enumerate(members):
-            union = 0
-            for p in level:
-                union |= miss[p]
-            per_level[li] += union.bit_count()
+    for n, m in zip(model.mem, miss):
+        per_array[n.label] += m.bit_count()
+    per_level = [reduce(or_, map(miss.__getitem__, level), 0).bit_count()
+                 for level in model.members]
 
     return CycleReport(
         kernel=kernel.name,
@@ -242,5 +241,5 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allo
         per_level=tuple(per_level),
         per_array=tuple(sorted(per_array.items())),
         t_exec_per_iter=t_exec_val,
-        inner_iterations=inner_count,
+        inner_iterations=model.points,
     )

@@ -4,7 +4,7 @@ import pytest
 
 import sralloc as sa
 from sralloc import simulate
-from sralloc.simulate import _block_misses, _threshold
+from sralloc.simulate import _threshold
 
 
 @pytest.fixture(scope="session")
@@ -45,17 +45,15 @@ def beta_tuple(kernel, alloc):
 def hit(kernel, reuse, alloc, array, point, policy=sa.POLICY_ELEMENT):
     """Whether every access of ``array`` at ``point`` hits a register.
 
-    Reads the simulator's miss bytesets for the block that holds the point,
-    so the point must lie in the measured window: the outermost index at
-    its middle value.
+    Reads the simulator's miss bytesets from the kernel's cost model, so
+    the point must lie in the measured window: the outermost index at its
+    middle value.
     """
     outer = kernel.loops[0]
     assert point[0] == outer.lower + (outer.trip // 2) * outer.step
     inner = itertools.product(*(lp.range for lp in kernel.loops[1:]))
     i = next(i for i, p in enumerate(inner) if p == point[1:])
-    mem = sa.build_dfg(kernel).mem_nodes()
+    model = simulate._CostModel(kernel, 1, None)
     limit = {array: _threshold(reuse[array], alloc.beta[array], policy)}
-    blocks = _block_misses(kernel, reuse, mem, limit)
-    miss = next(itertools.islice(blocks, i // simulate.BLOCK, None))
-    shift = 8 * (i % simulate.BLOCK)
-    return not any(m >> shift & 1 for m, n in zip(miss, mem) if n.label == array)
+    miss = model.misses(kernel, reuse, limit)
+    return not any(m >> 8 * i & 1 for m, n in zip(miss, model.mem) if n.label == array)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import sralloc as sa
-from sralloc import cli, dfg
+from sralloc import cli, dfg, simulate
 from sralloc.cli import main
 from sralloc.reuse import MAX_ADDRESS_BITS
 
@@ -211,6 +211,19 @@ def test_analyze_address_range_ceiling_exit(trip, tmp_path, capsys):
     assert code == 3
     assert f"address range of {trip} elements" in err
     assert f"bitset ceiling of {MAX_ADDRESS_BITS}" in err
+
+
+def test_simulate_rank_ceiling_exit(tmp_path, capsys, monkeypatch):
+    # 36 x 10^6 interior inner points and three memory nodes, each walked at
+    # cpa-ra's budget of 64: the ceiling stops the call before any walk
+    path = tmp_path / "big.knl"
+    path.write_text("loop i = 0..2 { loop j = 0..6000 { loop k = 0..6000 {"
+                    " S1: y[j] += a[j + k] * b[k]; } } }\n")
+    monkeypatch.setattr(simulate, "_address_forms", None)  # a walk would fail
+    code, out, err = run(capsys, "simulate", str(path), "--cap", "100000000")
+    assert (code, out) == (3, "")
+    assert err == ("error: kernel 'big' walks 108000000 accesses for first-access ranks, "
+                   f"above the rank ceiling of {simulate.MAX_RANK_ENTRIES}\n")
 
 
 def test_allocate_cut_search_ceiling_exit(tmp_path, capsys, monkeypatch):

@@ -149,6 +149,7 @@ def test_syntax_error_carries_position():
 @pytest.mark.parametrize("src,match,line,column", [
     ("loop i = 0..4 {\n  loop j = 0..i\n  { S: y[i] = x[j]; } }", "non-constant bound", 2, 15),
     ("param N = 3;\nloop i = 0..4 {\n  S: y[i] = N\n[i]; }", "'N' is not an array", 3, 13),
+    ("loop i = 0..4 {\n  S: y[i] *\n x[i]; }", "expected '=' or '\\+='", 2, 11),
 ])
 def test_syntax_error_points_at_the_offending_token(src, match, line, column):
     with pytest.raises(KernelSyntaxError, match=match) as err:

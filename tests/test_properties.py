@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -354,6 +355,60 @@ def test_block_pricing_matches_reference_replay(name, block, monkeypatch):
               for beta in (lambda i: 1, lambda i: max(1, i.required_regs - 1),
                            lambda i: i.required_regs)]
     assert_matches_reference(k, reuse, allocs)
+
+
+#: every op kind slower than the default table, so T_exec moves with it
+SLOW_OPS = {**sa.DEFAULT_LATENCIES, "multiply": 3, "add": 2, "subtract": 2, "compare": 3,
+            "accumulate": 2}
+
+
+def carried_deeper(kernel, reuse):
+    """A second reuse dict: each carried array's carrier one loop deeper where
+    there is one, and three more registers, so its rank columns differ."""
+    return {a: dataclasses.replace(i, carrier=min(i.carrier + 1, kernel.depth - 1),
+                                   required_regs=i.required_regs + 3)
+            if i.carrier is not None else i for a, i in reuse.items()}
+
+
+def assert_cost_model_keys(make_kernel, seed: int, latencies_move_t_exec: bool):
+    """Interleaved calls on one kernel object, varying reuse dict, allocation,
+    policy, ports and latencies, equal the same calls each on a freshly parsed
+    kernel with a model of its own, and the reference replay."""
+    kernel = make_kernel()
+    reuse = sa.analyze_all(kernel)
+    calls = [(r, alloc, policy, ports, lat)
+             for r in (reuse, carried_deeper(kernel, reuse))
+             for alloc in reference_allocs(seed, r)
+             for policy in sa.POLICIES for ports in (1, 2) for lat in (None, SLOW_OPS)]
+    random.Random(seed).shuffle(calls)
+    fresh = []
+    for call in calls:
+        with mock.patch.object(simulate, "_MODELS", weakref.WeakKeyDictionary()):
+            fresh.append(sa.steady_state_cycles(make_kernel(), *call))
+    with mock.patch.object(simulate, "_MODELS", weakref.WeakKeyDictionary()):
+        got = [sa.steady_state_cycles(kernel, *call) for call in calls]
+    assert got == fresh
+    replays, t_exec = {}, {}
+    for (r, alloc, policy, ports, lat), rep in zip(calls, got):
+        key = (id(r), id(alloc), policy, ports)
+        if key not in replays:
+            replays[key] = reference_cycles(kernel, r, alloc, policy, ports)
+        assert (rep.per_level, rep.per_array) == replays[key], (alloc.beta, policy, ports)
+        t_exec.setdefault(key, {})[lat is None] = rep.t_exec_per_iter
+    if latencies_move_t_exec:
+        assert all(t[True] != t[False] for t in t_exec.values())
+
+
+@pytest.mark.parametrize("name", sa.KERNEL_NAMES)
+def test_cost_model_keys_bundled(name):
+    assert_cost_model_keys(lambda: sa.parse_kernel(sa.kernel_source(name), name=name), 7,
+                           latencies_move_t_exec=True)
+
+
+def test_cost_model_keys_random():
+    for seed in range(50):
+        assert_cost_model_keys(lambda: kernel_from_seed(seed), seed,
+                               latencies_move_t_exec=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,21 @@
+import gc
+import tracemalloc
+import weakref
+from unittest import mock
+
 import pytest
 
 from conftest import hit
 from sralloc import (
+    KERNEL_NAMES,
+    POLICIES,
     POLICY_ELEMENT,
     POLICY_STAGING,
     build_dfg,
+    analyze_all,
     critical_length,
     full_reuse,
+    kernel_source,
     manual_allocation,
     memory_levels,
     node_latencies,
@@ -17,6 +26,7 @@ from sralloc import (
     steady_state_cycles,
     unit_allocation,
 )
+from sralloc import simulate
 
 
 def t_exec(kernel, reuse, alloc):
@@ -166,3 +176,66 @@ def test_iteration_cap(example, example_reuse):
     fr = full_reuse(example_reuse, 64)
     with pytest.raises(CapExceededError):
         steady_state_cycles(example, example_reuse, fr, cap=10)
+
+
+# ---------------------------------------------------------------------------
+# the per-kernel cost model
+
+def test_compare_walks_each_array_once():
+    walked = 0
+    for name in KERNEL_NAMES:
+        # a name of its own, so that no equal kernel elsewhere shares its model
+        kernel = parse_kernel(kernel_source(name), name=f"walk-once-{name}")
+        reuse = analyze_all(kernel)
+        allocs = [run_allocator(a, kernel, reuse, 64) for a in ("fr", "pr", "cpa")]
+        with mock.patch.object(simulate, "_address_forms",
+                               wraps=simulate._address_forms) as spy:
+            for policy in POLICIES:  # compare's six calls
+                for alloc in allocs:
+                    steady_state_cycles(kernel, reuse, alloc, policy)
+        walks = [(c.args[1], reuse[c.args[1]].carrier) for c in spy.call_args_list]
+        assert len(walks) == len(set(walks)), (name, walks)
+        walked += len(walks)
+    assert walked > 0
+
+
+def test_cost_model_lives_as_long_as_its_kernel():
+    kernel = parse_kernel("loop i = 0..6 { loop j = 0..9 { S1: y[j] = a[i + j] * b[j]; } }")
+    reuse = analyze_all(kernel)
+    with mock.patch.object(simulate, "_MODELS", weakref.WeakKeyDictionary()) as memo:
+        steady_state_cycles(kernel, reuse, unit_allocation(reuse))
+        [model] = memo[kernel].values()
+        assert model.ranks  # a was walked
+        alive = weakref.ref(kernel)
+        del kernel
+        gc.collect()
+        assert alive() is None
+        assert len(memo) == 0
+
+
+def test_compare_peak_memory_is_pinned():
+    # 10^5 interior inner points; y's ranks fit one byte (at most 100) and
+    # a's two (at most 1,099): 3 bytes per point of rank columns, then one
+    # byteset of 1 byte per point for each of three (array, threshold) pairs
+    kernel = parse_kernel("loop i = 0..4 { loop j = 0..100 { loop k = 0..1000 {"
+                          " S1: y[j] = a[j + k]; } } }")
+    reuse = analyze_all(kernel)
+    allocs = [run_allocator(a, kernel, reuse, 64) for a in ("fr", "pr", "cpa")]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for policy in POLICIES:
+            for alloc in allocs:
+                steady_state_cycles(kernel, reuse, alloc, policy)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    [model] = simulate._MODELS[kernel].values()
+    assert {k[0]: (c.itemsize, len(c)) for k, c in model.ranks.items()} == \
+        {"y": (1, 10**5), "a": (2, 10**5)}
+    assert len(model.flags) == 3
+    # measured (Python 3.11): 0.64 MB held, 1.85 MB peak; the peak adds one
+    # BLOCK of addresses as Python ints to what the model holds
+    assert held <= 1.5 * 0.64e6
+    assert peak <= 1.5 * 1.85e6
