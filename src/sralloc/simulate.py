@@ -19,17 +19,16 @@ forwarding conduit); beta otherwise.
 Ranks do not depend on beta (the inclusion property of Mattson et al.'s
 stack algorithm), so each array is walked once per kernel.  The first call
 for a kernel object, port count and latency table builds a cost model: the
-graph, the memory levels and, per walked array, carrier and
-``required_regs``, a column of each access's rank at every interior inner
-point, 1, 2 or 4 bytes per walked access (the narrowest ``array`` typecode).
-Clipping ranks at ``required_regs`` loses nothing, since beta =
-``required_regs`` prices at infinity; a window's rank dict holds at most
-that many addresses as they stream through it ``BLOCK`` points at a time.
-A node misses where its rank is ``>= t``, the threshold: a byteset memoised
-per column and ``t`` (one byte per access), and a level's cycles are the
-popcount of its members' OR.  Arrays that miss everywhere (threshold 0) or
-nowhere (infinite threshold, or no carrier: rank 0) are never walked, and a
-call walks at most ``MAX_RANK_ENTRIES`` accesses.  The models sit in a
+graph, the memory levels, each array's node positions and subscripts, the
+all-miss bitset and, per walked array, carrier and ``required_regs``, a
+column of each access's rank at every interior inner point, clipped at
+``required_regs`` (exact: beta = ``required_regs`` prices at infinity) in
+the narrowest ``array`` typecode, walked ``BLOCK`` points at a time.  A node
+misses where its rank is ``>= t``, the threshold: a call compares the
+column's byte planes, keeping nothing per threshold, and a level's cycles
+are the popcount of its members' OR.  Arrays that miss everywhere (threshold
+0) or nowhere (infinite threshold, or no carrier: rank 0) are never walked,
+and a call walks at most ``MAX_RANK_ENTRIES`` accesses.  The models sit in a
 ``WeakKeyDictionary`` keyed by the kernel and hold no reference to it, so a
 model lives as long as its kernel object.
 """
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import weakref
 from array import array
 from dataclasses import dataclass
@@ -131,8 +131,30 @@ def _threshold(info: ReuseInfo, beta: int, policy: str) -> float:
     return beta
 
 
+def _at_least(column: array, t: int, k: int, ones: int) -> list[int]:
+    """Bitsets of ``column[q::k] >= t`` for each ``q < k``, bit ``8p`` per access.
+
+    Per node, over little-endian byte planes from the least significant:
+    ``out = (plane > d) | ((plane == d) & out)``, ``d`` being ``t``'s byte and
+    ``out`` starting as ``ones`` (bit ``8p`` per access).  Plane ``i``'s
+    ``bytes.translate`` maps below, at and above ``d`` to 0, ``2^i`` and
+    ``2^(i+1)``; added to ``out``, no carry leaves a byte: bit ``i + 1`` is ``out``.
+    """
+    raw, w = column.tobytes(), column.itemsize
+    out = []
+    for q in range(k):
+        total = ones
+        for i in range(w):
+            d = t >> 8 * i & 255
+            table = bytes(d) + bytes((1 << i,)) + bytes((2 << i,)) * (255 - d)
+            plane = slice(q * w + (i if sys.byteorder == "little" else w - 1 - i), None, k * w)
+            total += int.from_bytes(raw[plane].translate(table), "little")
+        out.append(total >> w & ones)
+    return out
+
+
 class _CostModel:
-    """One kernel's graph, memory levels and rank columns; holds no reference to the kernel."""
+    """One kernel's graph, memory levels, node index and rank columns; holds no reference to it."""
 
     def __init__(self, kernel: Kernel, ports: int, latencies: dict[str, int] | None):
         self.graph = build_dfg(kernel, latencies)
@@ -140,39 +162,41 @@ class _CostModel:
         pos = {n.node_id: p for p, n in enumerate(self.mem)}
         self.members = [[pos[nid] for nid in lev] for lev in memory_levels(self.graph, ports)]
         self.points = iteration_space_size(kernel, 1)
+        self.everywhere = int.from_bytes(b"\1" * self.points, "little")
+        self.index: dict[str, tuple[list[int], list]] = {}  # array -> positions in mem, subscripts
+        pattern = {r.ref_id: r.subscripts for r in kernel.refs}
+        for p, n in enumerate(self.mem):
+            at, subs = self.index.setdefault(n.label, ([], []))
+            at.append(p)
+            subs.append(pattern[n.ref_ids[0]])
         self.ranks: dict[tuple, array] = {}  # (array, carrier, required_regs) -> column
-        self.flags: dict[tuple, list[int]] = {}  # the same plus t -> each node's misses
 
     def misses(self, kernel: Kernel, reuse: dict[str, ReuseInfo],
                threshold: dict[str, float]) -> list[int]:
-        """Miss bytesets, indexed like ``mem``; nodes of arrays not in ``threshold`` read 0."""
+        """Miss bitsets, indexed like ``mem``; nodes of arrays not in ``threshold`` read 0."""
         walk = {a: t for a, t in threshold.items()
                 if 0 < t < math.inf and reuse[a].carrier is not None}
-        entries = self.points * sum(n.label in walk for n in self.mem)
+        entries = self.points * sum(len(self.index[a][0]) for a in walk)
         if entries > MAX_RANK_ENTRIES:
             raise CapExceededError(
                 f"kernel {kernel.name!r} walks {entries} accesses for first-access "
                 f"ranks, above the rank ceiling of {MAX_RANK_ENTRIES}")
-        everywhere = int.from_bytes(b"\1" * self.points, "little")
-        bits = {a: itertools.repeat(everywhere) for a, t in threshold.items() if t <= 0}
+        miss = [self.everywhere if threshold.get(n.label, 1) <= 0 else 0 for n in self.mem]
         for a, t in walk.items():
             key = (a, reuse[a].carrier, reuse[a].required_regs)
-            if key + (t,) not in self.flags:
-                if key not in self.ranks:
-                    self.ranks[key] = self._walk(kernel, *key)
-                flags = bytes(map(t.__le__, self.ranks[key]))
-                k = sum(n.label == a for n in self.mem)
-                self.flags[key + (t,)] = [int.from_bytes(flags[q::k], "little") for q in range(k)]
-            bits[a] = iter(self.flags[key + (t,)])  # in the order of a's nodes
-        return [next(bits[n.label]) if n.label in bits else 0 for n in self.mem]
+            if key not in self.ranks:
+                self.ranks[key] = self._walk(kernel, *key)
+            at = self.index[a][0]
+            for p, bits in zip(at, _at_least(self.ranks[key], t, len(at), self.everywhere)):
+                miss[p] = bits
+        return miss
 
     def _walk(self, kernel: Kernel, a: str, carrier: int, clip: int) -> array:
         """``a``'s ranks, clipped at ``clip``: inner points in loop order, the outermost
         index at its middle value, and at each point ``a``'s nodes in execution order."""
         loops = kernel.loops
         mid = loops[0].lower + (loops[0].trip // 2) * loops[0].step
-        pattern = {r.ref_id: r.subscripts for r in kernel.refs}
-        subs = [pattern[n.ref_ids[0]] for n in self.mem if n.label == a]
+        subs = self.index[a][1]
         pats = list(dict.fromkeys(subs))
         form = dict(zip(pats, _address_forms(kernel, a, pats)))
         streams = []
@@ -183,15 +207,16 @@ class _CostModel:
         stream = streams[0] if len(streams) == 1 else itertools.chain.from_iterable(zip(*streams))
         span = iteration_space_size(kernel, carrier + 1)
         column = array("B" if clip < 1 << 8 else "H" if clip < 1 << 16 else "I")
+        pack, append = (bytes, column.frombytes) if clip < 1 << 8 else (list, column.fromlist)
         for _ in range(self.points // span):
             first: dict[int, int] = {}
             for lo in range(0, span, BLOCK):
                 seg = list(itertools.islice(stream, min(BLOCK, span - lo) * len(subs)))
                 # the filter reads the dict as it grows: first accesses only
                 fresh = itertools.filterfalse(first.__contains__, seg)
-                for x in itertools.islice(fresh, clip - len(first)):
-                    first[x] = len(first)
-                column.extend(map(first.get, seg, itertools.repeat(clip)))
+                first.update(zip(itertools.islice(fresh, clip - len(first)),
+                                 itertools.count(len(first))))
+                append(pack(map(first.get, seg, itertools.repeat(clip))))
         return column
 
 

@@ -357,6 +357,38 @@ def test_block_pricing_matches_reference_replay(name, block, monkeypatch):
     assert_matches_reference(k, reuse, allocs)
 
 
+def full_but(reuse, array, beta):
+    """Every array at its required registers but ``array``, which holds ``beta``."""
+    return sa.manual_allocation(reuse, {a: beta if a == array else i.required_regs
+                                        for a, i in reuse.items()})
+
+
+def test_two_byte_ranks_match_reference_replay():
+    """Two nodes of one array interleaved in an ``H`` column, priced at
+    thresholds around and across a byte boundary."""
+    k = sa.parse_kernel("loop i = 0..3 { loop j = 0..24 { loop k = 0..24 { "
+                        "S1: y[j][k] = a[j][k] + a[k][j]; } } }")
+    reuse = sa.analyze_all(k)
+    assert reuse["a"].required_regs == 576
+    assert_matches_reference(k, reuse, [full_but(reuse, "a", beta)
+                                        for beta in (255, 256, 257, 575)])
+    [column] = [c for key, c in simulate._MODELS[k][(1, None)].ranks.items() if key[0] == "a"]
+    assert column.typecode == "H"
+
+
+def test_four_byte_ranks_match_reference_replay():
+    """An ``I`` column priced at thresholds across the two-byte boundary."""
+    k = sa.parse_kernel("loop i = 0..3 { loop j = 0..66000 { S1: y[i] += a[j]; } }")
+    reuse = sa.analyze_all(k)
+    for beta in (65535, 65536, 65537):
+        alloc = full_but(reuse, "a", beta)
+        r = sa.steady_state_cycles(k, reuse, alloc, sa.POLICY_ELEMENT)
+        assert (r.per_level, r.per_array) == \
+            reference_cycles(k, reuse, alloc, sa.POLICY_ELEMENT, 1), beta
+    [column] = [c for key, c in simulate._MODELS[k][(1, None)].ranks.items() if key[0] == "a"]
+    assert column.typecode == "I"
+
+
 #: every op kind slower than the default table, so T_exec moves with it
 SLOW_OPS = {**sa.DEFAULT_LATENCIES, "multiply": 3, "add": 2, "subtract": 2, "compare": 3,
             "accumulate": 2}

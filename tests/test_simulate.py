@@ -1,6 +1,8 @@
 import gc
+import random
 import tracemalloc
 import weakref
+from array import array
 from unittest import mock
 
 import pytest
@@ -179,6 +181,26 @@ def test_iteration_cap(example, example_reuse):
 
 
 # ---------------------------------------------------------------------------
+# pricing a rank column
+
+@pytest.mark.parametrize("typecode", ["B", "H", "I"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_byte_plane_compare_matches_per_access_compare(typecode, k):
+    rng = random.Random(f"{typecode}{k}")
+    top = 1 << 8 * array(typecode).itemsize
+    edges = [t for t in (1, 2, 255, 256, 257, 511, 65535, 65536, 65537) if t < top]
+    thresholds = edges + [rng.randrange(1, top) for _ in range(4)]
+    # uniform ranks, and ranks next to each threshold, so equal high bytes occur
+    near = [min(top - 1, max(0, t + e)) for t in thresholds for e in (-1, 0, 1)]
+    col = array(typecode, [rng.choice(near) if rng.random() < 0.5 else rng.randrange(top)
+                           for _ in range(3 * 97 + 1)])
+    ones = int.from_bytes(b"\1" * len(col), "little")
+    for t in thresholds:
+        assert simulate._at_least(col, t, k, ones) == \
+            [int.from_bytes(bytes(map(t.__le__, col[q::k])), "little") for q in range(k)], t
+
+
+# ---------------------------------------------------------------------------
 # the per-kernel cost model
 
 def test_compare_walks_each_array_once():
@@ -215,8 +237,8 @@ def test_cost_model_lives_as_long_as_its_kernel():
 
 def test_compare_peak_memory_is_pinned():
     # 10^5 interior inner points; y's ranks fit one byte (at most 100) and
-    # a's two (at most 1,099): 3 bytes per point of rank columns, then one
-    # byteset of 1 byte per point for each of three (array, threshold) pairs
+    # a's two (at most 1,099): 3 bytes per point of rank columns, plus the
+    # all-miss bitset of 1 byte per point; no state per threshold priced
     kernel = parse_kernel("loop i = 0..4 { loop j = 0..100 { loop k = 0..1000 {"
                           " S1: y[j] = a[j + k]; } } }")
     reuse = analyze_all(kernel)
@@ -234,8 +256,10 @@ def test_compare_peak_memory_is_pinned():
     [model] = simulate._MODELS[kernel].values()
     assert {k[0]: (c.itemsize, len(c)) for k, c in model.ranks.items()} == \
         {"y": (1, 10**5), "a": (2, 10**5)}
-    assert len(model.flags) == 3
-    # measured (Python 3.11): 0.64 MB held, 1.85 MB peak; the peak adds one
-    # BLOCK of addresses as Python ints to what the model holds
-    assert held <= 1.5 * 0.64e6
+    assert set(vars(model)) == {"graph", "mem", "members", "points", "everywhere",
+                                "index", "ranks"}
+    # measured (Python 3.11): 0.43 MB held, 1.76 MB peak; the peak adds one
+    # BLOCK of addresses as Python ints to what the model holds, and its bound
+    # keeps the 1.85 MB read when bytesets were memoised per threshold
+    assert held <= 1.5 * 0.43e6
     assert peak <= 1.5 * 1.85e6
