@@ -47,6 +47,7 @@ from .dfg import (
     critical_length,
     cut_register_need,
     find_cuts,
+    memory_levels,
     node_latencies,
     to_dot,
 )
@@ -81,7 +82,6 @@ from .reuse import (
 )
 from .simulate import (
     CycleReport,
-    memory_levels,
     steady_state_cycles,
 )
 

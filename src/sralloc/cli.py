@@ -84,19 +84,21 @@ def _load_kernel(name_or_path: str) -> Kernel:
     return parse_kernel_file(name_or_path)
 
 
-def _dump_dot(prefix: str, kernel: Kernel, reuse: dict[str, ReuseInfo]):
-    g = build_dfg(kernel)
+def _dump_dot(prefix: str, kernel: Kernel, reuse: dict[str, ReuseInfo], cfg: RunConfig):
+    g = build_dfg(kernel, cfg.latencies)
     lat = node_latencies(g, reuse)  # one register per array
     for title, graph in (("dfg", g), ("cg", critical_graph(g, lat))):
         with open(f"{prefix}.{title}.dot", "w", encoding="utf-8") as fh:
             fh.write(to_dot(graph, lat, title))
 
 
-def _analyzed(args, corpus: bool = False) -> list[tuple[Kernel, dict[str, ReuseInfo]]]:
+def _analyzed(args, cfg: RunConfig,
+              corpus: bool = False) -> list[tuple[Kernel, dict[str, ReuseInfo]]]:
     """The kernel named on the command line, each with its reuse analysis.
 
     With ``corpus``, ``all`` names every bundled kernel in name order.  With
-    --dump-dot, each kernel's graphs are written in turn, so the last wins.
+    --dump-dot, each kernel's graphs under ``cfg.latencies`` are written in
+    turn, so the last wins.
     """
     names = sorted(KERNEL_NAMES) if corpus and args.kernel == "all" else [args.kernel]
     out = []
@@ -104,7 +106,7 @@ def _analyzed(args, corpus: bool = False) -> list[tuple[Kernel, dict[str, ReuseI
         kernel = _load_kernel(name)
         reuse = analyze_all(kernel)
         if args.dump_dot:
-            _dump_dot(args.dump_dot, kernel, reuse)
+            _dump_dot(args.dump_dot, kernel, reuse, cfg)
         out.append((kernel, reuse))
     return out
 
@@ -141,7 +143,7 @@ def _classic_rows(kernel: Kernel) -> dict:
 # subcommands
 
 def cmd_analyze(args, cfg: RunConfig) -> Report:
-    [(kernel, reuse)] = _analyzed(args)
+    [(kernel, reuse)] = _analyzed(args, cfg)
     arrays = {a: {**_reuse_fields(i), "bc": _bc_json(i.bc)} for a, i in sorted(reuse.items())}
     rows = [[a, "-" if m["carrier"] is None else kernel.loops[m["carrier"]].index,
              *(m[f] for f in ("required_regs", "total", "after", "save", "bc"))]
@@ -155,7 +157,7 @@ def cmd_analyze(args, cfg: RunConfig) -> Report:
 
 
 def cmd_allocate(args, cfg: RunConfig) -> Report:
-    [(kernel, reuse)] = _analyzed(args)
+    [(kernel, reuse)] = _analyzed(args, cfg)
     allocs = [_allocate(a, kernel, reuse, cfg) for a in _algorithms(args.alg)]
     betas = [[al.beta[a] for a in kernel.arrays] for al in allocs]
     return Report(
@@ -171,7 +173,7 @@ def cmd_allocate(args, cfg: RunConfig) -> Report:
 
 
 def cmd_simulate(args, cfg: RunConfig) -> Report:
-    [(kernel, reuse)] = _analyzed(args)
+    [(kernel, reuse)] = _analyzed(args, cfg)
     reports = [_simulate(kernel, reuse, _allocate(a, kernel, reuse, cfg), cfg)
                for a in _algorithms(args.alg)]
     table = []
@@ -192,7 +194,7 @@ def cmd_simulate(args, cfg: RunConfig) -> Report:
 
 def cmd_compare(args, cfg: RunConfig) -> Report:
     results, rows, table = [], [], []
-    for kernel, reuse in _analyzed(args, corpus=True):
+    for kernel, reuse in _analyzed(args, cfg, corpus=True):
         reports = [_simulate(kernel, reuse, _allocate(a, kernel, reuse, cfg), cfg)
                    for a in _ALG_ORDER]
         base = reports[0].memory_cycles
@@ -235,7 +237,7 @@ _CHECK_FIELDS = ("kernel", "subject", "field", "analytic", "oracle")
 
 
 def cmd_verify(args, cfg: RunConfig) -> Report:
-    analyzed = _analyzed(args, corpus=True)
+    analyzed = _analyzed(args, cfg, corpus=True)
     checks = []
     for kernel, reuse in analyzed:
         expected = oracle_analysis(kernel, cfg.iteration_cap)
@@ -279,7 +281,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--cap", type=int, dest="iteration_cap", metavar="CAP",
                    help="iteration-space enumeration cap")
     p.add_argument("--dump-dot", metavar="PREFIX", dest="dump_dot",
-                   help="write PREFIX.dfg.dot and PREFIX.cg.dot")
+                   help="write PREFIX.dfg.dot and PREFIX.cg.dot under the configured latencies")
 
 
 _SUBCOMMANDS = (  # name, handler, help, kernel help, --alg default

@@ -1,25 +1,29 @@
-"""Loop-body data-flow graphs, their critical graph, and cuts of it.
+"""Loop-body data-flow graphs, their memory levels, critical graph, and cuts.
 
 One graph abstracts a single innermost-body iteration; no allocation
-enters it.  ``node_latencies`` prices an allocation: arithmetic nodes keep
-configured latencies, and a memory node costs 0 when its array is fully
-register resident and 1 otherwise.  Edges point to higher node ids, so
-ascending id is a topological order.  ``T_exec`` is the latency of the
-longest root-to-sink path.  One forward and one backward longest-path pass
-give each node the longest latency into it and out of it; a node or edge
-lies on some longest path exactly when its slack, ``T_exec`` minus the
-longest path through it, is zero (the critical-path method).  Those
-zero-slack nodes and edges form the critical graph.  A cut is a minimal
-set of improvable reference nodes whose removal breaks every root-to-sink
-path of the critical graph; registering a whole cut is the only way to
-shorten all critical paths at once.  ``find_cuts`` returns only the cut
-cheapest to satisfy, found by branch-and-bound over the candidate arrays
-of each weakly connected part of the critical graph, without listing
+enters it.  ``build_dfg`` builds it once per kernel object and latency
+table, and the allocators, the simulator and the dot dumps share it; it
+lives as long as its kernel.  ``node_latencies`` prices an allocation:
+arithmetic nodes keep configured latencies, and a memory node costs 0 when
+its array is fully register resident and 1 otherwise.  Edges point to
+higher node ids, so ascending id is a topological order.  ``T_exec`` is the
+latency of the longest root-to-sink path.  ``memory_levels`` groups memory
+nodes by dependence depth, one longest-path pass.  One forward and one
+backward pass give each node the longest latency into it and out of it; a
+node or edge lies on some longest path exactly when its slack, ``T_exec``
+minus the longest path through it, is zero (the critical-path method).
+Those zero-slack nodes and edges form the critical graph.  A cut is a
+minimal set of improvable reference nodes whose removal breaks every
+root-to-sink path of the critical graph; registering a whole cut is the
+only way to shorten all critical paths at once.  ``find_cuts`` returns only
+the cut cheapest to satisfy, found by branch-and-bound over the candidate
+arrays of each weakly connected part of the critical graph, without listing
 paths or cuts.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_LATENCIES, CapExceededError
@@ -92,6 +96,26 @@ def _longest(before: dict[int, list[int]], weight: dict[int, int],
     return best
 
 
+def memory_levels(g: Dfg, ports: int = 1) -> tuple[tuple[int, ...], ...]:
+    """Memory nodes grouped by dependence depth, as-soon-as-possible.
+
+    A node's depth is the largest number of memory nodes on one path into
+    it, itself excluded: one longest-path pass with weight 1 on memory
+    nodes and 0 on arithmetic ones.  Same-array nodes beyond the port
+    limit split off into follow-on levels, serializing their accesses.
+    """
+    if ports < 1:
+        raise ValueError("ports must be >= 1")
+    chain = _longest(g.preds(), {n.node_id: int(n.kind == "mem") for n in g.nodes})
+    seen: dict[tuple[int, str], int] = {}  # (chain, array) -> its nodes so far
+    levels: dict[tuple[int, int], list[int]] = {}  # (chain, port round) -> node ids
+    for n in sorted(g.mem_nodes(), key=lambda n: n.node_id):
+        at = (chain[n.node_id], n.label)
+        seen[at] = seen.get(at, 0) + 1
+        levels.setdefault((at[0], (seen[at] - 1) // ports), []).append(n.node_id)
+    return tuple(tuple(levels[k]) for k in sorted(levels))
+
+
 def mem_latency(info: ReuseInfo, beta: int) -> int:
     """0 only for a fully replaced array that actually reuses data."""
     return 0 if (beta == info.required_regs and info.save > 0) else 1
@@ -107,7 +131,22 @@ def node_latencies(g: Dfg, reuse: dict[str, ReuseInfo], alloc=None) -> dict[int,
     return {n.node_id: mem[n.label] if n.kind == "mem" else n.latency for n in g.nodes}
 
 
+#: each live kernel's graphs by latency table, None for the default; an entry dies with its kernel
+_GRAPHS: weakref.WeakKeyDictionary[Kernel, dict] = weakref.WeakKeyDictionary()
+
+
 def build_dfg(kernel: Kernel, latencies: dict[str, int] | None = None) -> Dfg:
+    """The kernel's graph under ``latencies``, built by ``_build`` once per kernel object
+    and table; None and a table equal to ``DEFAULT_LATENCIES`` share one."""
+    key = (None if latencies is None or latencies == DEFAULT_LATENCIES
+           else tuple(sorted(latencies.items())))
+    graphs = _GRAPHS.setdefault(kernel, {})
+    if key not in graphs:  # a build that raises is not kept
+        graphs[key] = _build(kernel, latencies)
+    return graphs[key]
+
+
+def _build(kernel: Kernel, latencies: dict[str, int] | None) -> Dfg:
     """Data-flow graph of one body iteration, each node numbered after its inputs.
 
     Memory nodes get latency 1; ``node_latencies`` prices an allocation.  A

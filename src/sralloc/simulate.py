@@ -17,20 +17,22 @@ staging latch) or with a store forwarded to a same-iteration read (the
 forwarding conduit); beta otherwise.
 
 Ranks do not depend on beta (the inclusion property of Mattson et al.'s
-stack algorithm), so each array is walked once per kernel.  The first call
-for a kernel object, port count and latency table builds a cost model: the
-graph, the memory levels, each array's node positions and subscripts, the
-all-miss bitset and, per walked array, carrier and ``required_regs``, a
-column of each access's rank at every interior inner point, clipped at
-``required_regs`` (exact: beta = ``required_regs`` prices at infinity) in
-the narrowest ``array`` typecode, walked ``BLOCK`` points at a time.  A node
-misses where its rank is ``>= t``, the threshold: a call compares the
-column's byte planes, keeping nothing per threshold, and a level's cycles
-are the popcount of its members' OR.  Arrays that miss everywhere (threshold
-0) or nowhere (infinite threshold, or no carrier: rank 0) are never walked,
-and a call walks at most ``MAX_RANK_ENTRIES`` accesses.  The models sit in a
-``WeakKeyDictionary`` keyed by the kernel and hold no reference to it, so a
-model lives as long as its kernel object.
+stack algorithm), so each array is walked once per kernel.  Each call takes
+the kernel's graph under its latency table from ``build_dfg`` and prices
+``T_exec`` on it.  No latency changes the graph's structure, so the first
+call for a kernel object and port count builds one cost model from it: the
+memory levels, each array's node positions and subscripts, the all-miss
+bitset once a call has passed the cap and, per walked array, carrier and
+``required_regs``, a column of each access's rank at every interior inner
+point, clipped at ``required_regs`` (exact: beta = ``required_regs`` prices
+at infinity) in the narrowest ``array`` typecode, walked ``BLOCK`` points at
+a time.  A node misses where its rank is ``>= t``, the threshold: a call
+compares the column's byte planes, keeping nothing per threshold, and a
+level's cycles are the popcount of its members' OR.  Arrays that miss
+everywhere (threshold 0) or nowhere (infinite threshold, or no carrier:
+rank 0) are never walked, and a call walks at most ``MAX_RANK_ENTRIES``
+accesses.  The models sit in a ``WeakKeyDictionary`` keyed by the kernel
+and hold no reference to it, so a model lives as long as its kernel object.
 """
 
 from __future__ import annotations
@@ -41,12 +43,11 @@ import sys
 import weakref
 from array import array
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
-from .allocate import Allocation
 from .config import CapExceededError, POLICIES, POLICY_ELEMENT, POLICY_STAGING
-from .dfg import Dfg, DfgNode, _longest, build_dfg, critical_length, mem_latency, node_latencies
+from .dfg import build_dfg, critical_length, mem_latency, memory_levels, node_latencies
 from .kernel import Kernel, iteration_space_size
 from .reuse import ReuseInfo, _address_forms
 
@@ -87,39 +88,6 @@ class CycleReport:
 
 
 # ---------------------------------------------------------------------------
-# dependence levels
-
-def memory_levels(g: Dfg, ports: int = 1) -> tuple[tuple[int, ...], ...]:
-    """Memory nodes grouped by dependence depth, as-soon-as-possible.
-
-    A node's depth is the largest number of memory nodes on one path into
-    it, itself excluded: one longest-path pass with weight 1 on memory
-    nodes and 0 on arithmetic ones.  Same-array nodes beyond the port
-    limit split off into follow-on levels, serializing their accesses.
-    """
-    if ports < 1:
-        raise ValueError("ports must be >= 1")
-    is_mem = {n.node_id: int(n.kind == "mem") for n in g.nodes}
-    chain = _longest(g.preds(), is_mem)
-
-    by_depth: dict[int, list[DfgNode]] = {}
-    for n in sorted(g.mem_nodes(), key=lambda n: n.node_id):
-        by_depth.setdefault(chain[n.node_id] - 1, []).append(n)
-
-    levels: list[tuple[int, ...]] = []
-    for d in sorted(by_depth):
-        slots: dict[int, list[int]] = {}
-        seen: dict[str, int] = {}
-        for n in by_depth[d]:
-            slot = seen.get(n.label, 0) // ports
-            seen[n.label] = seen.get(n.label, 0) + 1
-            slots.setdefault(slot, []).append(n.node_id)
-        for s in sorted(slots):
-            levels.append(tuple(slots[s]))
-    return tuple(levels)
-
-
-# ---------------------------------------------------------------------------
 # ranks and thresholds
 
 def _threshold(info: ReuseInfo, beta: int, policy: str) -> float:
@@ -154,15 +122,14 @@ def _at_least(column: array, t: int, k: int, ones: int) -> list[int]:
 
 
 class _CostModel:
-    """One kernel's graph, memory levels, node index and rank columns; holds no reference to it."""
+    """One kernel's memory levels, node index and rank columns; holds no reference to
+    the kernel or its graph, whose structure no latency table changes."""
 
-    def __init__(self, kernel: Kernel, ports: int, latencies: dict[str, int] | None):
-        self.graph = build_dfg(kernel, latencies)
-        self.mem = self.graph.mem_nodes()
+    def __init__(self, kernel: Kernel, graph, ports: int):
+        self.mem = graph.mem_nodes()
         pos = {n.node_id: p for p, n in enumerate(self.mem)}
-        self.members = [[pos[nid] for nid in lev] for lev in memory_levels(self.graph, ports)]
+        self.members = [[pos[nid] for nid in lev] for lev in memory_levels(graph, ports)]
         self.points = iteration_space_size(kernel, 1)
-        self.everywhere = int.from_bytes(b"\1" * self.points, "little")
         self.index: dict[str, tuple[list[int], list]] = {}  # array -> positions in mem, subscripts
         pattern = {r.ref_id: r.subscripts for r in kernel.refs}
         for p, n in enumerate(self.mem):
@@ -170,6 +137,11 @@ class _CostModel:
             at.append(p)
             subs.append(pattern[n.ref_ids[0]])
         self.ranks: dict[tuple, array] = {}  # (array, carrier, required_regs) -> column
+
+    @cached_property
+    def everywhere(self) -> int:
+        """The all-miss bitset, first built by a call that passed the cap."""
+        return int.from_bytes(b"\1" * self.points, "little")
 
     def misses(self, kernel: Kernel, reuse: dict[str, ReuseInfo],
                threshold: dict[str, float]) -> list[int]:
@@ -220,14 +192,14 @@ class _CostModel:
         return column
 
 
-#: each live kernel's cost models by ports and latencies; an entry dies with its kernel
+#: each live kernel's cost models by port count; an entry dies with its kernel
 _MODELS: weakref.WeakKeyDictionary[Kernel, dict] = weakref.WeakKeyDictionary()
 
 
 # ---------------------------------------------------------------------------
 # cycle counting
 
-def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allocation,
+def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc,
                         policy: str = POLICY_ELEMENT, ports: int = 1,
                         latencies: dict[str, int] | None = None,
                         cap: int | None = None) -> CycleReport:
@@ -241,10 +213,9 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allo
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
     alloc.validate(reuse)
+    graph = build_dfg(kernel, latencies)
     models = _MODELS.setdefault(kernel, {})
-    key = (ports, latencies if latencies is None else tuple(sorted(latencies.items())))
-    model = models[key] = models.get(key) or _CostModel(kernel, ports, latencies)
-    t_exec_val = critical_length(model.graph, node_latencies(model.graph, reuse, alloc))
+    model = models[ports] = models.get(ports) or _CostModel(kernel, graph, ports)
     if cap is not None and model.points > cap:
         raise CapExceededError(f"inner iteration space {model.points} exceeds cap {cap}")
     threshold = {a: _threshold(info, alloc.beta[a], policy) for a, info in reuse.items()}
@@ -265,6 +236,6 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc: Allo
         memory_cycles=sum(per_level),
         per_level=tuple(per_level),
         per_array=tuple(sorted(per_array.items())),
-        t_exec_per_iter=t_exec_val,
+        t_exec_per_iter=critical_length(graph, node_latencies(graph, reuse, alloc)),
         inner_iterations=model.points,
     )

@@ -53,7 +53,7 @@ def hit(kernel, reuse, alloc, array, point, policy=sa.POLICY_ELEMENT):
     assert point[0] == outer.lower + (outer.trip // 2) * outer.step
     inner = itertools.product(*(lp.range for lp in kernel.loops[1:]))
     i = next(i for i, p in enumerate(inner) if p == point[1:])
-    model = simulate._CostModel(kernel, 1, None)
+    model = simulate._CostModel(kernel, sa.build_dfg(kernel), 1)
     limit = {array: _threshold(reuse[array], alloc.beta[array], policy)}
     miss = model.misses(kernel, reuse, limit)
     return not any(m >> 8 * i & 1 for m, n in zip(miss, model.mem) if n.label == array)

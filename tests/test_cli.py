@@ -1,5 +1,7 @@
 import hashlib
 import json
+import weakref
+from unittest import mock
 
 import pytest
 
@@ -287,6 +289,31 @@ def test_dump_dot(tmp_path, capsys):
     cg = (tmp_path / "graphs.cg.dot").read_text()
     assert dfg.startswith("digraph")
     assert '"c' in dfg and '"c' not in cg  # c is off the critical graph
+
+
+def test_dump_dot_uses_configured_latencies(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"latencies": {"multiply": 5}}))
+    monkeypatch.setenv("SRALLOC_CONFIG", str(cfg))
+    prefix = str(tmp_path / "graphs")
+    assert run(capsys, "analyze", "example", "--dump-dot", prefix)[0] == 0
+    kernel = sa.bundled_kernel("example")
+    g = sa.build_dfg(kernel, {**sa.DEFAULT_LATENCIES, "multiply": 5})
+    lat = sa.node_latencies(g, sa.analyze_all(kernel))
+    assert (tmp_path / "graphs.dfg.dot").read_text() == sa.to_dot(g, lat, "dfg")
+    assert "multiply\\nlat=5" in (tmp_path / "graphs.dfg.dot").read_text()
+    assert (tmp_path / "graphs.cg.dot").read_text() == \
+        sa.to_dot(sa.critical_graph(g, lat), lat, "cg")
+
+
+def test_compare_builds_one_graph_per_kernel(tmp_path, capsys):
+    # both policies, each run dumping every kernel's graphs too
+    with mock.patch.object(dfg, "_GRAPHS", weakref.WeakKeyDictionary()), \
+            mock.patch.object(dfg, "_build", wraps=dfg._build) as spy:
+        for policy in sa.POLICIES:
+            assert run(capsys, "compare", "all", "--policy", policy,
+                       "--dump-dot", str(tmp_path / policy))[0] == 0
+    assert sorted(c.args[0].name for c in spy.call_args_list) == sorted(sa.KERNEL_NAMES)
 
 
 def test_config_env_var(tmp_path, capsys, monkeypatch):

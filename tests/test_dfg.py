@@ -1,9 +1,16 @@
+import gc
+import random
+import weakref
+from unittest import mock
+
 import pytest
 
 from sralloc import (
+    DEFAULT_LATENCIES,
     KernelError,
     KernelValidationError,
     analyze_all,
+    bundled_kernels,
     Dfg,
     DfgNode,
     build_dfg,
@@ -15,9 +22,11 @@ from sralloc import (
     manual_allocation,
     node_latencies,
     parse_kernel,
+    random_kernel,
     to_dot,
     unit_allocation,
 )
+from sralloc import dfg
 
 from test_properties import reference_cuts
 
@@ -247,3 +256,44 @@ def test_dfg_rejects_backward_edges_and_self_loops():
     for edges in (((1, 0),), ((0, 1), (1, 0)), ((1, 1),)):
         with pytest.raises(KernelValidationError, match="cyclic dependence in data-flow graph"):
             Dfg(nodes, edges)
+
+
+# ---------------------------------------------------------------------------
+# one graph per kernel object and latency table
+
+def test_build_dfg_shares_one_graph_per_latency_table(example):
+    g = build_dfg(example)
+    assert build_dfg(example, dict(DEFAULT_LATENCIES)) is g
+    assert build_dfg(example, None) is g
+    slow = build_dfg(example, {**DEFAULT_LATENCIES, "multiply": 3})
+    assert slow is not g
+    assert build_dfg(example, {**DEFAULT_LATENCIES, "multiply": 3}) is slow
+    assert [n.latency for n in slow.nodes if n.label == "multiply"] == [3, 3]
+
+
+def test_build_dfg_keeps_no_failed_build(example):
+    with mock.patch.object(dfg, "_build", wraps=dfg._build) as spy:
+        for _ in range(2):
+            with pytest.raises(KernelError, match="unknown op"):
+                build_dfg(example, {"add": 1})
+    assert spy.call_count == 2
+
+
+def test_shared_graph_equals_uncached_build():
+    rng = random.Random(16)
+    kernels = list(bundled_kernels().values()) + [random_kernel(rng) for _ in range(100)]
+    for k in kernels:
+        assert build_dfg(k) == dfg._build(k, None), k.name
+        assert build_dfg(k) is build_dfg(k)
+
+
+def test_graph_lives_as_long_as_its_kernel():
+    kernel = parse_kernel("loop i = 0..6 { loop j = 0..9 { S1: y[j] = a[i + j] * b[j]; } }")
+    with mock.patch.object(dfg, "_GRAPHS", weakref.WeakKeyDictionary()) as memo:
+        build_dfg(kernel)
+        assert list(memo[kernel]) == [None]
+        alive = weakref.ref(kernel)
+        del kernel
+        gc.collect()
+        assert alive() is None
+        assert len(memo) == 0

@@ -372,7 +372,7 @@ def test_two_byte_ranks_match_reference_replay():
     assert reuse["a"].required_regs == 576
     assert_matches_reference(k, reuse, [full_but(reuse, "a", beta)
                                         for beta in (255, 256, 257, 575)])
-    [column] = [c for key, c in simulate._MODELS[k][(1, None)].ranks.items() if key[0] == "a"]
+    [column] = [c for key, c in simulate._MODELS[k][1].ranks.items() if key[0] == "a"]
     assert column.typecode == "H"
 
 
@@ -385,7 +385,7 @@ def test_four_byte_ranks_match_reference_replay():
         r = sa.steady_state_cycles(k, reuse, alloc, sa.POLICY_ELEMENT)
         assert (r.per_level, r.per_array) == \
             reference_cycles(k, reuse, alloc, sa.POLICY_ELEMENT, 1), beta
-    [column] = [c for key, c in simulate._MODELS[k][(1, None)].ranks.items() if key[0] == "a"]
+    [column] = [c for key, c in simulate._MODELS[k][1].ranks.items() if key[0] == "a"]
     assert column.typecode == "I"
 
 

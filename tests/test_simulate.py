@@ -9,6 +9,8 @@ import pytest
 
 from conftest import hit
 from sralloc import (
+    CapExceededError,
+    KernelError,
     KERNEL_NAMES,
     POLICIES,
     POLICY_ELEMENT,
@@ -173,11 +175,37 @@ def test_cycles_bounded_by_levels(kernels, reuse_map):
 
 
 def test_iteration_cap(example, example_reuse):
-    from sralloc import CapExceededError
-
     fr = full_reuse(example_reuse, 64)
     with pytest.raises(CapExceededError):
         steady_state_cycles(example, example_reuse, fr, cap=10)
+
+
+#: 3 * 10^7 interior inner points, three times the default cap
+OVER_CAP = "loop i = 0..4 { loop j = 0..6000 { loop k = 0..5000 { S1: y[j] = a[j] + b[k]; } } }"
+
+
+def test_cap_is_checked_before_per_point_memory():
+    kernel = parse_kernel(OVER_CAP)
+    reuse = analyze_all(kernel)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="30000000 exceeds cap 10000000"):
+            steady_state_cycles(kernel, reuse, unit_allocation(reuse), cap=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an all-miss bitset alone would take a byte per point (30 MB)
+    assert peak < 1e6
+
+
+def test_graph_and_port_errors_come_before_the_cap():
+    kernel = parse_kernel(OVER_CAP)
+    reuse = analyze_all(kernel)
+    alloc = unit_allocation(reuse)
+    with pytest.raises(KernelError, match="unknown op kind 'add'"):
+        steady_state_cycles(kernel, reuse, alloc, latencies={"multiply": 1}, cap=10)
+    with pytest.raises(ValueError, match="ports must be >= 1"):
+        steady_state_cycles(kernel, reuse, alloc, ports=0, cap=10)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +284,7 @@ def test_compare_peak_memory_is_pinned():
     [model] = simulate._MODELS[kernel].values()
     assert {k[0]: (c.itemsize, len(c)) for k, c in model.ranks.items()} == \
         {"y": (1, 10**5), "a": (2, 10**5)}
-    assert set(vars(model)) == {"graph", "mem", "members", "points", "everywhere",
-                                "index", "ranks"}
+    assert set(vars(model)) == {"mem", "members", "points", "everywhere", "index", "ranks"}
     # measured (Python 3.11): 0.43 MB held, 1.76 MB peak; the peak adds one
     # BLOCK of addresses as Python ints to what the model holds, and its bound
     # keeps the 1.85 MB read when bytesets were memoised per threshold
