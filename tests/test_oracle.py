@@ -404,3 +404,15 @@ def test_oracle_keeps_no_trace_when_the_outer_loop_runs_once():
     # about 1.2x: a unit-trip carrier builds no window, so no window is the
     # whole trace held as Python ints
     assert peak <= 1.5 * unit
+
+
+def test_oracle_replay_output_is_pinned(kernels):
+    # cycles and the sorted per-point hit map of every replay case
+    digest = hashlib.sha256()
+    for kernel in replay_cases(kernels):
+        for alloc in replay_allocations(kernel):
+            for policy, ports in itertools.product(POLICIES, (1, 2)):
+                cycles, hits = oracle_replay(kernel, alloc, policy, ports)
+                digest.update(json.dumps([kernel.name, cycles, sorted(hits.items())]).encode())
+    assert digest.hexdigest() == \
+        "e18fef0ed5616402ff436916255636ec54b07e8134dcbb3a2a29d4ae7f1503d8"
