@@ -152,6 +152,12 @@ class Kernel:
     loops: tuple[Loop, ...]
     statements: tuple[Statement, ...]
 
+    def __hash__(self) -> int:  # the dataclass hash of the fields, computed once per object
+        if (h := self.__dict__.get("_hash")) is None:
+            h = hash((self.name, self.params, self.loops, self.statements))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def depth(self) -> int:
         return len(self.loops)

@@ -2,27 +2,29 @@
 
 Everything here enumerates every iteration point and keeps its own
 bookkeeping.  A reference's trace is the linearized address at each point,
-in loop order, computed from the oracle's own per-dimension layout rather
-than from the analyzer's address forms; references with the same array and
-subscripts share one.  A carrier window is a contiguous slice of a trace,
-not a window in the analyzer's algebra, and a one-point window of one trace
-is compared as an address.  The replay builds the middle outer iteration's
-streams from the same layout and feeds each array's fill-once register file
-that array's events point-major, in event order, instead of using rank
-arithmetic; the oracle levels dependences on its own.  Agreement with the
-analytic modules is therefore evidence of correctness rather than shared
-code, at the price of being slower.
+in loop order, from the oracle's own per-dimension layout rather than the
+analyzer's address forms; references with the same array and subscripts
+share one, and one array's traces are gone before the next array's are
+built.  A carrier window is a contiguous slice of a trace, not a window in
+the analyzer's algebra; an array none of whose addresses occurs twice has no
+carrier.  The replay feeds each array's fill-once register file its events
+point-major over the middle outer iteration, instead of rank arithmetic, and
+levels dependences on its own; its per-point hit map is built when read.
+Agreement with the analytic modules is therefore evidence of correctness
+rather than shared code, at the price of being slower.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import chain, compress, cycle, islice, pairwise, product, repeat, starmap
 from math import prod
-from operator import eq
+from operator import eq, floordiv
+from typing import NamedTuple
 
 from .config import CapExceededError, DEFAULT_CAP, POLICY_ELEMENT, POLICY_STAGING
 from .kernel import ArrayRef, Kernel, Loop, iteration_space_size, parse_kernel
@@ -99,9 +101,9 @@ def _forwarded(kernel: Kernel) -> set[int]:
     out: set[int] = set()
     for stmt in kernel.statements:
         for r in stmt.reads:
-            if (r.array, tuple(str(e) for e in r.subscripts)) in seen:
+            if (r.array, r.subscripts) in seen:
                 out.add(r.ref_id)
-        seen.add((stmt.write.array, tuple(str(e) for e in stmt.write.subscripts)))
+        seen.add((stmt.write.array, stmt.write.subscripts))
     return out
 
 
@@ -144,39 +146,57 @@ def oracle_carrier(kernel: Kernel, traces: list[AccessTrace]) -> tuple[int | Non
     return None, 1
 
 
+def _union_size(sets) -> int:
+    first, *rest = list(sets) or [set()]
+    return len(first.union(*rest) if rest else first)  # a lone set is not copied
+
+
+def _array_fields(kernel: Kernel, refs: list[ArrayRef], fwd: set[int], cap: int) -> dict:
+    """One array's fields from its distinct streams, each traced and set once."""
+    distinct = {r.subscripts: r for r in refs}
+    streams = {key: trace(kernel, r, cap) for key, r in distinct.items()}
+    sets = {key: set(t.addrs) for key, t in streams.items()}
+    points = iteration_space_size(kernel, 0)
+    counted = [r for r in refs if r.ref_id not in fwd]
+    after = sum(_union_size(map(sets.get, {r.subscripts for r in counted if r.access == acc}))
+                for acc in ("read", "write"))
+    # no address occurs twice across the streams, so no two windows overlap
+    no_repeat = _union_size(sets.values()) == len(sets) * points
+    carrier, regs = (None, 1) if no_repeat else oracle_carrier(kernel, list(streams.values()))
+    total = len(counted) * points
+    return {"carrier": carrier, "required_regs": regs, "total": total, "after": after,
+            "save": total - after, "forwarded_store": any(r.ref_id in fwd for r in refs)}
+
+
+class _Record(NamedTuple):
+    """A kernel's per-array fields and what its replays share; nothing per point."""
+
+    arrays: dict[str, dict]
+    layouts: dict[str, tuple[tuple[int, int], ...]]
+    loops: tuple[Loop, ...]  # the middle outer iteration
+    events: list[tuple[int, ArrayRef]]
+    depth_groups: list[list[int]]
+    by_array: dict[str, list[int]]  # event indices of each array
+
+
 @lru_cache(maxsize=32)
-def _analysis_cached(kernel: Kernel, cap: int) -> dict[str, dict]:
-    fwd = _forwarded(kernel)
-    built: dict[tuple, AccessTrace] = {}  # one trace per distinct stream
-    per_array: dict[str, list[AccessTrace]] = {}
-    for r in kernel.refs:
-        key = (r.array, tuple(str(e) for e in r.subscripts))
-        if key not in built:
-            built[key] = trace(kernel, r, cap)
-        per_array.setdefault(r.array, []).append(
-            replace(built[key], ref_id=r.ref_id, access=r.access))
-    out = {}
-    for array, traces in per_array.items():
-        carrier, regs = oracle_carrier(kernel, traces)
-        counted = [t for t in traces if t.ref_id not in fwd]
-        total = sum(len(t) for t in counted)
-        reads = set().union(*(t.addrs for t in counted if t.access == "read"))
-        writes = set().union(*(t.addrs for t in counted if t.access == "write"))
-        after = len(reads) + len(writes)
-        out[array] = {
-            "carrier": carrier,
-            "required_regs": regs,
-            "total": total,
-            "after": after,
-            "save": total - after,
-            "forwarded_store": any(t.ref_id in fwd for t in traces),
-        }
-    return out
+def _analysis_cached(kernel: Kernel, cap: int) -> _Record:
+    fwd, refs = _forwarded(kernel), kernel.refs
+    # one array at a time: an array's streams are gone before the next one's are built
+    arrays = {a: _array_fields(kernel, [r for r in refs if r.array == a], fwd, cap)
+              for a in kernel.arrays}
+    outer = kernel.loops[0]
+    mid = outer.lower + (outer.trip // 2) * outer.step
+    events, depth_groups = _event_schedule(kernel)
+    by_array = {a: [i for i, (_, r) in enumerate(events) if r.array == a]
+                for a in dict.fromkeys(r.array for _, r in events)}
+    return _Record(arrays, _array_layouts(kernel), (Loop(outer.index, mid, mid + 1),)
+                   + kernel.loops[1:], events, depth_groups, by_array)
 
 
 def oracle_analysis(kernel: Kernel, cap: int = DEFAULT_CAP) -> dict[str, dict]:
     """Carrier, registers, and counts per array, all trace-derived."""
-    return {a: dict(v) for a, v in _analysis_cached(kernel, cap).items()}
+    return {a: dict(v) for a, v in _analysis_cached(kernel, cap).arrays.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +215,14 @@ def _event_schedule(kernel: Kernel) -> tuple[list[tuple[int, ArrayRef]], list[li
         for r in stmt.reads:
             if r.implicit:
                 continue  # reduction read rides with the write transaction
-            key = (r.array, tuple(str(e) for e in r.subscripts))
+            key = (r.array, r.subscripts)
             if key in write_depth:
                 feeding.append(write_depth[key])
             else:
                 events.append((0, r))
         depth = max(feeding) + 1
         events.append((depth, stmt.write))
-        wkey = (stmt.write.array, tuple(str(e) for e in stmt.write.subscripts))
-        write_depth[wkey] = depth
+        write_depth[stmt.write.array, stmt.write.subscripts] = depth
     groups: dict[int, list[int]] = {}
     for idx, (depth, _) in enumerate(events):
         groups.setdefault(depth, []).append(idx)
@@ -215,9 +234,8 @@ def _split_ports(events, group: list[int], ports: int) -> list[list[int]]:
     seen: dict[str, int] = {}
     for idx in group:
         arr = events[idx][1].array
-        slot = seen.get(arr, 0) // ports
+        slots.setdefault(seen.get(arr, 0) // ports, []).append(idx)
         seen[arr] = seen.get(arr, 0) + 1
-        slots.setdefault(slot, []).append(idx)
     return [slots[s] for s in sorted(slots)]
 
 
@@ -228,9 +246,9 @@ class _RegisterFile:
     def __init__(self, size: int):
         self.size = size
         self.held: set[int] = set()
-        self.window: tuple | None = None
+        self.window: object = None
 
-    def access(self, window: tuple, addr: int) -> bool:
+    def access(self, window, addr: int) -> bool:
         if window != self.window:
             self.window = window
             self.held = set()
@@ -242,46 +260,58 @@ class _RegisterFile:
         return False
 
 
+class _HitMap(Mapping):
+    """(array, point) -> all its events hit, built from the event columns when first read."""
+
+    def __init__(self, loops: tuple[Loop, ...], columns: dict[str, list[list[bool]]]):
+        self._loops, self._columns = loops, columns
+
+    @cached_property
+    def _map(self) -> dict[tuple[str, tuple], bool]:
+        points = list(product(*(lp.range for lp in self._loops)))
+        return {key: hit for name, cols in self._columns.items()
+                for key, hit in zip(zip(repeat(name), points), map(all, zip(*cols)))}
+
+    def __getitem__(self, key):
+        return self._map[key]
+
+    def __iter__(self):
+        return iter(self._map)
+
+    def __len__(self) -> int:
+        return len(self._map)
+
+
 def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
                   ports: int = 1, cap: int = DEFAULT_CAP):
     """(memory cycles, per-iteration per-array hit map) for one interior
     outermost iteration, simulated with explicit register files."""
-    analysis = _analysis_cached(kernel, cap)
-    layouts = _array_layouts(kernel)
-    events, depth_groups = _event_schedule(kernel)
-    levels = [sub for grp in depth_groups for sub in _split_ports(events, grp, ports)]
-    outer = kernel.loops[0]
-    mid = outer.lower + (outer.trip // 2) * outer.step
-    loops = (Loop(outer.index, mid, mid + 1),) + kernel.loops[1:]
-    points = list(product(*(lp.range for lp in loops)))
-    n = len(points)
+    rec = _analysis_cached(kernel, cap)
+    levels = [sub for grp in rec.depth_groups for sub in _split_ports(rec.events, grp, ports)]
+    n = prod(lp.trip for lp in rec.loops)
 
-    by_array: dict[str, list[int]] = {}
-    for idx, (_, ref) in enumerate(events):
-        by_array.setdefault(ref.array, []).append(idx)
-    cols: list[list[bool]] = [[]] * len(events)
-    hit_map: dict[tuple[str, tuple], bool] = {}
-    for name, idxs in by_array.items():
-        info, beta = analysis[name], alloc.beta[name]
+    cols: list[list[bool]] = [[]] * len(rec.events)
+    for name, idxs in rec.by_array.items():
+        info, beta = rec.arrays[name], alloc.beta[name]
         if info["save"] == 0 or beta == info["required_regs"] or (
                 beta < 2 and (policy == POLICY_STAGING or info["forwarded_store"])):
             fixed = info["save"] != 0 and beta == info["required_regs"]
             for idx in idxs:
                 cols[idx] = [fixed] * n
         else:
-            # one file per array, fed point-major in event order
+            # one file per array, fed point-major in event order, windows numbered
             rf = _RegisterFile(beta)
-            window_len = (info["carrier"] if info["carrier"] is not None else 0) + 1
-            windows = (p[:window_len] for p in points)
-            addrs = zip(*(_address_stream(events[idx][1], layouts[name], loops) for idx in idxs))
-            flat = list(map(rf.access, chain.from_iterable(map(repeat, windows, repeat(len(idxs)))),
-                            chain.from_iterable(addrs)))
+            span = len(idxs) * prod(lp.trip for lp in rec.loops[(info["carrier"] or 0) + 1:])
+            windows = map(floordiv, range(n * len(idxs)), repeat(span))
+            addrs = zip(*(_address_stream(rec.events[idx][1], rec.layouts[name], rec.loops)
+                          for idx in idxs))
+            flat = list(map(rf.access, windows, chain.from_iterable(addrs)))
             for j, idx in enumerate(idxs):
                 cols[idx] = flat[j::len(idxs)]
-        hit_map.update(zip(zip(repeat(name), points), map(all, zip(*(cols[i] for i in idxs)))))
 
     cycles = sum(n - sum(map(all, zip(*(cols[i] for i in level)))) for level in levels)
-    return cycles, hit_map
+    return cycles, _HitMap(rec.loops, {name: [cols[i] for i in idxs]
+                                       for name, idxs in rec.by_array.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +330,7 @@ def random_kernel(rng: random.Random, max_depth: int = 3, max_trip: int = 16,
     depth = rng.randint(1, max_depth)
     while True:
         trips = [rng.randint(2, max_trip) for _ in range(depth)]
-        pts = 1
-        for t in trips:
-            pts *= t
-        if pts <= max_points:
+        if prod(trips) <= max_points:
             break
     indices = [f"i{d}" for d in range(depth)]
     dims: dict[str, int] = {}
@@ -344,10 +371,7 @@ def random_kernel(rng: random.Random, max_depth: int = 3, max_trip: int = 16,
         rhs = f" {op} ".join(reads) if nreads == 2 else reads[0]
         lines.append(f"S{s}: {ref(target)} {assign} {rhs};")
 
-    src = []
-    for d, name in enumerate(indices):
-        src.append("  " * d + f"loop {name} = 0..{trips[d]} {{")
+    src = ["  " * d + f"loop {name} = 0..{trips[d]} {{" for d, name in enumerate(indices)]
     src.extend("  " * depth + ln for ln in lines)
-    for d in range(depth - 1, -1, -1):
-        src.append("  " * d + "}")
+    src.extend("  " * d + "}" for d in reversed(range(depth)))
     return parse_kernel("\n".join(src), name=f"rand{rng.randint(0, 10**9)}")

@@ -5,6 +5,7 @@ import pytest
 from conftest import affine_value
 from sralloc import (
     KERNEL_NAMES,
+    AffineExpr,
     Kernel,
     KernelError,
     KernelSyntaxError,
@@ -217,3 +218,24 @@ def test_read_write_classification_is_exclusive(example):
     writes = [r.ref_id for r in example.refs if r.access == "write"]
     reads = [r.ref_id for r in example.refs if r.access == "read"]
     assert not set(writes) & set(reads)
+
+
+def test_kernel_hash_is_computed_once(monkeypatch):
+    k = parse_kernel(kernel_source("bic"), name="bic")
+    again = parse_kernel(kernel_source("bic"), name="bic")
+    assert again == k and again is not k
+    assert hash(again) == hash(k) == hash((k.name, k.params, k.loops, k.statements))
+    calls = []
+    real = AffineExpr.__hash__
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(AffineExpr, "__hash__", spy)
+    fresh = parse_kernel(kernel_source("bic"), name="bic")
+    calls.clear()
+    assert hash(fresh) == hash(k) and calls  # the first hash walks the expressions
+    calls.clear()
+    assert hash(fresh) == hash(k)
+    assert calls == []

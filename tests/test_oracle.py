@@ -416,3 +416,69 @@ def test_oracle_replay_output_is_pinned(kernels):
                 digest.update(json.dumps([kernel.name, cycles, sorted(hits.items())]).encode())
     assert digest.hexdigest() == \
         "e18fef0ed5616402ff436916255636ec54b07e8134dcbb3a2a29d4ae7f1503d8"
+
+
+def test_no_repeat_shortcut_agrees_with_the_carrier_scan(monkeypatch, kernels):
+    # an array none of whose addresses occurs twice skips the level scan;
+    # the full scan over the same traces must find no carrier either
+    real = oracle.oracle_carrier
+    scanned = set()
+
+    def spy(kernel, traces):
+        scanned.add(traces[0].array)
+        return real(kernel, traces)
+
+    monkeypatch.setattr(oracle, "oracle_carrier", spy)
+    oracle._analysis_cached.cache_clear()
+    fired = []
+    for kernel in list(kernels.values()) + [random_kernel(random.Random(s)) for s in range(300)]:
+        scanned.clear()
+        got = oracle_analysis(kernel)
+        for array in sorted(set(got) - scanned):
+            traces = [trace(kernel, r) for r in kernel.refs if r.array == array]
+            assert real(kernel, traces) == (None, 1), (kernel.name, array)
+            assert (got[array]["carrier"], got[array]["required_regs"]) == (None, 1)
+            fired.append((kernel.name, array))
+    assert ("example", "e") in fired
+    assert any(name.startswith("rand") for name, _ in fired)
+
+
+MEMORY_KERNEL = ("loop i = 0..64 { loop j = 0..64 { loop k = 0..64 {"
+                 " S: y[i][j] = a[j + k] + b[k]; } } }")
+
+
+def test_oracle_analysis_memory_is_one_stream_at_a_time():
+    # each array here has one stream, and an array's stream is dropped before
+    # the next array's is built: about 1.33x of one stream, with its set and
+    # the last loop's growth
+    k = parse_kernel(MEMORY_KERNEL)
+    oracle._analysis_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        oracle_analysis(k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * iteration_space_size(k, 0)
+
+
+def test_replay_builds_the_hit_map_only_when_read():
+    k = parse_kernel(MEMORY_KERNEL)
+    alloc = run_allocator("fr", k, analyze_all(k), 64)
+    oracle_analysis(k)  # the cached analysis is not the replay's cost
+
+    def replay_peak(read):
+        tracemalloc.start()
+        try:
+            cycles, hits = oracle_replay(k, alloc)
+            assert "_map" not in vars(hits)  # not built by the replay itself
+            if read:
+                assert hits[("a", (32, 0, 0))] is True
+                assert len(hits) == 3 * 64 * 64
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # about 0.16 MiB for the event columns, 1.8 MiB once a key per point and
+    # array is built
+    assert replay_peak(read=False) <= 0.25 * replay_peak(read=True)
