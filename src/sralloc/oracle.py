@@ -284,8 +284,8 @@ class _HitMap(Mapping):
 
 def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
                   ports: int = 1, cap: int = DEFAULT_CAP):
-    """(memory cycles, per-iteration per-array hit map) for one interior
-    outermost iteration, simulated with explicit register files."""
+    """(memory cycles, per-point per-array hit map, built when first read) for
+    one interior outermost iteration, simulated with explicit register files."""
     rec = _analysis_cached(kernel, cap)
     levels = [sub for grp in rec.depth_groups for sub in _split_ports(rec.events, grp, ports)]
     n = prod(lp.trip for lp in rec.loops)

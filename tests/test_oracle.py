@@ -470,7 +470,7 @@ def test_replay_builds_the_hit_map_only_when_read():
     def replay_peak(read):
         tracemalloc.start()
         try:
-            cycles, hits = oracle_replay(k, alloc)
+            _, hits = oracle_replay(k, alloc)
             assert "_map" not in vars(hits)  # not built by the replay itself
             if read:
                 assert hits[("a", (32, 0, 0))] is True
