@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 
 
@@ -162,21 +163,14 @@ class Kernel:
     def depth(self) -> int:
         return len(self.loops)
 
-    @property
+    @cached_property  # kept in the instance dict, like the hash
     def refs(self) -> tuple[ArrayRef, ...]:
-        out: list[ArrayRef] = []
-        for s in self.statements:
-            out.extend(s.refs)
-        return tuple(sorted(out, key=lambda r: r.ref_id))
+        return tuple(sorted((r for s in self.statements for r in s.refs), key=lambda r: r.ref_id))
 
-    @property
+    @cached_property
     def arrays(self) -> tuple[str, ...]:
         """Array names in first-appearance order (write target first per statement)."""
-        seen: list[str] = []
-        for r in self.refs:
-            if r.array not in seen:
-                seen.append(r.array)
-        return tuple(seen)
+        return tuple(dict.fromkeys(r.array for r in self.refs))
 
 
 def iteration_space_size(kernel: Kernel, level: int) -> int:

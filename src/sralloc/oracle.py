@@ -17,13 +17,14 @@ rather than shared code, at the price of being slower.
 from __future__ import annotations
 
 import random
+import weakref
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, compress, cycle, islice, pairwise, product, repeat, starmap
 from math import prod
-from operator import eq, floordiv
+from operator import add, eq, floordiv
 from typing import NamedTuple
 
 from .config import CapExceededError, DEFAULT_CAP, POLICY_ELEMENT, POLICY_STAGING
@@ -42,8 +43,14 @@ class AccessTrace:
         return len(self.addrs)
 
 
+#: each live kernel's layouts, computed once; an entry dies with its kernel
+_LAYOUTS: weakref.WeakKeyDictionary[Kernel, dict] = weakref.WeakKeyDictionary()
+
+
 def _array_layouts(kernel: Kernel) -> dict[str, tuple[tuple[int, int], ...]]:
-    """Per-array (lo, hi) value range of each subscript dimension."""
+    """Per-array (lo, hi) value range of each subscript dimension, once per kernel."""
+    if kernel in _LAYOUTS:
+        return _LAYOUTS[kernel]
     bounds = {lp.index: (lp.lower, lp.upper - ((lp.upper - lp.lower - 1) % lp.step) - 1)
               for lp in kernel.loops}
     layouts: dict[str, list[list[int]]] = {}
@@ -57,17 +64,19 @@ def _array_layouts(kernel: Kernel) -> dict[str, tuple[tuple[int, int], ...]]:
                 hi += max(coef * blo, coef * bhi)
             dims[d][0] = min(dims[d][0], lo)
             dims[d][1] = max(dims[d][1], hi)
-    return {a: tuple((lo, hi) for lo, hi in dims) for a, dims in layouts.items()}
+    _LAYOUTS[kernel] = {a: tuple((lo, hi) for lo, hi in dims) for a, dims in layouts.items()}
+    return _LAYOUTS[kernel]
 
 
 def _address_stream(ref: ArrayRef, layout, loops) -> array:
     """Linearized address of ``ref`` at every point of ``loops``, in loop order.
 
-    The layout's row-major strides fold the subscripts into one address
-    column per loop.  The stream then grows one loop at a time: the next
-    loop's column is added to each address so far, in chunks of about 2^12
-    addresses (one column, if that is longer), so the stream is never held
-    as a list.
+    The layout's row-major strides fold the subscripts into one coefficient
+    per loop.  The stream grows from the innermost loop outward, a few bulk
+    operations per loop: one value of a loop appends the inner block shifted
+    by that value's offset, or the block itself, copied, where the offset is
+    0; a loop the subscripts do not use repeats the block, and a loop that
+    runs once moves the base and copies nothing.
     """
     stride, base, coef = 1, 0, {}
     for expr, (lo, hi) in zip(reversed(ref.subscripts), reversed(layout)):
@@ -75,14 +84,19 @@ def _address_stream(ref: ArrayRef, layout, loops) -> array:
         for name, c in expr.terms:
             coef[name] = coef.get(name, 0) + c * stride
         stride *= hi - lo + 1
-    cur = array("q", [base])
-    for lp in loops:
-        col = [coef.get(lp.index, 0) * v for v in lp.range]
-        out, step = array("q"), max(1, 2**12 // len(col))
-        for s in range(0, len(cur), step):
-            out.fromlist([a + c for a in cur[s:s + step] for c in col])
-        cur = out
-    return cur
+    base += sum(coef.get(lp.index, 0) * lp.lower for lp in loops if lp.trip == 1)
+    block = array("q", [base])
+    for lp in reversed([lp for lp in loops if lp.trip > 1]):
+        if not (c := coef.get(lp.index, 0)):
+            block *= lp.trip
+        elif len(block) == 1:  # the first loop that moves the address: one arithmetic run
+            block = array("q", range(block[0] + c * lp.lower, block[0] + c * lp.upper, c * lp.step))
+        else:
+            out = array("q")
+            for off in (c * v for v in lp.range):
+                out.extend(map(add, block, repeat(off)) if off else block)
+            block = out
+    return block
 
 
 def trace(kernel: Kernel, ref: ArrayRef, cap: int = DEFAULT_CAP) -> AccessTrace:

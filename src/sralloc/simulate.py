@@ -42,9 +42,10 @@ import math
 import sys
 import weakref
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from operator import add, or_
 
 from .config import CapExceededError, POLICIES, POLICY_ELEMENT, POLICY_STAGING
 from .dfg import build_dfg, critical_length, mem_latency, memory_levels, node_latencies
@@ -121,6 +122,16 @@ def _at_least(column: array, t: int, k: int, ones: int) -> list[int]:
     return out
 
 
+def _shifted(block: list[int], cols: list[list[int]]) -> Iterator[int]:
+    """``block`` once per point of the columns' product, in loop order, each
+    copy shifted by that point's sum; a one-point block adds its address to the sums."""
+    sums = map(sum, itertools.product(*cols))
+    if len(block) == 1:
+        return map(add, sums, itertools.repeat(block[0]))
+    return itertools.chain.from_iterable(
+        map(add, block, itertools.repeat(s)) if s else block for s in sums)
+
+
 class _CostModel:
     """One kernel's memory levels, node index and rank columns; holds no reference to
     the kernel or its graph, whose structure no latency table changes."""
@@ -171,11 +182,16 @@ class _CostModel:
         subs = self.index[a][1]
         pats = list(dict.fromkeys(subs))
         form = dict(zip(pats, _address_forms(kernel, a, pats)))
+        # each node's addresses over the innermost loops whose points fit one BLOCK,
+        # grown a loop at a time, make its block; the loops outside it shift the block
+        cut = next(d for d in range(1, len(loops) + 1) if iteration_space_size(kernel, d) <= BLOCK)
         streams = []
         for base, coeffs in map(form.__getitem__, subs):
-            offsets = [(base + coeffs[0] * mid,)]
-            offsets += [tuple(c * x for x in lp.range) for c, lp in zip(coeffs[1:], loops[1:])]
-            streams.append(map(sum, itertools.product(*offsets)))
+            cols = [[c * v for v in lp.range] for c, lp in zip(coeffs[1:], loops[1:])]
+            block = [base + coeffs[0] * mid]
+            for col in reversed(cols[cut - 1:]):
+                block = [a + off for off in col for a in block]
+            streams.append(_shifted(block, cols[:cut - 1]))
         stream = streams[0] if len(streams) == 1 else itertools.chain.from_iterable(zip(*streams))
         span = iteration_space_size(kernel, carrier + 1)
         column = array("B" if clip < 1 << 8 else "H" if clip < 1 << 16 else "I")

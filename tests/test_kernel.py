@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from sralloc import (
     parse_kernel,
     random_kernel,
 )
+from sralloc import kernel as kernel_module
 
 FIG_SOURCE = """\
 # worked example nest
@@ -239,3 +241,23 @@ def test_kernel_hash_is_computed_once(monkeypatch):
     calls.clear()
     assert hash(fresh) == hash(k)
     assert calls == []
+
+
+def test_kernel_refs_and_arrays_are_computed_once(monkeypatch):
+    k = parse_kernel(kernel_source("example"), name="example")
+    again = parse_kernel(kernel_source("example"), name="example")
+    sorts = []
+
+    def spy(*args, **kwargs):
+        sorts.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(kernel_module, "sorted", spy, raising=False)
+    fresh = dataclasses.replace(k)  # nothing computed on it yet
+    refs, arrays = fresh.refs, fresh.arrays
+    assert len(sorts) == 1  # the first access sorts the references once
+    assert fresh.refs is refs and fresh.arrays is arrays
+    assert len(sorts) == 1  # a second access sorts nothing
+    assert refs == k.refs == again.refs and arrays == k.arrays == again.arrays
+    assert fresh == k and hash(fresh) == hash(k)
+    assert kernel_to_source(fresh) == kernel_to_source(k)

@@ -1,9 +1,12 @@
 import collections
+import gc
 import hashlib
 import itertools
 import json
 import random
 import tracemalloc
+import weakref
+from array import array
 from itertools import product
 
 import pytest
@@ -219,6 +222,58 @@ def test_trace_matches_reference_random():
         assert_matches_reference(random_kernel(random.Random(seed)))
 
 
+def chunked_address_stream(ref, layout, loops):
+    """The earlier builder, kept as a reference: each loop's column is added
+    to every address so far, in chunks of about 2^12 addresses."""
+    stride, base, coef = 1, 0, {}
+    for expr, (lo, hi) in zip(reversed(ref.subscripts), reversed(layout)):
+        base += (expr.const - lo) * stride
+        for name, c in expr.terms:
+            coef[name] = coef.get(name, 0) + c * stride
+        stride *= hi - lo + 1
+    cur = array("q", [base])
+    for lp in loops:
+        col = [coef.get(lp.index, 0) * v for v in lp.range]
+        out, step = array("q"), max(1, 2**12 // len(col))
+        for s in range(0, len(cur), step):
+            out.fromlist([a + c for a in cur[s:s + step] for c in col])
+        cur = out
+    return cur
+
+
+#: unit-trip loops at the outer, middle and inner level (with and without a
+#: coefficient), steps above one, non-zero lower bounds, negative
+#: coefficients, and a zero coefficient at each level
+STREAM_EDGES = [
+    "loop h = 0..1 { loop i = 0..4 { loop j = 0..5 { S: y[i][j] = a[i + j] + b[h + j]; } } }",
+    "loop i = 0..4 { loop h = 2..3 { loop j = 0..5 { S: y[i][j] = a[i - h + j] * b[3*h]; } } }",
+    "loop i = 0..4 { loop j = 0..5 { loop h = 7..8 { S: y[i][j] = a[i + j - h] + b[j]; } } }",
+    "loop h = 3..4 { loop i = 5..6 { S: y[h][i] = a[h + i] * b[2*i - h]; } }",
+    "loop i = 3..17 step 4 { loop j = 1..12 step 5 { loop k = 2..9 step 3 {"
+    " S: y[i][k] = a[2*i - j][k] + b[-i][j - 3*k]; } } }",
+    "loop i = 0..6 { loop j = 0..5 { loop k = 0..4 {"
+    " S0: x[j][k] = a[i][k] + b[i][j]; S1: z[-j][i - k] = x[j][k] * c[9 - 2*i]; } } }",
+    "loop i = 0..3 { S: y[i] = a[5 - 2*i] + b[0]; }",
+]
+
+
+def test_address_stream_matches_the_chunked_builder(kernels):
+    cases = list(kernels.values()) + [parse_kernel(s) for s in SHAPES + MULTI_REF + STREAM_EDGES]
+    cases += [random_kernel(random.Random(seed)) for seed in range(200)]
+    built = 0
+    for kernel in cases:
+        layouts = oracle._array_layouts(kernel)
+        # the whole nest, and the replay's middle outer iteration
+        for loops in (kernel.loops, oracle._analysis_cached(kernel, DEFAULT_CAP).loops):
+            for r in kernel.refs:
+                got = oracle._address_stream(r, layouts[r.array], loops)
+                assert got.typecode == "q"
+                assert got == chunked_address_stream(r, layouts[r.array], loops), \
+                    (kernel.name, str(r), loops)
+                built += 1
+    assert built > 2000
+
+
 def test_analysis_traces_each_distinct_stream_once(monkeypatch, kernels):
     real = oracle.trace
     built = collections.Counter()
@@ -237,6 +292,23 @@ def test_analysis_traces_each_distinct_stream_once(monkeypatch, kernels):
         assert built == dict.fromkeys(keys, 1), kernel.name
         shared += len(kernel.refs) - len(keys)
     assert shared > 0
+
+
+def test_layouts_are_computed_once_per_kernel_object():
+    source = "loop i = 0..6 { loop j = 0..5 { S: y[i][j] = a[i + j] * b[2*j - i]; } }"
+    k = parse_kernel(source)
+    oracle._analysis_cached.cache_clear()
+    layouts = oracle._array_layouts(k)
+    assert oracle._array_layouts(k) is layouts
+    assert oracle._analysis_cached(k, DEFAULT_CAP).layouts is layouts
+    # the entry dies with its kernel, so a kernel parsed again computes its own
+    alive = weakref.ref(k)
+    oracle._analysis_cached.cache_clear()
+    del k
+    gc.collect()
+    assert alive() is None
+    again = oracle._array_layouts(parse_kernel(source))
+    assert again == layouts and again is not layouts
 
 
 def test_oracle_analysis_output_is_pinned(kernels):
@@ -452,6 +524,20 @@ def test_oracle_analysis_memory_is_one_stream_at_a_time():
     # the next array's is built: about 1.33x of one stream, with its set and
     # the last loop's growth
     k = parse_kernel(MEMORY_KERNEL)
+    oracle._analysis_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        oracle_analysis(k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * iteration_space_size(k, 0)
+
+
+def test_oracle_analysis_memory_is_one_stream_under_a_unit_trip_loop():
+    # a loop that runs once moves the stream's base and copies nothing; a
+    # builder that copied the stream there peaked at about 2.0x, this one at 1.35x
+    k = parse_kernel("loop h = 0..1 { " + MEMORY_KERNEL + " }")
     oracle._analysis_cached.cache_clear()
     tracemalloc.start()
     try:

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import weakref
+from array import array
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -19,7 +20,7 @@ from sralloc.allocate import _water_fill
 from sralloc.config import ACCOUNTING_MODES
 from sralloc.dfg import (Cut, Dfg, DfgNode, critical_graph, critical_length,
                          cut_register_need, find_cuts, node_latencies)
-from sralloc.reuse import ReuseInfo
+from sralloc.reuse import ReuseInfo, _address_forms
 
 
 def kernel_from_seed(seed: int) -> sa.Kernel:
@@ -355,6 +356,71 @@ def test_block_pricing_matches_reference_replay(name, block, monkeypatch):
               for beta in (lambda i: 1, lambda i: max(1, i.required_regs - 1),
                            lambda i: i.required_regs)]
     assert_matches_reference(k, reuse, allocs)
+
+
+def product_walk(model, kernel, a, carrier, clip):
+    """The earlier ``_CostModel._walk``, kept as a reference: one ``sum`` over an
+    ``itertools.product`` tuple per address."""
+    loops = kernel.loops
+    mid = loops[0].lower + (loops[0].trip // 2) * loops[0].step
+    subs = model.index[a][1]
+    pats = list(dict.fromkeys(subs))
+    form = dict(zip(pats, _address_forms(kernel, a, pats)))
+    streams = []
+    for base, coeffs in map(form.__getitem__, subs):
+        offsets = [(base + coeffs[0] * mid,)]
+        offsets += [tuple(c * x for x in lp.range) for c, lp in zip(coeffs[1:], loops[1:])]
+        streams.append(map(sum, itertools.product(*offsets)))
+    stream = streams[0] if len(streams) == 1 else itertools.chain.from_iterable(zip(*streams))
+    span = sa.iteration_space_size(kernel, carrier + 1)
+    column = array("B" if clip < 1 << 8 else "H" if clip < 1 << 16 else "I")
+    pack, append = (bytes, column.frombytes) if clip < 1 << 8 else (list, column.fromlist)
+    for _ in range(model.points // span):
+        first: dict[int, int] = {}
+        for lo in range(0, span, simulate.BLOCK):
+            seg = list(itertools.islice(stream, min(simulate.BLOCK, span - lo) * len(subs)))
+            # the filter reads the dict as it grows: first accesses only
+            fresh = itertools.filterfalse(first.__contains__, seg)
+            first.update(zip(itertools.islice(fresh, clip - len(first)),
+                             itertools.count(len(first))))
+            append(pack(map(first.get, seg, itertools.repeat(clip))))
+    return column
+
+
+#: more inner points than the default BLOCK (three nodes of a); an
+#: innermost loop longer than a BLOCK of 7, under a unit-trip middle loop;
+#: and a step, a lower bound and negative coefficients
+WALK_SHAPES = [
+    "loop i = 0..3 { loop j = 0..40 { loop k = 0..500 {"
+    " S1: y[j] = a[j + k] + a[2*j + k + 1]; S2: z[k] = b[k] * a[j + k]; } } }",
+    "loop i = 0..3 { loop h = 0..1 { loop j = 0..3 { loop k = 0..11 {"
+    " S1: y[j][k] = a[j + k] * b[k]; } } } }",
+    "loop i = 0..4 { loop j = 2..14 step 3 { loop k = 1..7 {"
+    " S1: y[k] += a[9 - j][k - 2*i] * b[-k][j]; } } }",
+]
+
+
+@pytest.mark.parametrize("block", [7, simulate.BLOCK])
+def test_walk_matches_the_product_walk(block, monkeypatch):
+    """Equal rank columns for every walked array, at its required registers
+    and clipped below them, in small blocks and at the default."""
+    monkeypatch.setattr(simulate, "BLOCK", block)
+    cases = [block_shape(name) for name in sorted(BLOCK_SHAPES)]
+    cases += [sa.parse_kernel(src) for src in WALK_SHAPES]
+    cases += [sa.parse_kernel(sa.kernel_source(name), name=name) for name in sa.KERNEL_NAMES]
+    assert sa.iteration_space_size(cases[-len(sa.KERNEL_NAMES) - 3], 1) > simulate.BLOCK
+    walked = 0
+    for k in cases:
+        reuse = sa.analyze_all(k)
+        model = simulate._CostModel(k, sa.build_dfg(k), 1)
+        for a, info in reuse.items():
+            if info.carrier is None or a not in model.index:
+                continue
+            for clip in sorted({1, 2, info.required_regs}):
+                want = product_walk(model, k, a, info.carrier, clip)
+                assert model._walk(k, a, info.carrier, clip) == want, (k.name, a, clip)
+                walked += 1
+    assert walked > 30
 
 
 def full_but(reuse, array, beta):
