@@ -2,8 +2,9 @@
 
 Everything here enumerates every iteration point and keeps its own
 bookkeeping.  A reference's trace is the linearized address at each point,
-in loop order, from the oracle's own per-dimension layout rather than the
-analyzer's address forms; references with the same array and subscripts
+in loop order, from the oracle's own per-dimension layout (one per kernel)
+rather than the analyzer's address forms, grown from the innermost loop
+outward by bulk copies; references with the same array and subscripts
 share one, and one array's traces are gone before the next array's are
 built.  A carrier window is a contiguous slice of a trace, not a window in
 the analyzer's algebra; an array none of whose addresses occurs twice has no
@@ -72,11 +73,9 @@ def _address_stream(ref: ArrayRef, layout, loops) -> array:
     """Linearized address of ``ref`` at every point of ``loops``, in loop order.
 
     The layout's row-major strides fold the subscripts into one coefficient
-    per loop.  The stream grows from the innermost loop outward, a few bulk
-    operations per loop: one value of a loop appends the inner block shifted
-    by that value's offset, or the block itself, copied, where the offset is
-    0; a loop the subscripts do not use repeats the block, and a loop that
-    runs once moves the base and copies nothing.
+    per loop.  The stream grows from the innermost loop outward: each value of
+    a loop appends the inner block shifted by its offset, a loop the subscripts
+    do not use repeats the block in place, and a loop that runs once moves the base.
     """
     stride, base, coef = 1, 0, {}
     for expr, (lo, hi) in zip(reversed(ref.subscripts), reversed(layout)):

@@ -26,8 +26,9 @@ bitset once a call has passed the cap and, per walked array, carrier and
 ``required_regs``, a column of each access's rank at every interior inner
 point, clipped at ``required_regs`` (exact: beta = ``required_regs`` prices
 at infinity) in the narrowest ``array`` typecode, walked ``BLOCK`` points at
-a time.  A node misses where its rank is ``>= t``, the threshold: a call
-compares the column's byte planes, keeping nothing per threshold, and a
+a time from one block per node over the innermost loops that fit, shifted
+per outer point.  A node misses where its rank is ``>= t``, the threshold: a
+call compares the column's byte planes, keeping nothing per threshold, and a
 level's cycles are the popcount of its members' OR.  Arrays that miss
 everywhere (threshold 0) or nowhere (infinite threshold, or no carrier:
 rank 0) are never walked, and a call walks at most ``MAX_RANK_ENTRIES``
@@ -123,10 +124,9 @@ def _at_least(column: array, t: int, k: int, ones: int) -> list[int]:
 
 
 def _shifted(block: list[int], cols: list[list[int]]) -> Iterator[int]:
-    """``block`` once per point of the columns' product, in loop order, each
-    copy shifted by that point's sum; a one-point block adds its address to the sums."""
+    """``block`` once per point of the columns' product, in loop order, shifted by its sum."""
     sums = map(sum, itertools.product(*cols))
-    if len(block) == 1:
+    if len(block) == 1:  # the sums are the addresses, shifted by the one point's
         return map(add, sums, itertools.repeat(block[0]))
     return itertools.chain.from_iterable(
         map(add, block, itertools.repeat(s)) if s else block for s in sums)
@@ -182,16 +182,17 @@ class _CostModel:
         subs = self.index[a][1]
         pats = list(dict.fromkeys(subs))
         form = dict(zip(pats, _address_forms(kernel, a, pats)))
-        # each node's addresses over the innermost loops whose points fit one BLOCK,
-        # grown a loop at a time, make its block; the loops outside it shift the block
-        cut = next(d for d in range(1, len(loops) + 1) if iteration_space_size(kernel, d) <= BLOCK)
+        cut = 1 if self.points <= BLOCK else next(  # loops[cut:] make a block of <= BLOCK
+            d for d in range(2, len(loops) + 1) if iteration_space_size(kernel, d) <= BLOCK)
         streams = []
         for base, coeffs in map(form.__getitem__, subs):
-            cols = [[c * v for v in lp.range] for c, lp in zip(coeffs[1:], loops[1:])]
             block = [base + coeffs[0] * mid]
-            for col in reversed(cols[cut - 1:]):
-                block = [a + off for off in col for a in block]
-            streams.append(_shifted(block, cols[:cut - 1]))
+            for c, lp in reversed(list(zip(coeffs, loops))[cut:]):
+                block = (list(range(block[0] + c * lp.lower, block[0] + c * lp.upper, c * lp.step))
+                         if len(block) == 1 and c else
+                         [x + off for off in map(c.__mul__, lp.range) for x in block])
+            cols = [[c * v for v in lp.range] for c, lp in zip(coeffs[1:cut], loops[1:cut])]
+            streams.append(_shifted(block, cols))
         stream = streams[0] if len(streams) == 1 else itertools.chain.from_iterable(zip(*streams))
         span = iteration_space_size(kernel, carrier + 1)
         column = array("B" if clip < 1 << 8 else "H" if clip < 1 << 16 else "I")
