@@ -182,17 +182,15 @@ class _CostModel:
         subs = self.index[a][1]
         pats = list(dict.fromkeys(subs))
         form = dict(zip(pats, _address_forms(kernel, a, pats)))
-        cut = 1 if self.points <= BLOCK else next(  # loops[cut:] make a block of <= BLOCK
-            d for d in range(2, len(loops) + 1) if iteration_space_size(kernel, d) <= BLOCK)
+        # a block over the innermost loops that fit BLOCK points; the others shift it
+        cut = next(d for d in range(1, len(loops) + 1) if iteration_space_size(kernel, d) <= BLOCK)
         streams = []
         for base, coeffs in map(form.__getitem__, subs):
+            cols = [[c * v for v in lp.range] for c, lp in zip(coeffs[1:], loops[1:])]
             block = [base + coeffs[0] * mid]
-            for c, lp in reversed(list(zip(coeffs, loops))[cut:]):
-                block = (list(range(block[0] + c * lp.lower, block[0] + c * lp.upper, c * lp.step))
-                         if len(block) == 1 and c else
-                         [x + off for off in map(c.__mul__, lp.range) for x in block])
-            cols = [[c * v for v in lp.range] for c, lp in zip(coeffs[1:cut], loops[1:cut])]
-            streams.append(_shifted(block, cols))
+            for col in reversed(cols[cut - 1:]):
+                block = [x + off for off in col for x in block]
+            streams.append(_shifted(block, cols[:cut - 1]))
         stream = streams[0] if len(streams) == 1 else itertools.chain.from_iterable(zip(*streams))
         span = iteration_space_size(kernel, carrier + 1)
         column = array("B" if clip < 1 << 8 else "H" if clip < 1 << 16 else "I")
