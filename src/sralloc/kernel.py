@@ -165,7 +165,10 @@ class Kernel:
 
     @cached_property  # kept in the instance dict, like the hash
     def refs(self) -> tuple[ArrayRef, ...]:
-        return tuple(sorted((r for s in self.statements for r in s.refs), key=lambda r: r.ref_id))
+        out: list[ArrayRef] = []
+        for s in self.statements:
+            out.extend(s.refs)
+        return tuple(sorted(out, key=lambda r: r.ref_id))
 
     @cached_property
     def arrays(self) -> tuple[str, ...]:

@@ -125,11 +125,9 @@ def _at_least(column: array, t: int, k: int, ones: int) -> list[int]:
 
 def _shifted(block: list[int], cols: list[list[int]]) -> Iterator[int]:
     """``block`` once per point of the columns' product, in loop order, shifted by its sum."""
-    sums = map(sum, itertools.product(*cols))
-    if len(block) == 1:  # the sums are the addresses, shifted by the one point's
-        return map(add, sums, itertools.repeat(block[0]))
     return itertools.chain.from_iterable(
-        map(add, block, itertools.repeat(s)) if s else block for s in sums)
+        map(add, block, itertools.repeat(s)) if s else block
+        for s in map(sum, itertools.product(*cols)))
 
 
 class _CostModel:
@@ -182,15 +180,17 @@ class _CostModel:
         subs = self.index[a][1]
         pats = list(dict.fromkeys(subs))
         form = dict(zip(pats, _address_forms(kernel, a, pats)))
-        # a block over the innermost loops that fit BLOCK points; the others shift it
-        cut = next(d for d in range(1, len(loops) + 1) if iteration_space_size(kernel, d) <= BLOCK)
+        cut, size = len(loops), 1  # a block over loops[cut:], at most BLOCK points
+        while cut > 1 and size * loops[cut - 1].trip <= BLOCK:
+            cut -= 1
+            size *= loops[cut].trip
         streams = []
         for base, coeffs in map(form.__getitem__, subs):
-            cols = [[c * v for v in lp.range] for c, lp in zip(coeffs[1:], loops[1:])]
             block = [base + coeffs[0] * mid]
-            for col in reversed(cols[cut - 1:]):
-                block = [x + off for off in col for x in block]
-            streams.append(_shifted(block, cols[:cut - 1]))
+            for c, lp in zip(reversed(coeffs[cut:]), reversed(loops[cut:])):
+                block = [x + off for off in [c * v for v in lp.range] for x in block]
+            streams.append(_shifted(block, [[c * v for v in lp.range]
+                                            for c, lp in zip(coeffs[1:cut], loops[1:cut])]))
         stream = streams[0] if len(streams) == 1 else itertools.chain.from_iterable(zip(*streams))
         span = iteration_space_size(kernel, carrier + 1)
         column = array("B" if clip < 1 << 8 else "H" if clip < 1 << 16 else "I")
