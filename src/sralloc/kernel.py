@@ -207,7 +207,7 @@ def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
                 if not rest:
                     break
                 raise KernelSyntaxError(f"unexpected character {rest[0]!r}",
-                                        line_no, pos + 1)
+                                        line_no, len(text) - len(rest) + 1)
             if m.lastgroup:
                 tokens.append((m.lastgroup, m.group(m.lastgroup), line_no,
                                m.start(m.lastgroup) + 1))
@@ -331,6 +331,8 @@ class _TokenParser:
         return name, tuple(subs)
 
     def bound(self) -> int:
+        if self.at_end():
+            self.error("expected integer or param name")
         line = self.line
         kind, val, col = self.take()
         if kind == "int":
@@ -439,7 +441,7 @@ def parse_kernel(source: str, name: str = "kernel") -> Kernel:
         if val == "param":
             lp.error(_AFTER_NEST["param"])
         if lp.at_end():
-            raise KernelSyntaxError("unclosed loop", len(source.splitlines()), 0)
+            lp.error("unclosed loop")
         shape = ("contains sibling loops" if val == "loop" and level < len(loops) - 1
                  else "mixes statements and a nested loop")
         raise KernelValidationError(f"imperfect nest: loop {loops[level].index!r} {shape}")

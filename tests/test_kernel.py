@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -120,16 +121,29 @@ def test_validation_errors(src, match):
         parse_kernel(src)
 
 
+#: SHA-256 over every outcome of the mutation test below; a change to what
+#: the parser accepts, builds or reports, or to the rendered corpus, moves it
+MUTATION_OUTCOMES_SHA256 = "c66a35d61eaac9d9723abf4e65201d0013a9f361859ce9cee6ddfb20690b8d54"
+
+SIGNED_SOURCE = """\
+param N = 4;
+loop i = 0..8 step 2 {
+\tS: y[-2*i + N] += x[- -i] * w[+-i*2 + 3*N];
+}
+"""
+
+
 def test_mutated_sources_parse_or_raise_kernel_error():
     # character-level mutations of valid sources end in a Kernel or a
-    # KernelError, never in another exception
+    # KernelError, never in another exception, and every outcome is pinned
     rng = random.Random(13)
-    sources = [kernel_source(n) for n in KERNEL_NAMES]
+    sources = [kernel_source(n) for n in KERNEL_NAMES] + [SIGNED_SOURCE]
     sources += [kernel_to_source(random_kernel(rng)) for _ in range(40)]
-    alphabet = "ijkNx0129 \n#{}[]()+-*=;:.,_@"
-    for _ in range(2000):
+    alphabet = list("ijkNx0129 \t\n#{}[]()+-*=;:.,_@") + ["step", "param"]
+    digest = hashlib.sha256()
+    for _ in range(5000):
         chars = list(rng.choice(sources))
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(rng.randint(1, 4)):
             at = rng.randrange(len(chars))
             edit = rng.randrange(3)
             if edit == 0:
@@ -139,9 +153,14 @@ def test_mutated_sources_parse_or_raise_kernel_error():
             else:
                 chars[at] = rng.choice(alphabet)
         try:
-            assert isinstance(parse_kernel("".join(chars)), Kernel)
-        except KernelError:
-            pass
+            kernel = parse_kernel("".join(chars))
+            assert isinstance(kernel, Kernel)
+            outcome = repr(kernel)
+        except KernelError as err:
+            outcome = repr((type(err).__name__, str(err), getattr(err, "line", None),
+                            getattr(err, "column", None)))
+        digest.update(outcome.encode() + b"\0")
+    assert digest.hexdigest() == MUTATION_OUTCOMES_SHA256
 
 
 def test_syntax_error_carries_position():
@@ -153,6 +172,11 @@ def test_syntax_error_carries_position():
     ("loop i = 0..4 {\n  loop j = 0..i\n  { S: y[i] = x[j]; } }", "non-constant bound", 2, 15),
     ("param N = 3;\nloop i = 0..4 {\n  S: y[i] = N\n[i]; }", "'N' is not an array", 3, 13),
     ("loop i = 0..4 {\n  S: y[i] *\n x[i]; }", "expected '=' or '\\+='", 2, 11),
+    ("loop i = 0..4 { S: y[i] = x[i] @ }", "unexpected character '@'", 1, 32),
+    ("loop i = 0..4 { S: y[i] =    @x[i]; }", "unexpected character '@'", 1, 30),
+    # at the end of input, the last token
+    ("loop i = 0..", "expected integer or param name", 1, 11),
+    ("loop i = 0..4 {\n  S: y[i] = x[i];\n# end\n", "unclosed loop", 2, 17),
 ])
 def test_syntax_error_points_at_the_offending_token(src, match, line, column):
     with pytest.raises(KernelSyntaxError, match=match) as err:
