@@ -25,6 +25,7 @@ an implicit read of the written element.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -105,9 +106,6 @@ class ArrayRef:
         return f"{self.array}{subs}"
 
 
-#: interior operator kinds a statement may carry
-OP_KINDS = ("multiply", "add", "subtract", "compare", "copy")
-
 _OP_TOKEN = {"*": "multiply", "+": "add", "-": "subtract", "==": "compare"}
 _TOKEN_OP = {v: k for k, v in _OP_TOKEN.items()}
 
@@ -118,7 +116,7 @@ class Statement:
     label: str
     write: ArrayRef
     reads: tuple[ArrayRef, ...]  # explicit reads first, implicit reduction read last
-    op: str  # member of OP_KINDS
+    op: str  # "copy" or a value of _OP_TOKEN
     accumulate: bool = False
 
     @property
@@ -189,65 +187,48 @@ def iteration_space_size(kernel: Kernel, level: int) -> int:
 # ---------------------------------------------------------------------------
 # DSL parsing
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<sym>==|\+=|\.\.|[][{}+\-*=;:]))"
-)
+#: one token per match; whitespace matches no branch, and ``bad`` is any other character
+_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)"
+                       r"|(?P<sym>==|\+=|\.\.|[][{}+\-*=;:])|(?P<bad>\S)")
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
     """(kind, text, line, column) tokens; # comments run to end of line."""
     tokens = []
-    for line_no, raw in enumerate(source.splitlines(), start=1):
-        text = raw.split("#", 1)[0]
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
-                rest = text[pos:].lstrip()
-                if not rest:
-                    break
-                raise KernelSyntaxError(f"unexpected character {rest[0]!r}",
-                                        line_no, len(text) - len(rest) + 1)
-            if m.lastgroup:
-                tokens.append((m.lastgroup, m.group(m.lastgroup), line_no,
-                               m.start(m.lastgroup) + 1))
-            pos = m.end()
+    for line_no, text in enumerate(source.splitlines(), start=1):
+        for m in _TOKEN_RE.finditer(text.split("#", 1)[0]):
+            if m.lastgroup == "bad":
+                raise KernelSyntaxError(f"unexpected character {m[0]!r}", line_no, m.start() + 1)
+            tokens.append((m.lastgroup, m[0], line_no, m.start() + 1))
     return tokens
 
 
 class _TokenParser:
-    """Recursive descent over the token stream; newlines are whitespace."""
+    """Recursive descent over the token stream; newlines are whitespace.
+
+    Each check reads the current token before ``take`` consumes it, so
+    ``error`` alone places a syntax error: at that token, or at the last
+    token once the input has ended.
+    """
 
     def __init__(self, tokens):
-        self.toks = tokens
+        end = tokens[-1][2:] if tokens else (0, 0)  # the eof token sits at the last token
+        self.toks = tokens + [("eof", "", *end)]
         self.i = 0
         self.params: dict[str, int] = {}
         self.indices: tuple[str, ...] = ()  # enclosing loop indices
         self.dims: dict[str, int] = {}  # subscript count of each array seen
         self.ref_ids = count()
 
-    @property
-    def line(self) -> int:
-        tok = self.toks[min(self.i, len(self.toks) - 1)] if self.toks else None
-        return tok[2] if tok else 0
-
     def error(self, msg: str):
-        if self.i < len(self.toks):
-            _, _, line, col = self.toks[self.i]
-        elif self.toks:
-            _, _, line, col = self.toks[-1]
-        else:
-            line = col = 0
+        _, _, line, col = self.toks[self.i]
         raise KernelSyntaxError(msg, line, col)
 
-    def peek(self):
-        if self.i < len(self.toks):
-            kind, val, _, col = self.toks[self.i]
-            return kind, val, col
-        return "eof", "", 0
+    def peek(self) -> tuple[str, str, int, int]:
+        return self.toks[self.i]
 
-    def take(self, kind=None, value=None):
-        tok = self.peek()
+    def take(self, kind=None, value=None) -> tuple[str, str, int, int]:
+        tok = self.toks[self.i]
         if kind and tok[0] != kind:
             self.error(f"expected {value or kind}, found {tok[1]!r}"
                        if tok[0] != "eof" else f"expected {value or kind}")
@@ -256,71 +237,57 @@ class _TokenParser:
         self.i += 1
         return tok
 
-    def at_end(self) -> bool:
-        return self.i >= len(self.toks)
-
     # --- affine expressions -------------------------------------------------
 
+    def sign(self) -> int:
+        """-1 after a '-', else 1; consumes an optional '+' or '-'."""
+        if self.peek()[1] in ("+", "-"):
+            return -1 if self.take()[1] == "-" else 1
+        return 1
+
     def affine(self) -> AffineExpr:
-        const, coeffs = self._product(negate=self._sign())
-        while self.peek()[1] in ("+", "-"):
-            neg = self.take()[1] == "-"
-            c2, t2 = self._product(negate=neg)
-            const += c2
-            for n, c in t2.items():
-                coeffs[n] = coeffs.get(n, 0) + c
-        return AffineExpr.make(const, coeffs)
-
-    def _sign(self) -> bool:
-        if self.peek()[1] == "-":
-            self.take()
-            return True
-        if self.peek()[1] == "+":
-            self.take()
-        return False
-
-    def _product(self, negate: bool) -> tuple[int, dict[str, int]]:
-        if self.peek()[1] == "-":
-            self.take()
-            negate = not negate
-        elif self.peek()[1] == "+":
-            self.take()
-        const = -1 if negate else 1
-        index: str | None = None
+        """A sum of products.  Each term takes up to two signs; after the first
+        term, the first of them is the ``+`` or ``-`` that joins it on."""
+        const, coeffs = 0, {}
         while True:
-            kind, val, col = self.peek()
-            if kind == "int":
-                const *= int(val)
-                self.take()
-            elif kind == "name":
-                if val in self.params:
-                    const *= self.params[val]
-                elif val in self.indices:
-                    if index is not None:
-                        raise KernelSyntaxError(
-                            f"non-affine subscript: product of indices {index!r} and {val!r}",
-                            self.line, col)
-                    index = val
-                else:
-                    raise KernelSyntaxError(f"undefined identifier {val!r}", self.line, col)
-                self.take()
+            value, index = self.product(self.sign() * self.sign())
+            if index is None:
+                const += value
             else:
+                coeffs[index] = coeffs.get(index, 0) + value
+            if self.peek()[1] not in ("+", "-"):
+                return AffineExpr.make(const, coeffs)
+
+    def product(self, value: int) -> tuple[int, str | None]:
+        """``value`` times a product of integers, params and at most one loop
+        index; returns the coefficient and the index, or the constant and None."""
+        index = None
+        while True:
+            kind, text, _, _ = self.peek()
+            if kind == "int":
+                value *= int(text)
+            elif kind != "name":
                 self.error("expected integer or identifier")
-            if self.peek()[1] == "*":
-                self.take()
-                continue
-            break
-        if index is None:
-            return const, {}
-        return 0, {index: const}
+            elif text in self.params:
+                value *= self.params[text]
+            elif text not in self.indices:
+                self.error(f"undefined identifier {text!r}")
+            elif index is not None:
+                self.error(f"non-affine subscript: product of indices {index!r} and {text!r}")
+            else:
+                index = text
+            self.take()
+            if self.peek()[1] != "*":
+                return value, index
+            self.take()
 
     # --- references and statements ------------------------------------------
 
     def array_ref(self) -> tuple[str, tuple[AffineExpr, ...]]:
-        line = self.line
-        _, name, col = self.take("name")
+        name = self.peek()[1]
         if name in self.params or name in self.indices:
-            raise KernelSyntaxError(f"{name!r} is not an array", line, col)
+            self.error(f"{name!r} is not an array")
+        self.take("name")
         subs = []
         while self.peek()[1] == "[":
             self.take()
@@ -331,25 +298,20 @@ class _TokenParser:
         return name, tuple(subs)
 
     def bound(self) -> int:
-        if self.at_end():
+        kind, text, _, _ = self.peek()
+        if kind == "name" and text in self.indices:
+            self.error(f"non-constant bound {text!r}")
+        if kind == "name" and text not in self.params:
+            self.error(f"undefined identifier {text!r}")
+        if kind not in ("int", "name"):
             self.error("expected integer or param name")
-        line = self.line
-        kind, val, col = self.take()
-        if kind == "int":
-            return int(val)
-        if kind == "name":
-            if val in self.params:
-                return self.params[val]
-            if val in self.indices:
-                raise KernelSyntaxError(f"non-constant bound {val!r}", line, col)
-            raise KernelSyntaxError(f"undefined identifier {val!r}", line, col)
-        raise KernelSyntaxError("expected integer or param name", line, col)
+        self.take()
+        return int(text) if kind == "int" else self.params[text]
 
     # --- params, loop headers and statements ---------------------------------
 
     def param(self) -> None:
-        line = self.line
-        self.take()
+        line = self.take()[2]
         pname = self.take("name")[1]
         if pname in self.params:
             raise KernelValidationError(f"line {line}: duplicate param {pname!r}")
@@ -363,8 +325,7 @@ class _TokenParser:
 
     def loop(self) -> Loop:
         """One ``loop`` header through its ``{``; its index then encloses what follows."""
-        line = self.line
-        self.take()
+        line = self.take()[2]
         idx = self.take("name")[1]
         if idx in self.params or idx in self.indices:
             raise KernelValidationError(f"line {line}: duplicate identifier {idx!r}")
@@ -386,14 +347,13 @@ class _TokenParser:
 
     def statement(self, stmt_id: int) -> Statement:
         """One statement; its refs are numbered write, reads, implicit reduction read."""
-        line = self.line
-        label = self.take("name")[1]
+        _, label, line, _ = self.take("name")
         self.take("sym", ":")
         target = self.array_ref()
-        assign_line = self.line
-        _, assign, col = self.take("sym")
-        if assign not in ("=", "+="):
-            raise KernelSyntaxError("expected '=' or '+='", assign_line, col)
+        kind, assign, _, _ = self.peek()
+        if kind == "sym" and assign not in ("=", "+="):
+            self.error("expected '=' or '+='")
+        self.take("sym")
         terms = [self.array_ref()]
         op = "add" if assign == "+=" else "copy"  # a one-term reduction still adds
         if self.peek()[1] in _OP_TOKEN:
@@ -431,21 +391,21 @@ def parse_kernel(source: str, name: str = "kernel") -> Kernel:
     while lp.peek()[1] == "loop":
         loops.append(lp.loop())
     statements: list[Statement] = []
-    while loops and not lp.at_end() and lp.peek()[1] not in ("param", "loop", "}"):
+    while loops and lp.peek()[0] != "eof" and lp.peek()[1] not in ("param", "loop", "}"):
         statements.append(lp.statement(len(statements)))
     for level in reversed(range(len(loops))):  # innermost '}' first
-        val = lp.peek()[1]
-        if val == "}":
+        kind, text, _, _ = lp.peek()
+        if text == "}":
             lp.take()
             continue
-        if val == "param":
+        if text == "param":
             lp.error(_AFTER_NEST["param"])
-        if lp.at_end():
+        if kind == "eof":
             lp.error("unclosed loop")
-        shape = ("contains sibling loops" if val == "loop" and level < len(loops) - 1
+        shape = ("contains sibling loops" if text == "loop" and level < len(loops) - 1
                  else "mixes statements and a nested loop")
         raise KernelValidationError(f"imperfect nest: loop {loops[level].index!r} {shape}")
-    if not lp.at_end():
+    if lp.peek()[0] != "eof":
         lp.error(_AFTER_NEST.get(lp.peek()[1], "statement outside any loop"))
     if not loops:
         raise KernelValidationError("no loop nest found")
@@ -455,8 +415,6 @@ def parse_kernel(source: str, name: str = "kernel") -> Kernel:
 
 
 def parse_kernel_file(path: str) -> Kernel:
-    import os
-
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
     stem = os.path.splitext(os.path.basename(path))[0]
