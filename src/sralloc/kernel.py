@@ -68,27 +68,14 @@ class AffineExpr:
         return 0
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for n, c in self.terms:
-            if c == 1:
-                t = n
-            elif c == -1:
-                t = f"-{n}"
-            else:
-                t = f"{c}*{n}"
-            if parts and not t.startswith("-"):
-                parts.append(f"+ {t}")
-            elif parts:
-                parts.append(f"- {t[1:]}")
-            else:
-                parts.append(t)
-        if self.const or not parts:
-            if parts:
-                sign = "+" if self.const >= 0 else "-"
-                parts.append(f"{sign} {abs(self.const)}")
-            else:
-                parts.append(str(self.const))
-        return " ".join(parts)
+        """Terms in name order, then the constant; a sign after the first joins."""
+        terms = [(n if abs(c) == 1 else f"{abs(c)}*{n}", c < 0) for n, c in self.terms]
+        if self.const or not terms:
+            terms.append((str(abs(self.const)), self.const < 0))
+        text = "-" * terms[0][1] + terms[0][0]
+        for mag, neg in terms[1:]:
+            text += f" {'-' if neg else '+'} {mag}"
+        return text
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from operator import add, eq, floordiv
 from typing import NamedTuple
 
 from .config import CapExceededError, DEFAULT_CAP, POLICY_ELEMENT, POLICY_STAGING
-from .kernel import ArrayRef, Kernel, Loop, iteration_space_size, parse_kernel
+from .kernel import AffineExpr, ArrayRef, Kernel, Loop, iteration_space_size, parse_kernel
 
 
 @dataclass(frozen=True)
@@ -349,23 +349,8 @@ def random_kernel(rng: random.Random, max_depth: int = 3, max_trip: int = 16,
     dims: dict[str, int] = {}
 
     def subscript() -> str:
-        terms = []
-        for name in indices:
-            if rng.random() < 0.55:
-                terms.append((name, rng.choice([-2, -1, 1, 2])))
-        const = rng.randint(0, 3)
-        text = ""
-        for name, coef in terms:
-            mag = name if abs(coef) == 1 else f"{abs(coef)}*{name}"
-            if not text:
-                text = mag if coef > 0 else f"-{mag}"
-            else:
-                text += f" + {mag}" if coef > 0 else f" - {mag}"
-        if not text:
-            return str(const)
-        if const:
-            text += f" + {const}"
-        return text
+        coeffs = {name: rng.choice([-2, -1, 1, 2]) for name in indices if rng.random() < 0.55}
+        return str(AffineExpr.make(rng.randint(0, 3), coeffs))
 
     def ref(array: str) -> str:
         ndim = dims.setdefault(array, rng.randint(1, 2))
