@@ -68,7 +68,7 @@ class AffineExpr:
         return 0
 
     def __str__(self) -> str:
-        """Terms in name order, then the constant; a sign after the first joins."""
+        """Terms in name order, then a nonzero constant, joined by `` + `` or `` - ``."""
         terms = [(n if abs(c) == 1 else f"{abs(c)}*{n}", c < 0) for n, c in self.terms]
         if self.const or not terms:
             terms.append((str(abs(self.const)), self.const < 0))
@@ -286,12 +286,12 @@ class _TokenParser:
 
     def bound(self) -> int:
         kind, text, _, _ = self.peek()
-        if kind == "name" and text in self.indices:
+        if kind not in ("int", "name"):
+            self.error("expected integer or param name")
+        if text in self.indices:
             self.error(f"non-constant bound {text!r}")
         if kind == "name" and text not in self.params:
             self.error(f"undefined identifier {text!r}")
-        if kind not in ("int", "name"):
-            self.error("expected integer or param name")
         self.take()
         return int(text) if kind == "int" else self.params[text]
 
