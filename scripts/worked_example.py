@@ -22,14 +22,14 @@ def main() -> int:
         if not cuts:
             break
         (cut,) = cuts
-        need = sa.cut_register_need(cut, reuse, alloc)
-        print(f"  {left} registers left, cut {cut}: full replacement {cut.omega}, "
-              f"incremental {need}")
-        if need > left:
+        full = sum(reuse[a].required_regs for a in cut.arrays)
+        print(f"  {left} registers left, cut {cut}: full replacement {full}, "
+              f"incremental {cut.need}")
+        if cut.need > left:
             break  # cpa-ra splits what is left over this cut and stops
         for a in cut.arrays:
             alloc.beta[a] = reuse[a].required_regs
-        left -= need
+        left -= cut.need
     print()
     for policy in sa.POLICIES:
         codes.append(cli.main(["compare", "example", "--policy", policy]))

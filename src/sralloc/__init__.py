@@ -45,7 +45,6 @@ from .dfg import (
     build_dfg,
     critical_graph,
     critical_length,
-    cut_register_need,
     find_cuts,
     memory_levels,
     node_latencies,

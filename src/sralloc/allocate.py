@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dfg import build_dfg, critical_graph, cut_register_need, find_cuts, node_latencies
+from .dfg import build_dfg, critical_graph, find_cuts, node_latencies
 from .kernel import Kernel
 from .reuse import ReuseInfo, bc_order
 
@@ -130,13 +130,13 @@ def critical_path_aware(kernel: Kernel, reuse: dict[str, ReuseInfo], budget: int
                         accounting: str = "incremental") -> Allocation:
     """Register assignment along minimum-cost cuts of the critical graph.
 
-    The graph is built once.  Each round reprices it under the current
-    assignment, extracts the critical graph, and picks the cut cheapest to
-    satisfy.  An affordable cut is replaced in full; otherwise the
-    remaining budget is split equally across the cut and the allocator
-    stops.  Ties between cuts prefer fewer members, then lexicographically
-    smaller array sets.  ``latencies`` goes to ``build_dfg`` as given: it
-    replaces the default table, and a missing op kind is an error.
+    The kernel's graph is priced once and again after each cut taken; each
+    round takes the cheapest cut of the critical graph, with its need.  An
+    affordable cut is replaced in full; otherwise the remaining budget is
+    split equally across the cut and the allocator stops.  Ties between
+    cuts prefer fewer members, then lexicographically smaller array sets.
+    ``latencies`` goes to ``node_latencies`` as given: it replaces the
+    default table, and a missing op kind is an error.
     """
     _check_budget(reuse, budget)
     alloc = Allocation(ALG_CRITICAL, budget, {a: 1 for a in reuse})
@@ -146,18 +146,18 @@ def critical_path_aware(kernel: Kernel, reuse: dict[str, ReuseInfo], budget: int
 
     order = list(reuse)  # source order for remainder distribution
     left = budget - alloc.registers_used
-    g = build_dfg(kernel, latencies)
+    g = build_dfg(kernel)
+    lat = node_latencies(g, reuse, alloc, latencies)
     while left > 0:
-        cg = critical_graph(g, node_latencies(g, reuse, alloc))
-        cuts = find_cuts(cg, reuse, alloc, accounting)
+        cuts = find_cuts(critical_graph(g, lat), reuse, alloc, accounting)
         if not cuts:
             break
         (best,) = cuts
-        need = cut_register_need(best, reuse, alloc, accounting)
-        if need <= left:
+        if best.need <= left:
             for a in best.arrays:
                 alloc.beta[a] = reuse[a].required_regs
-            left -= need
+            left -= best.need
+            lat = node_latencies(g, reuse, alloc, latencies)
         else:
             members = sorted(best.arrays, key=order.index)
             _water_fill(alloc.beta, members, reuse, left)

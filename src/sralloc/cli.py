@@ -85,8 +85,8 @@ def _load_kernel(name_or_path: str) -> Kernel:
 
 
 def _dump_dot(prefix: str, kernel: Kernel, reuse: dict[str, ReuseInfo], cfg: RunConfig):
-    g = build_dfg(kernel, cfg.latencies)
-    lat = node_latencies(g, reuse)  # one register per array
+    g = build_dfg(kernel)
+    lat = node_latencies(g, reuse, latencies=cfg.latencies)  # one register per array
     for title, graph in (("dfg", g), ("cg", critical_graph(g, lat))):
         with open(f"{prefix}.{title}.dot", "w", encoding="utf-8") as fh:
             fh.write(to_dot(graph, lat, title))

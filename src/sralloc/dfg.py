@@ -1,11 +1,11 @@
 """Loop-body data-flow graphs, their memory levels, critical graph, and cuts.
 
-One graph abstracts a single innermost-body iteration; no allocation
-enters it.  ``build_dfg`` builds it once per kernel object and latency
-table, and the allocators, the simulator and the dot dumps share it; it
-lives as long as its kernel.  ``node_latencies`` prices an allocation:
-arithmetic nodes keep configured latencies, and a memory node costs 0 when
-its array is fully register resident and 1 otherwise.  Edges point to
+One graph abstracts a single innermost-body iteration; neither an
+allocation nor a latency table enters it.  ``build_dfg`` builds it once per
+kernel object, and the allocators, the simulator and the dot dumps share
+it; it lives as long as its kernel.  ``node_latencies`` prices it: an
+arithmetic node costs its op kind's latency, and a memory node 0 when its
+array is fully register resident and 1 otherwise.  Edges point to
 higher node ids, so ascending id is a topological order.  ``T_exec`` is the
 latency of the longest root-to-sink path.  ``memory_levels`` groups memory
 nodes by dependence depth, one longest-path pass.  One forward and one
@@ -16,9 +16,9 @@ Those zero-slack nodes and edges form the critical graph.  A cut is a
 minimal set of improvable reference nodes whose removal breaks every
 root-to-sink path of the critical graph; registering a whole cut is the
 only way to shorten all critical paths at once.  ``find_cuts`` returns only
-the cut cheapest to satisfy, found by branch-and-bound over the candidate
-arrays of each weakly connected part of the critical graph, without listing
-paths or cuts.
+the cut cheapest to satisfy, with its register need, found by
+branch-and-bound over the candidate arrays of each weakly connected part of
+the critical graph, without listing paths or cuts.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class DfgNode:
     node_id: int
     kind: str  # "mem" | "op"
     label: str  # array name for mem nodes, operator kind for op nodes
-    latency: int  # op latency; 1 (a RAM access) for mem nodes
     ref_ids: tuple[int, ...] = ()
 
 
@@ -121,57 +120,53 @@ def mem_latency(info: ReuseInfo, beta: int) -> int:
     return 0 if (beta == info.required_regs and info.save > 0) else 1
 
 
-def node_latencies(g: Dfg, reuse: dict[str, ReuseInfo], alloc=None) -> dict[int, int]:
-    """Each node's latency by id: op nodes keep theirs, mem nodes get ``mem_latency``.
+def node_latencies(g: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
+                   latencies: dict[str, int] | None = None) -> dict[int, int]:
+    """Each node's latency by id: op nodes from the table, mem nodes by ``mem_latency``.
 
-    ``alloc`` may be an Allocation or None for one register per array.
+    ``alloc`` may be an Allocation or None for one register per array.  A
+    ``latencies`` table replaces ``DEFAULT_LATENCIES`` entirely; an op kind
+    of the graph missing from it raises ``KernelError``.
     """
+    ops = DEFAULT_LATENCIES if latencies is None else latencies
     beta = {a: 1 for a in reuse} if alloc is None else alloc.beta
     mem = {a: mem_latency(info, beta[a]) for a, info in reuse.items()}
-    return {n.node_id: mem[n.label] if n.kind == "mem" else n.latency for n in g.nodes}
+    try:
+        return {n.node_id: mem[n.label] if n.kind == "mem" else ops[n.label] for n in g.nodes}
+    except KeyError:
+        for n in g.nodes:
+            if n.kind == "op" and n.label not in ops:
+                raise KernelError(f"unknown op kind {n.label!r}") from None
+        raise
 
 
-#: each live kernel's graphs by latency table, None for the default; an entry dies with its kernel
-_GRAPHS: weakref.WeakKeyDictionary[Kernel, dict] = weakref.WeakKeyDictionary()
+#: each live kernel's graph; an entry dies with its kernel
+_GRAPHS: weakref.WeakKeyDictionary[Kernel, Dfg] = weakref.WeakKeyDictionary()
 
 
-def build_dfg(kernel: Kernel, latencies: dict[str, int] | None = None) -> Dfg:
-    """The kernel's graph under ``latencies``, built by ``_build`` once per kernel object
-    and table; None and a table equal to ``DEFAULT_LATENCIES`` share one."""
-    key = (None if latencies is None or latencies == DEFAULT_LATENCIES
-           else tuple(sorted(latencies.items())))
-    graphs = _GRAPHS.setdefault(kernel, {})
-    if key not in graphs:  # a build that raises is not kept
-        graphs[key] = _build(kernel, latencies)
-    return graphs[key]
+def build_dfg(kernel: Kernel) -> Dfg:
+    """The kernel's graph, built by ``_build`` once per kernel object."""
+    if kernel not in _GRAPHS:
+        _GRAPHS[kernel] = _build(kernel)
+    return _GRAPHS[kernel]
 
 
-def _build(kernel: Kernel, latencies: dict[str, int] | None) -> Dfg:
+def _build(kernel: Kernel) -> Dfg:
     """Data-flow graph of one body iteration, each node numbered after its inputs.
 
-    Memory nodes get latency 1; ``node_latencies`` prices an allocation.  A
-    ``latencies`` table replaces the default one entirely; a statement op
-    kind missing from it is an error.  ``forwarded_read_ids`` reads attach
-    to the latest earlier store of their pattern instead of loading (the
-    d-style forwarding merge).
+    ``forwarded_read_ids`` reads attach to the latest earlier store of their
+    pattern instead of loading (the d-style forwarding merge).
     """
-    lat = dict(DEFAULT_LATENCIES) if latencies is None else dict(latencies)
-
     nodes: list[DfgNode] = []
     edges: list[tuple[int, int]] = []
     forwarded = forwarded_read_ids(kernel)
     write_node: dict[tuple[str, tuple], int] = {}  # pattern -> latest store node
     extra_refs: dict[int, list[int]] = {}  # node -> forwarded read refs it serves
 
-    def new_node(kind, label, latency, ref_ids=()):
-        n = DfgNode(len(nodes), kind, label, latency, tuple(ref_ids))
+    def new_node(kind, label, ref_ids=()):
+        n = DfgNode(len(nodes), kind, label, tuple(ref_ids))
         nodes.append(n)
         return n.node_id
-
-    def op_latency(kind: str) -> int:
-        if kind not in lat:
-            raise KernelError(f"unknown op kind {kind!r}")
-        return lat[kind]
 
     for stmt in kernel.statements:
         inputs: list[int] = []
@@ -181,29 +176,29 @@ def _build(kernel: Kernel, latencies: dict[str, int] | None) -> Dfg:
                 extra_refs.setdefault(nid, []).append(r.ref_id)
                 inputs.append(nid)
             else:
-                inputs.append(new_node("mem", r.array, 1, (r.ref_id,)))
+                inputs.append(new_node("mem", r.array, (r.ref_id,)))
         top: int | None = None
         if stmt.op != "copy" and len(stmt.explicit_reads) > 1:
-            top = new_node("op", stmt.op, op_latency(stmt.op))
+            top = new_node("op", stmt.op)
             for i in inputs:
                 edges.append((i, top))
         elif inputs:
             top = inputs[0]
         if stmt.accumulate:
-            acc = new_node("op", "accumulate", op_latency("accumulate"))
+            acc = new_node("op", "accumulate")
             if top is not None:
                 edges.append((top, acc))
             top = acc
         w = stmt.write
         ref_ids = [w.ref_id] + [r.ref_id for r in stmt.reads if r.implicit]
-        wid = new_node("mem", w.array, 1, ref_ids)
+        wid = new_node("mem", w.array, ref_ids)
         if top is not None:
             edges.append((top, wid))
         write_node[(w.array, w.subscripts)] = wid
 
     for nid, extra in extra_refs.items():
         n = nodes[nid]
-        nodes[nid] = DfgNode(n.node_id, n.kind, n.label, n.latency, n.ref_ids + tuple(extra))
+        nodes[nid] = DfgNode(n.node_id, n.kind, n.label, n.ref_ids + tuple(extra))
 
     return Dfg(tuple(nodes), tuple(edges))
 
@@ -240,7 +235,7 @@ class Cut:
 
     node_ids: tuple[int, ...]
     arrays: tuple[str, ...]
-    omega: int  # registers to fully replace every member array
+    need: int  # registers its arrays still lack under the accounting
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.arrays) + "}"
@@ -354,12 +349,13 @@ def find_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
     """The cut cheapest to satisfy, as a one-element tuple, or () if none.
 
     Candidates are memory nodes whose array still saves accesses and, when
-    an allocation is given, is not already fully replaced.  A cut's need is
-    ``cut_register_need`` under ``accounting``; ``alloc=None`` prices every
-    array at one register held, as in ``node_latencies``.  The cut returned
-    has the least ``(need, len(arrays), arrays)``; its ``node_ids`` are a
-    minimal subset of its arrays' candidate nodes that still breaks every
-    root-to-sink path.
+    an allocation is given, is not already fully replaced.  An array's need
+    is its increment over the registers held ("incremental") or its whole
+    replacement cost ("full-alpha"); ``alloc=None`` holds one register per
+    array, as in ``node_latencies``.  The cut returned has the least
+    ``(need, len(arrays), arrays)`` and carries that need; its ``node_ids``
+    are a minimal subset of its arrays' candidate nodes that still breaks
+    every root-to-sink path.
 
     Covering is monotone and a strict subset of an array set is strictly
     cheaper in ``(need, size)``, so the cheapest covering array set is the
@@ -372,7 +368,12 @@ def find_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
     ``MAX_CUT_NODES`` nodes raises ``CapExceededError``.
     """
     beta = {a: 1 for a in reuse} if alloc is None else alloc.beta
-    need = _array_needs(reuse, reuse, beta, accounting)
+    if accounting == "incremental":
+        need = {a: max(0, info.required_regs - beta[a]) for a, info in reuse.items()}
+    elif accounting == "full-alpha":
+        need = {a: info.required_regs for a, info in reuse.items()}
+    else:
+        raise ValueError(f"unknown accounting mode {accounting!r}")
     label: dict[int, str] = {}
     for n in cg.mem_nodes():
         info = reuse[n.label]
@@ -404,29 +405,7 @@ def find_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
         node_ids += keep
         arrays += best
     arrays.sort()
-    omega = sum(reuse[a].required_regs for a in arrays)
-    return (Cut(tuple(sorted(node_ids)), tuple(arrays), omega),)
-
-
-def _array_needs(arrays, reuse: dict[str, ReuseInfo], beta: dict[str, int],
-                 accounting: str) -> dict[str, int]:
-    """Registers each array needs toward full replacement under ``accounting``."""
-    if accounting == "full-alpha":
-        return {a: reuse[a].required_regs for a in arrays}
-    if accounting != "incremental":
-        raise ValueError(f"unknown accounting mode {accounting!r}")
-    return {a: max(0, reuse[a].required_regs - beta[a]) for a in arrays}
-
-
-def cut_register_need(cut: Cut, reuse: dict[str, ReuseInfo], alloc,
-                      accounting: str = "incremental") -> int:
-    """Registers needed to satisfy a cut.
-
-    The default charges only the increment over registers the member
-    arrays already hold; "full-alpha" charges the whole replacement cost,
-    mirroring the coarser bookkeeping some allocators use.
-    """
-    return sum(_array_needs(cut.arrays, reuse, alloc.beta, accounting).values())
+    return (Cut(tuple(sorted(node_ids)), tuple(arrays), sum(need[a] for a in arrays)),)
 
 
 def to_dot(g: Dfg, lat: dict[int, int], title: str = "dfg") -> str:

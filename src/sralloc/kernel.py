@@ -175,7 +175,7 @@ def iteration_space_size(kernel: Kernel, level: int) -> int:
 # DSL parsing
 
 #: one token per match; whitespace matches no branch, and ``bad`` is any other character
-_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)"
+_TOKEN_RE = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
                        r"|(?P<sym>==|\+=|\.\.|[][{}+\-*=;:])|(?P<bad>\S)")
 
 

@@ -18,9 +18,9 @@ forwarding conduit); beta otherwise.
 
 Ranks do not depend on beta (the inclusion property of Mattson et al.'s
 stack algorithm), so each array is walked once per kernel.  Each call takes
-the kernel's graph under its latency table from ``build_dfg`` and prices
-``T_exec`` on it.  No latency changes the graph's structure, so the first
-call for a kernel object and port count builds one cost model from it: the
+the kernel's one graph from ``build_dfg`` and prices ``T_exec`` on it with
+``node_latencies`` under its latency table.  The first call for a kernel
+object and port count builds one cost model from that graph: the
 memory levels, each array's node positions and subscripts, the all-miss
 bitset once a call has passed the cap and, per walked array, carrier and
 ``required_regs``, a column of each access's rank at every interior inner
@@ -228,7 +228,8 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc,
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
     alloc.validate(reuse)
-    graph = build_dfg(kernel, latencies)
+    graph = build_dfg(kernel)
+    lat = node_latencies(graph, reuse, alloc, latencies)
     models = _MODELS.setdefault(kernel, {})
     model = models[ports] = models.get(ports) or _CostModel(kernel, graph, ports)
     if cap is not None and model.points > cap:
@@ -251,6 +252,6 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc,
         memory_cycles=sum(per_level),
         per_level=tuple(per_level),
         per_array=tuple(sorted(per_array.items())),
-        t_exec_per_iter=critical_length(graph, node_latencies(graph, reuse, alloc)),
+        t_exec_per_iter=critical_length(graph, lat),
         inner_iterations=model.points,
     )

@@ -133,8 +133,9 @@ def test_cpa_latency_table_used_as_given(kernels, reuse_map):
     # the defaults, so fir's accumulate is missing from this one in both
     k, reuse = kernels["fir"], reuse_map["fir"]
     partial = {"multiply": 3}
-    with pytest.raises(KernelError, match="unknown op kind 'accumulate'"):
-        run_allocator("cpa", k, reuse, 64, partial)
+    for budget in (3, 64):  # also where no cut is ever taken
+        with pytest.raises(KernelError, match="unknown op kind 'accumulate'"):
+            run_allocator("cpa", k, reuse, budget, partial)
     with pytest.raises(KernelError, match="unknown op kind 'accumulate'"):
         steady_state_cycles(k, reuse, full_reuse(reuse, 64), latencies=partial)
     alloc = run_allocator("cpa", k, reuse, 64, {**DEFAULT_LATENCIES, **partial})

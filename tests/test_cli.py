@@ -298,21 +298,26 @@ def test_dump_dot_uses_configured_latencies(tmp_path, capsys, monkeypatch):
     prefix = str(tmp_path / "graphs")
     assert run(capsys, "analyze", "example", "--dump-dot", prefix)[0] == 0
     kernel = sa.bundled_kernel("example")
-    g = sa.build_dfg(kernel, {**sa.DEFAULT_LATENCIES, "multiply": 5})
-    lat = sa.node_latencies(g, sa.analyze_all(kernel))
+    g = sa.build_dfg(kernel)
+    lat = sa.node_latencies(g, sa.analyze_all(kernel),
+                            latencies={**sa.DEFAULT_LATENCIES, "multiply": 5})
     assert (tmp_path / "graphs.dfg.dot").read_text() == sa.to_dot(g, lat, "dfg")
     assert "multiply\\nlat=5" in (tmp_path / "graphs.dfg.dot").read_text()
     assert (tmp_path / "graphs.cg.dot").read_text() == \
         sa.to_dot(sa.critical_graph(g, lat), lat, "cg")
 
 
-def test_compare_builds_one_graph_per_kernel(tmp_path, capsys):
-    # both policies, each run dumping every kernel's graphs too
+def test_compare_builds_one_graph_per_kernel(tmp_path, capsys, monkeypatch):
+    # two latency tables and both policies, each run dumping every kernel's graphs too
+    cfg = tmp_path / "cfg.json"
+    monkeypatch.setenv("SRALLOC_CONFIG", str(cfg))
     with mock.patch.object(dfg, "_GRAPHS", weakref.WeakKeyDictionary()), \
             mock.patch.object(dfg, "_build", wraps=dfg._build) as spy:
-        for policy in sa.POLICIES:
-            assert run(capsys, "compare", "all", "--policy", policy,
-                       "--dump-dot", str(tmp_path / policy))[0] == 0
+        for table in ({"multiply": 5}, {"add": 2, "accumulate": 3}):
+            cfg.write_text(json.dumps({"latencies": table}))
+            for policy in sa.POLICIES:
+                assert run(capsys, "compare", "all", "--policy", policy,
+                           "--dump-dot", str(tmp_path / policy))[0] == 0
     assert sorted(c.args[0].name for c in spy.call_args_list) == sorted(sa.KERNEL_NAMES)
 
 

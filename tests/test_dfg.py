@@ -16,9 +16,7 @@ from sralloc import (
     build_dfg,
     critical_graph,
     critical_length,
-    cut_register_need,
     find_cuts,
-    full_reuse,
     manual_allocation,
     node_latencies,
     parse_kernel,
@@ -98,8 +96,9 @@ def test_build_dfg_empty_body(example):
 
 
 def test_build_dfg_unknown_op(example, example_reuse):
-    with pytest.raises(KernelError, match="unknown op"):
-        build_dfg(example, {"add": 1})
+    g = build_dfg(example)
+    with pytest.raises(KernelError, match="unknown op kind 'multiply'"):
+        node_latencies(g, example_reuse, latencies={"add": 1})
 
 
 def test_critical_paths_example(example, example_reuse):
@@ -114,8 +113,8 @@ def test_critical_paths_example(example, example_reuse):
 
 
 def test_critical_paths_longer_multiply(example, example_reuse):
-    g = build_dfg(example, {"multiply": 3})
-    lat = node_latencies(g, example_reuse)
+    g = build_dfg(example)
+    lat = node_latencies(g, example_reuse, latencies={"multiply": 3})
     assert critical_length(g, lat) == 3 + 2 * 3  # three memory hops plus two multiplies
 
 
@@ -173,14 +172,12 @@ def test_critical_graph_idempotent(example, example_reuse):
 def test_find_cuts_example(example, example_reuse):
     g = build_dfg(example)
     cg = critical_graph(g, node_latencies(g, example_reuse))
-    cuts = reference_cuts(cg, example_reuse)
-    assert [c.arrays for c in cuts] == [("d",), ("a", "b")]
-    assert [c.omega for c in cuts] == [30, 630]
     # {d} is the cheaper of the two under either accounting
-    for accounting in ("incremental", "full-alpha"):
+    for accounting, needs in (("incremental", [29, 628]), ("full-alpha", [30, 630])):
+        cuts = reference_cuts(cg, example_reuse, None, accounting)
+        assert [(c.arrays, c.need) for c in cuts] == list(zip([("d",), ("a", "b")], needs))
         (cut,) = find_cuts(cg, example_reuse, None, accounting)
-        assert (cut.arrays, cut.omega) == (("d",), 30)
-        assert cut.node_ids == cuts[0].node_ids
+        assert cut == cuts[0]
 
 
 def test_find_cuts_chain_of_two_candidates():
@@ -224,20 +221,19 @@ def test_find_cuts_empty_when_uncoverable(example, example_reuse):
     assert cuts == ()
 
 
-def test_cut_register_need_modes(example, example_reuse):
+def test_find_cuts_need_modes(example, example_reuse):
     g = build_dfg(example)
     cg = critical_graph(g, node_latencies(g, example_reuse))
-    by_arrays = {c.arrays: c for c in reference_cuts(cg, example_reuse)}
     ones = unit_allocation(example_reuse, 64)
-    assert cut_register_need(by_arrays[("d",)], example_reuse, ones) == 29
-    assert cut_register_need(by_arrays[("a", "b")], example_reuse, ones) == 628
-    assert cut_register_need(by_arrays[("d",)], example_reuse, ones, "full-alpha") == 30
-    full = full_reuse(example_reuse, 1000)
-    assert cut_register_need(by_arrays[("d",)], example_reuse, full) == 0
-    # find_cuts prices by the same rule and rejects the same unknown mode
-    assert find_cuts(cg, example_reuse, ones) == (by_arrays[("d",)],)
-    with pytest.raises(ValueError):
-        cut_register_need(by_arrays[("d",)], example_reuse, ones, "per-node")
+    assert find_cuts(cg, example_reuse, ones) == find_cuts(cg, example_reuse)
+    (cut,) = find_cuts(cg, example_reuse, ones)
+    assert (cut.arrays, cut.need) == (("d",), 29)
+    assert find_cuts(cg, example_reuse, ones, "full-alpha")[0].need == 30
+    # partly held: incremental charges what is still missing, full-alpha all of it
+    some = manual_allocation(example_reuse, {**ones.beta, "a": 20, "b": 600, "d": 10}, 700)
+    for accounting, need in (("incremental", 20), ("full-alpha", 30)):
+        (cut,) = find_cuts(cg, example_reuse, some, accounting)
+        assert (cut.arrays, cut.need) == (("d",), need)
     with pytest.raises(ValueError):
         find_cuts(cg, example_reuse, ones, "per-node")
 
@@ -251,7 +247,7 @@ def test_to_dot_renders(example, example_reuse):
 
 def test_dfg_rejects_backward_edges_and_self_loops():
     # ascending node id is the topological order, so an edge must point up
-    nodes = (DfgNode(0, "mem", "x", 1), DfgNode(1, "mem", "y", 1))
+    nodes = (DfgNode(0, "mem", "x"), DfgNode(1, "mem", "y"))
     assert Dfg(nodes, ((0, 1),)).succs() == {0: [1], 1: []}
     for edges in (((1, 0),), ((0, 1), (1, 0)), ((1, 1),)):
         with pytest.raises(KernelValidationError, match="cyclic dependence in data-flow graph"):
@@ -259,39 +255,46 @@ def test_dfg_rejects_backward_edges_and_self_loops():
 
 
 # ---------------------------------------------------------------------------
-# one graph per kernel object and latency table
+# one graph per kernel object, priced under any latency table
 
-def test_build_dfg_shares_one_graph_per_latency_table(example):
+def test_build_dfg_shares_one_graph_across_latency_tables(example, example_reuse):
     g = build_dfg(example)
-    assert build_dfg(example, dict(DEFAULT_LATENCIES)) is g
-    assert build_dfg(example, None) is g
-    slow = build_dfg(example, {**DEFAULT_LATENCIES, "multiply": 3})
-    assert slow is not g
-    assert build_dfg(example, {**DEFAULT_LATENCIES, "multiply": 3}) is slow
-    assert [n.latency for n in slow.nodes if n.label == "multiply"] == [3, 3]
+    slow = {**DEFAULT_LATENCIES, "multiply": 3}
+    assert node_latencies(g, example_reuse, latencies=dict(DEFAULT_LATENCIES)) == \
+        node_latencies(g, example_reuse)
+    lat = node_latencies(g, example_reuse, latencies=slow)
+    assert [lat[n.node_id] for n in g.nodes if n.label == "multiply"] == [3, 3]
+    assert build_dfg(example) is g
 
 
-def test_build_dfg_keeps_no_failed_build(example):
-    with mock.patch.object(dfg, "_build", wraps=dfg._build) as spy:
+def test_build_dfg_keeps_no_failed_build(example, example_reuse):
+    # a bad table fails every pricing; the graph it prices is built once and kept
+    with mock.patch.object(dfg, "_GRAPHS", weakref.WeakKeyDictionary()), \
+            mock.patch.object(dfg, "_build", wraps=dfg._build) as spy:
         for _ in range(2):
-            with pytest.raises(KernelError, match="unknown op"):
-                build_dfg(example, {"add": 1})
-    assert spy.call_count == 2
+            with pytest.raises(KernelError, match="unknown op kind 'multiply'"):
+                node_latencies(build_dfg(example), example_reuse, latencies={"add": 1})
+        assert node_latencies(build_dfg(example), example_reuse)
+    assert spy.call_count == 1
 
 
 def test_shared_graph_equals_uncached_build():
     rng = random.Random(16)
     kernels = list(bundled_kernels().values()) + [random_kernel(rng) for _ in range(100)]
     for k in kernels:
-        assert build_dfg(k) == dfg._build(k, None), k.name
+        assert build_dfg(k) == dfg._build(k), k.name
         assert build_dfg(k) is build_dfg(k)
 
 
 def test_graph_lives_as_long_as_its_kernel():
     kernel = parse_kernel("loop i = 0..6 { loop j = 0..9 { S1: y[j] = a[i + j] * b[j]; } }")
+    reuse = analyze_all(kernel)
     with mock.patch.object(dfg, "_GRAPHS", weakref.WeakKeyDictionary()) as memo:
-        build_dfg(kernel)
-        assert list(memo[kernel]) == [None]
+        g = build_dfg(kernel)
+        node_latencies(g, reuse, latencies={**DEFAULT_LATENCIES, "multiply": 5})
+        with pytest.raises(KernelError):
+            node_latencies(g, reuse, latencies={"add": 1})
+        assert list(memo.items()) == [(kernel, g)]
         alive = weakref.ref(kernel)
         del kernel
         gc.collect()

@@ -174,6 +174,12 @@ def test_syntax_error_carries_position():
     ("loop i = 0..4 {\n  S: y[i] *\n x[i]; }", "expected '=' or '\\+='", 2, 11),
     ("loop i = 0..4 { S: y[i] = x[i] @ }", "unexpected character '@'", 1, 32),
     ("loop i = 0..4 { S: y[i] =    @x[i]; }", "unexpected character '@'", 1, 30),
+    # digits and names are ASCII only
+    ("loop i = 0..\u0664 { S: y[i] = x[i]; }", "unexpected character '\u0664'", 1, 13),
+    ("loop i = 0..4 { S: y\u00e9[i] = x[i]; }", "unexpected character '\u00e9'", 1, 21),
+    # a param value is an integer with at most one leading '-'
+    ("param N = +3;", "expected int", 1, 11),
+    ("param N = --3;", "expected int", 1, 12),
     # at the end of input, the last token
     ("loop i = 0..", "expected integer or param name", 1, 11),
     ("loop i = 0..4 {\n  S: y[i] = x[i];\n# end\n", "unclosed loop", 2, 17),

@@ -18,8 +18,8 @@ from conftest import affine_value
 from sralloc import simulate
 from sralloc.allocate import _water_fill
 from sralloc.config import ACCOUNTING_MODES
-from sralloc.dfg import (Cut, Dfg, DfgNode, critical_graph, critical_length,
-                         cut_register_need, find_cuts, node_latencies)
+from sralloc.dfg import (Cut, Dfg, DfgNode, critical_graph, critical_length, find_cuts,
+                         node_latencies)
 from sralloc.reuse import ReuseInfo, _address_forms
 
 
@@ -521,7 +521,7 @@ def random_dag(rng: random.Random, max_mem: int = 12) -> Dfg:
     arrays = [f"m{i}" for i in range(rng.randint(1, n_mem))]
     for nid, kind in enumerate(kinds):
         label = rng.choice(arrays) if kind == "mem" else "op"
-        nodes.append(DfgNode(nid, kind, label, 1, ()))
+        nodes.append(DfgNode(nid, kind, label))
         for prev in range(nid):
             if rng.random() < 0.25:
                 edges.append((prev, nid))
@@ -577,8 +577,20 @@ def minimal_hitting_sets(requirements: list[frozenset[int]]) -> list[frozenset[i
                   key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def reference_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None) -> tuple[Cut, ...]:
-    """Every cut of the critical graph: the minimal hitting sets of its paths.
+def register_need(arrays, reuse: dict[str, ReuseInfo], alloc, accounting: str) -> int:
+    """Registers the arrays still lack: each one's full requirement under
+    "full-alpha", its increment over the registers held otherwise.
+    ``alloc=None`` holds one register per array."""
+    held = {a: 1 for a in reuse} if alloc is None else alloc.beta
+    if accounting == "full-alpha":
+        return sum(reuse[a].required_regs for a in arrays)
+    return sum(max(0, reuse[a].required_regs - held[a]) for a in arrays)
+
+
+def reference_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
+                   accounting: str = "incremental") -> tuple[Cut, ...]:
+    """Every cut of the critical graph: the minimal hitting sets of its paths,
+    each with its ``register_need`` under ``accounting``.
 
     Candidates are memory nodes whose array saves accesses and, when an
     allocation is given, is not already fully replaced.
@@ -606,8 +618,7 @@ def reference_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None) -> tuple[Cu
     cuts = []
     for s in minimal_hitting_sets(requirements):
         arrays = tuple(sorted({label[nid] for nid in s}))
-        omega = sum(reuse[a].required_regs for a in arrays)
-        cuts.append(Cut(tuple(sorted(s)), arrays, omega))
+        cuts.append(Cut(tuple(sorted(s)), arrays, register_need(arrays, reuse, alloc, accounting)))
     return tuple(sorted(cuts, key=lambda c: (len(c.node_ids), c.arrays, c.node_ids)))
 
 
@@ -625,11 +636,9 @@ def brute_force_cuts(g: Dfg, candidates: set[int]) -> list[frozenset[int]]:
     return sorted(winners, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def cheapest(cuts, reuse, alloc, accounting: str):
+def cheapest(cuts):
     """The cut ``critical_path_aware`` picks: least (need, size, arrays)."""
-    held = alloc or sa.unit_allocation(reuse)
-    return min(cuts, default=None, key=lambda c: (
-        cut_register_need(c, reuse, held, accounting), len(c.arrays), c.arrays))
+    return min(cuts, default=None, key=lambda c: (c.need, len(c.arrays), c.arrays))
 
 
 def assert_minimal_disconnecting(g: Dfg, node_ids):
@@ -642,13 +651,12 @@ def assert_minimal_disconnecting(g: Dfg, node_ids):
 
 def assert_cheapest_cut(cg: Dfg, reuse, alloc=None):
     """find_cuts returns the reference's cheapest cut, under both accountings."""
-    cuts = reference_cuts(cg, reuse, alloc)
     for accounting in ACCOUNTING_MODES:
-        want = cheapest(cuts, reuse, alloc, accounting)
+        want = cheapest(reference_cuts(cg, reuse, alloc, accounting))
         got = find_cuts(cg, reuse, alloc, accounting)
         assert len(got) == (want is not None)
         if got:
-            assert (got[0].arrays, got[0].omega) == (want.arrays, want.omega)
+            assert (got[0].arrays, got[0].need) == (want.arrays, want.need)
             assert {n.label for n in cg.nodes if n.node_id in got[0].node_ids} == set(want.arrays)
             assert_minimal_disconnecting(cg, got[0].node_ids)
 
@@ -664,12 +672,17 @@ def assert_matches_brute_force(g: Dfg, reuse) -> int:
     assert ref == brute
     # find_cuts prices by array; brute force only knows node sets
     label = {n.node_id: n.label for n in g.nodes}
-    as_cuts = [Cut(tuple(sorted(s)), tuple(sorted({label[n] for n in s})), 0) for s in brute]
     found = 0
     for accounting in ACCOUNTING_MODES:
-        want = cheapest(as_cuts, reuse, None, accounting)
+        as_cuts = []
+        for s in brute:
+            arrays = tuple(sorted({label[n] for n in s}))
+            as_cuts.append(Cut(tuple(sorted(s)), arrays,
+                               register_need(arrays, reuse, None, accounting)))
+        want = cheapest(as_cuts)
         got = find_cuts(g, reuse, None, accounting)
-        assert [c.arrays for c in got] == ([] if want is None else [want.arrays])
+        assert [(c.arrays, c.need) for c in got] == \
+            ([] if want is None else [(want.arrays, want.need)])
         for cut in got:
             assert_minimal_disconnecting(g, cut.node_ids)
         found += len(got)
@@ -729,7 +742,7 @@ def test_find_cuts_is_cheapest_reference_cut_random_kernel(seed):
 def test_critical_graph_idempotent_random(seed):
     rng = random.Random(seed)
     g = random_dag(rng)
-    lat = {n.node_id: n.latency for n in g.nodes}
+    lat = {n.node_id: 1 for n in g.nodes}
     cg = critical_graph(g, lat)
     again = critical_graph(cg, lat)
     assert set(again.nodes) == set(cg.nodes)
