@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .config import ACCOUNTING_MODES
 from .dfg import build_dfg, critical_graph, find_cuts, node_latencies
 from .kernel import Kernel
 from .reuse import ReuseInfo, bc_order
@@ -136,8 +137,11 @@ def critical_path_aware(kernel: Kernel, reuse: dict[str, ReuseInfo], budget: int
     split equally across the cut and the allocator stops.  Ties between
     cuts prefer fewer members, then lexicographically smaller array sets.
     ``latencies`` goes to ``node_latencies`` as given: it replaces the
-    default table, and a missing op kind is an error.
+    default table, and a missing op kind is an error.  An unknown
+    ``accounting`` raises ``ValueError`` at every budget.
     """
+    if accounting not in ACCOUNTING_MODES:
+        raise ValueError(f"unknown accounting mode {accounting!r}")
     _check_budget(reuse, budget)
     alloc = Allocation(ALG_CRITICAL, budget, {a: 1 for a in reuse})
     if sum(i.required_regs for i in reuse.values()) <= budget:

@@ -12,13 +12,15 @@ nodes by dependence depth, one longest-path pass.  One forward and one
 backward pass give each node the longest latency into it and out of it; a
 node or edge lies on some longest path exactly when its slack, ``T_exec``
 minus the longest path through it, is zero (the critical-path method).
-Those zero-slack nodes and edges form the critical graph.  A cut is a
-minimal set of improvable reference nodes whose removal breaks every
-root-to-sink path of the critical graph; registering a whole cut is the
-only way to shorten all critical paths at once.  ``find_cuts`` returns only
-the cut cheapest to satisfy, with its register need, found by
-branch-and-bound over the candidate arrays of each weakly connected part of
-the critical graph, without listing paths or cuts.
+Those zero-slack nodes and edges form the critical graph.  A cut is a set
+of candidate arrays whose memory nodes together break every root-to-sink
+path of the critical graph, priced by its register need; a candidate saves
+accesses and holds fewer registers than its ``required_regs`` (one each
+when no allocation is given).  Registering a whole cut is the only way to
+shorten all critical paths at once.  ``find_cuts`` returns only the cut
+cheapest to satisfy, with its need, found by branch-and-bound over the
+candidate arrays of each weakly connected part of the critical graph,
+without listing paths or cuts.
 """
 
 from __future__ import annotations
@@ -231,9 +233,8 @@ def critical_graph(g: Dfg, lat: dict[int, int]) -> Dfg:
 
 @dataclass(frozen=True)
 class Cut:
-    """Minimal set of improvable reference nodes breaking every critical path."""
+    """Candidate arrays whose memory nodes together break every critical path."""
 
-    node_ids: tuple[int, ...]
     arrays: tuple[str, ...]
     need: int  # registers its arrays still lack under the accounting
 
@@ -348,46 +349,38 @@ def find_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
               accounting: str = "incremental") -> tuple[Cut, ...]:
     """The cut cheapest to satisfy, as a one-element tuple, or () if none.
 
-    Candidates are memory nodes whose array still saves accesses and, when
-    an allocation is given, is not already fully replaced.  An array's need
-    is its increment over the registers held ("incremental") or its whole
-    replacement cost ("full-alpha"); ``alloc=None`` holds one register per
-    array, as in ``node_latencies``.  The cut returned has the least
-    ``(need, len(arrays), arrays)`` and carries that need; its ``node_ids``
-    are a minimal subset of its arrays' candidate nodes that still breaks
-    every root-to-sink path.
+    An array is a candidate when it saves accesses and its registers held
+    stay below its ``required_regs``; ``alloc=None`` holds one register per
+    array, as in ``node_latencies``.  An array's need is its increment over
+    the registers held ("incremental") or its whole replacement cost
+    ("full-alpha").  The cut returned is the set of candidate arrays whose
+    memory nodes break every root-to-sink path with the least
+    ``(need, len(arrays), arrays)``, and it carries that need.
 
     Covering is monotone and a strict subset of an array set is strictly
-    cheaper in ``(need, size)``, so the cheapest covering array set is the
-    array set of some minimal cut.  Weakly connected components that share
-    no candidate array are independent, and the union of their cheapest
-    covers is the cheapest cover overall, name tie-break included.  Each
-    component is searched by branch-and-bound, bounded below by open paths
-    that share no undecided array; the worst case is still exponential in
-    one component's candidate arrays, so a search that pops more than
-    ``MAX_CUT_NODES`` nodes raises ``CapExceededError``.
+    cheaper in ``(need, size)``, so dropping any one array of the cut
+    leaves a path.  Weakly connected components that share no candidate
+    array are independent, and the union of their cheapest covers is the
+    cheapest cover overall, name tie-break included.  Each component is
+    searched by branch-and-bound, bounded below by open paths that share no
+    undecided array; the worst case is still exponential in one component's
+    candidate arrays, so a search that pops more than ``MAX_CUT_NODES``
+    nodes raises ``CapExceededError``.
     """
     beta = {a: 1 for a in reuse} if alloc is None else alloc.beta
     if accounting == "incremental":
-        need = {a: max(0, info.required_regs - beta[a]) for a, info in reuse.items()}
+        need = {a: info.required_regs - beta[a] for a, info in reuse.items()}
     elif accounting == "full-alpha":
         need = {a: info.required_regs for a, info in reuse.items()}
     else:
         raise ValueError(f"unknown accounting mode {accounting!r}")
-    label: dict[int, str] = {}
-    for n in cg.mem_nodes():
-        info = reuse[n.label]
-        if info.save <= 0:
-            continue
-        if alloc is not None and beta[n.label] >= info.required_regs:
-            continue
-        label[n.node_id] = n.label
+    label = {n.node_id: n.label for n in cg.mem_nodes()
+             if reuse[n.label].save > 0 and beta[n.label] < reuse[n.label].required_regs}
     if not label:
         return ()
 
     succs = cg.succs()
     roots = set(cg.roots())
-    node_ids: list[int] = []
     arrays: list[str] = []
     for comp in _components(cg, label):
         comp_roots = [nid for nid in comp if nid in roots]
@@ -398,14 +391,9 @@ def find_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
         best = _cheapest_cover(nodes_of, need, label, comp_roots, succs, len(comp))
         if best is None:
             return ()
-        keep = set().union(*(nodes_of[a] for a in best))
-        for nid in sorted(keep, reverse=True):
-            if _open_path(keep - {nid}, comp_roots, succs) is None:
-                keep.discard(nid)
-        node_ids += keep
         arrays += best
     arrays.sort()
-    return (Cut(tuple(sorted(node_ids)), tuple(arrays), sum(need[a] for a in arrays)),)
+    return (Cut(tuple(arrays), sum(need[a] for a in arrays)),)
 
 
 def to_dot(g: Dfg, lat: dict[int, int], title: str = "dfg") -> str:

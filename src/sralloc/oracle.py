@@ -28,7 +28,7 @@ from math import prod
 from operator import add, eq, floordiv
 from typing import NamedTuple
 
-from .config import CapExceededError, DEFAULT_CAP, POLICY_ELEMENT, POLICY_STAGING
+from .config import CapExceededError, DEFAULT_CAP, POLICIES, POLICY_ELEMENT, POLICY_STAGING
 from .kernel import AffineExpr, ArrayRef, Kernel, Loop, iteration_space_size, parse_kernel
 
 
@@ -299,6 +299,10 @@ def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
                   ports: int = 1, cap: int = DEFAULT_CAP):
     """(memory cycles, per-point per-array hit map, built when first read) for
     one interior outermost iteration, simulated with explicit register files."""
+    if policy not in POLICIES:
+        raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
+    if ports < 1:
+        raise ValueError("ports must be >= 1")
     rec = _analysis_cached(kernel, cap)
     levels = [sub for grp in rec.depth_groups for sub in _split_ports(rec.events, grp, ports)]
     n = prod(lp.trip for lp in rec.loops)

@@ -17,11 +17,12 @@ staging latch) or with a store forwarded to a same-iteration read (the
 forwarding conduit); beta otherwise.
 
 Ranks do not depend on beta (the inclusion property of Mattson et al.'s
-stack algorithm), so each array is walked once per kernel.  Each call takes
-the kernel's one graph from ``build_dfg`` and prices ``T_exec`` on it with
-``node_latencies`` under its latency table.  The first call for a kernel
-object and port count builds one cost model from that graph: the
-memory levels, each array's node positions and subscripts, the all-miss
+stack algorithm), so each array is walked once per kernel object and port
+count.  Each call takes the kernel's one graph from ``build_dfg`` and
+prices ``T_exec`` on it with ``node_latencies`` under its latency table.
+The first call for a kernel object and port count builds one cost model
+from that graph: the memory levels, each array's node positions and
+subscripts, the all-miss
 bitset once a call has passed the cap and, per walked array, carrier and
 ``required_regs``, a column of each access's rank at every interior inner
 point, clipped at ``required_regs`` (exact: beta = ``required_regs`` prices

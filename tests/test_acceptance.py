@@ -212,7 +212,7 @@ def test_criterion_8_cut_machinery(example, example_reuse):
     """Exact cut set on the example's critical graph, of which find_cuts
     picks {d}; on random DAGs up to 12 reference nodes the enumeration
     matches exhaustive subset search and find_cuts returns its cheapest cut,
-    a minimal disconnecting node set."""
+    an array set of which no member can be dropped."""
     g = sa.build_dfg(example)
     cg = sa.critical_graph(g, sa.node_latencies(g, example_reuse))
     assert [c.arrays for c in reference_cuts(cg, example_reuse)] == [("d",), ("a", "b")]

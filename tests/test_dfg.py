@@ -7,6 +7,7 @@ import pytest
 
 from sralloc import (
     DEFAULT_LATENCIES,
+    KERNEL_NAMES,
     KernelError,
     KernelValidationError,
     analyze_all,
@@ -21,6 +22,7 @@ from sralloc import (
     node_latencies,
     parse_kernel,
     random_kernel,
+    run_allocator,
     to_dot,
     unit_allocation,
 )
@@ -177,26 +179,42 @@ def test_find_cuts_example(example, example_reuse):
         cuts = reference_cuts(cg, example_reuse, None, accounting)
         assert [(c.arrays, c.need) for c in cuts] == list(zip([("d",), ("a", "b")], needs))
         (cut,) = find_cuts(cg, example_reuse, None, accounting)
-        assert cut == cuts[0]
+        assert (cut.arrays, cut.need) == (cuts[0].arrays, cuts[0].need)
+
+
+def cheapest_cut(source: str) -> list[tuple[tuple[str, ...], int]]:
+    """find_cuts' (arrays, need) on the kernel's critical graph at one register per array."""
+    k = parse_kernel(source)
+    reuse = analyze_all(k)
+    g = build_dfg(k)
+    return [(c.arrays, c.need) for c in find_cuts(critical_graph(g, node_latencies(g, reuse)), reuse)]
 
 
 def test_find_cuts_chain_of_two_candidates():
-    k = parse_kernel("loop i = 0..6 { S1: t[0] = x[0] * y[i]; S2: z[i] = w[0] * t[0]; }")
-    reuse = analyze_all(k)
-    g = build_dfg(k)
-    cuts = find_cuts(critical_graph(g, node_latencies(g, reuse)), reuse)
-    # x and w are loop invariant candidates on a chain through t
-    assert all(len(c.arrays) >= 1 for c in cuts)
-    singles = [c.arrays for c in cuts if len(c.arrays) == 1]
-    assert ("t",) in singles or (("x",) in singles and ("w",) in singles)
+    # x feeds t on the chain into z; the y branch reaches z only through t
+    assert cheapest_cut("loop i = 0..6 { loop j = 0..4 { "
+                        "S1: t[j] = x[j] * y[i][j]; S2: z[i][j] = w[j] * t[j]; } }") == [(("t",), 3)]
+    # one register already replaces each invariant, so nothing is left to cut
+    assert cheapest_cut("loop i = 0..6 { S1: t[0] = x[0] * y[i]; S2: z[i] = w[0] * t[0]; }") == []
 
 
 def test_find_cuts_parallel_branches_need_the_pair():
-    k = parse_kernel("loop i = 0..6 { S: y[i] = a[0] + b[0]; }")
-    reuse = analyze_all(k)
-    g = build_dfg(k)
-    cuts = find_cuts(critical_graph(g, node_latencies(g, reuse)), reuse)
-    assert [c.arrays for c in cuts] == [("a", "b")]
+    assert cheapest_cut("loop i = 0..6 { loop j = 0..4 { S: y[i][j] = a[j] + b[j]; } }") == \
+        [(("a", "b"), 6)]
+    assert cheapest_cut("loop i = 0..6 { S: y[i] = a[0] + b[0]; }") == []
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_find_cuts_holds_one_register_per_array_without_an_allocation(name, kernels, reuse_map):
+    # one candidate rule: an array fully replaced at one register is no
+    # candidate, so no incremental cut is free
+    reuse = reuse_map[name]
+    g = build_dfg(kernels[name])
+    cg = critical_graph(g, node_latencies(g, reuse))
+    ones = unit_allocation(reuse, 64)
+    for accounting in ("incremental", "full-alpha"):
+        assert find_cuts(cg, reuse, None, accounting) == find_cuts(cg, reuse, ones, accounting)
+    assert all(c.need > 0 for c in find_cuts(cg, reuse))
 
 
 def test_find_cuts_excludes_unimprovable(example, example_reuse):
@@ -234,8 +252,12 @@ def test_find_cuts_need_modes(example, example_reuse):
     for accounting, need in (("incremental", 20), ("full-alpha", 30)):
         (cut,) = find_cuts(cg, example_reuse, some, accounting)
         assert (cut.arrays, cut.need) == (("d",), need)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown accounting mode 'per-node'"):
         find_cuts(cg, example_reuse, ones, "per-node")
+    # cpa-ra rejects it too, also at a budget that replaces every array in full
+    for budget in (len(example_reuse), 10**4):
+        with pytest.raises(ValueError, match="unknown accounting mode 'per-node'"):
+            run_allocator("cpa", example, example_reuse, budget, None, "per-node")
 
 
 def test_to_dot_renders(example, example_reuse):

@@ -1,0 +1,95 @@
+"""Metamorphic relations: pairs of kernels that must give the same answers.
+
+The analyzer, the simulator and the oracle share the row-major
+bounding-box layout and the trip and step arithmetic (``Loop.trip``,
+``Loop.range``), so a fault there shows on both sides of an agreement
+check.  A relation between a kernel and a rewritten copy catches such a
+fault without a third model (Chen, Cheung and Yiu, 1998).  Each relation
+runs on the bundled corpus and on seeded random kernels, and compares
+every ``analyze`` field, each allocator's beta at budgets n, n + 10 and
+n + 60 for n arrays, and each ``CycleReport`` under both policies.
+
+- Shift one loop's bounds by c and substitute ``i - c`` for its index.
+- Append an innermost loop of one iteration.
+
+Some rewrites change the answers on purpose and are not relations:
+renaming an array, because ties break by name; loop interchange and
+strip-mining, because they move carriers; and a unit-trip *outermost*
+loop, because it changes the measured window.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from sralloc import (
+    KERNEL_NAMES,
+    POLICIES,
+    AffineExpr,
+    Loop,
+    analyze_all,
+    bundled_kernel,
+    random_kernel,
+    run_allocator,
+    steady_state_cycles,
+)
+
+SEEDS = range(30)
+
+
+def shift_loop(kernel, level: int, c: int):
+    """Loop ``level`` runs c later, and every subscript reads its index as ``i - c``."""
+    lp = kernel.loops[level]
+
+    def sub(ref):
+        exprs = tuple(AffineExpr(e.const - c * e.coeff(lp.index), e.terms) for e in ref.subscripts)
+        return dataclasses.replace(ref, subscripts=exprs)
+
+    loops = list(kernel.loops)
+    loops[level] = dataclasses.replace(lp, lower=lp.lower + c, upper=lp.upper + c)
+    statements = tuple(dataclasses.replace(s, write=sub(s.write), reads=tuple(map(sub, s.reads)))
+                       for s in kernel.statements)
+    return dataclasses.replace(kernel, loops=tuple(loops), statements=statements)
+
+
+def append_unit_loop(kernel):
+    """One more innermost loop, of one iteration, whose index no subscript reads."""
+    taken = {lp.index for lp in kernel.loops} | {p for p, _ in kernel.params}
+    index = next(f"u{n}" for n in range(len(taken) + 1) if f"u{n}" not in taken)
+    return dataclasses.replace(kernel, loops=kernel.loops + (Loop(index, 0, 1),))
+
+
+def shifted_copies(kernel, rng):
+    """Each loop in turn shifted by a seeded c, the other loops left as they are."""
+    return [shift_loop(kernel, level, rng.choice([-5, -1, 2, 7])) for level in range(kernel.depth)]
+
+
+RELATIONS = {
+    "shift": shifted_copies,
+    "unit-innermost": lambda kernel, rng: [append_unit_loop(kernel)],
+}
+
+
+def answers(kernel) -> tuple:
+    """Every analyze field, each allocator's beta at three budgets, and each
+    allocation's CycleReport under both policies."""
+    reuse = analyze_all(kernel)
+    allocs = [run_allocator(alg, kernel, reuse, len(reuse) + extra)
+              for alg in ("fr", "pr", "cpa") for extra in (0, 10, 60)]
+    reports = [steady_state_cycles(kernel, reuse, alloc, policy)
+               for alloc in allocs for policy in POLICIES]
+    return reuse, [alloc.beta for alloc in allocs], reports
+
+
+KERNELS = {name: lambda name=name: bundled_kernel(name) for name in KERNEL_NAMES}
+KERNELS |= {f"random-{seed}": lambda seed=seed: random_kernel(random.Random(seed)) for seed in SEEDS}
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@pytest.mark.parametrize("case", KERNELS)
+def test_relation_keeps_every_answer(case, relation):
+    kernel = KERNELS[case]()
+    want = answers(kernel)
+    for rewritten in RELATIONS[relation](kernel, random.Random(case)):
+        assert answers(rewritten) == want, rewritten.loops

@@ -8,6 +8,7 @@ import weakref
 from array import array
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -18,7 +19,7 @@ from conftest import affine_value
 from sralloc import simulate
 from sralloc.allocate import _water_fill
 from sralloc.config import ACCOUNTING_MODES
-from sralloc.dfg import (Cut, Dfg, DfgNode, critical_graph, critical_length, find_cuts,
+from sralloc.dfg import (Dfg, DfgNode, critical_graph, critical_length, find_cuts,
                          node_latencies)
 from sralloc.reuse import ReuseInfo, _address_forms
 
@@ -587,23 +588,28 @@ def register_need(arrays, reuse: dict[str, ReuseInfo], alloc, accounting: str) -
     return sum(max(0, reuse[a].required_regs - held[a]) for a in arrays)
 
 
-def reference_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
-                   accounting: str = "incremental") -> tuple[Cut, ...]:
-    """Every cut of the critical graph: the minimal hitting sets of its paths,
-    each with its ``register_need`` under ``accounting``.
+def candidate_nodes(g: Dfg, reuse: dict[str, ReuseInfo], alloc=None) -> set[int]:
+    """Memory nodes whose array saves accesses and holds fewer registers than
+    its ``required_regs``; ``alloc=None`` holds one register per array."""
+    held = {a: 1 for a in reuse} if alloc is None else alloc.beta
+    return {n.node_id for n in g.mem_nodes()
+            if reuse[n.label].save > 0 and held[n.label] < reuse[n.label].required_regs}
 
-    Candidates are memory nodes whose array saves accesses and, when an
-    allocation is given, is not already fully replaced.
-    """
-    beta = None if alloc is None else alloc.beta
-    candidates = set()
-    for n in cg.mem_nodes():
-        info = reuse[n.label]
-        if info.save <= 0:
-            continue
-        if beta is not None and beta[n.label] >= info.required_regs:
-            continue
-        candidates.add(n.node_id)
+
+class RefCut(NamedTuple):
+    """A minimal node cut of the reference, with its arrays and their need."""
+
+    node_ids: tuple[int, ...]
+    arrays: tuple[str, ...]
+    need: int
+
+
+def reference_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
+                   accounting: str = "incremental") -> tuple[RefCut, ...]:
+    """Every cut of the critical graph: the minimal hitting sets of its paths
+    over ``candidate_nodes``, each with its ``register_need`` under
+    ``accounting``."""
+    candidates = candidate_nodes(cg, reuse, alloc)
     if not candidates or not cg.nodes:
         return ()
 
@@ -618,7 +624,8 @@ def reference_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
     cuts = []
     for s in minimal_hitting_sets(requirements):
         arrays = tuple(sorted({label[nid] for nid in s}))
-        cuts.append(Cut(tuple(sorted(s)), arrays, register_need(arrays, reuse, alloc, accounting)))
+        cuts.append(RefCut(tuple(sorted(s)), arrays,
+                           register_need(arrays, reuse, alloc, accounting)))
     return tuple(sorted(cuts, key=lambda c: (len(c.node_ids), c.arrays, c.node_ids)))
 
 
@@ -641,12 +648,18 @@ def cheapest(cuts):
     return min(cuts, default=None, key=lambda c: (c.need, len(c.arrays), c.arrays))
 
 
-def assert_minimal_disconnecting(g: Dfg, node_ids):
+def assert_minimal_array_cut(g: Dfg, arrays):
+    """Removing the arrays' memory nodes leaves no root-to-sink path, and
+    dropping any one of the arrays leaves one."""
     paths = all_paths(g)
-    members = set(node_ids)
-    assert all(members & set(p) for p in paths)  # removal breaks every path
-    for drop in members:
-        assert not all((members - {drop}) & set(p) for p in paths)
+
+    def breaks_every_path(chosen):
+        removed = {n.node_id for n in g.mem_nodes() if n.label in chosen}
+        return all(removed & set(p) for p in paths)
+
+    assert breaks_every_path(set(arrays))
+    for drop in arrays:
+        assert not breaks_every_path(set(arrays) - {drop})
 
 
 def assert_cheapest_cut(cg: Dfg, reuse, alloc=None):
@@ -657,16 +670,14 @@ def assert_cheapest_cut(cg: Dfg, reuse, alloc=None):
         assert len(got) == (want is not None)
         if got:
             assert (got[0].arrays, got[0].need) == (want.arrays, want.need)
-            assert {n.label for n in cg.nodes if n.node_id in got[0].node_ids} == set(want.arrays)
-            assert_minimal_disconnecting(cg, got[0].node_ids)
+            assert_minimal_array_cut(cg, got[0].arrays)
 
 
 def assert_matches_brute_force(g: Dfg, reuse) -> int:
     """The enumeration equals exhaustive subset search, and find_cuts returns
-    its cheapest cut, a minimal disconnecting node set, under both
+    its cheapest cut, a minimal array set breaking every path, under both
     accountings.  Returns how many cuts find_cuts returned."""
-    candidates = {n.node_id for n in g.mem_nodes() if reuse[n.label].save > 0}
-    brute = brute_force_cuts(g, candidates)
+    brute = brute_force_cuts(g, candidate_nodes(g, reuse))
     ref = sorted((frozenset(c.node_ids) for c in reference_cuts(g, reuse)),
                  key=lambda s: (len(s), tuple(sorted(s))))
     assert ref == brute
@@ -677,14 +688,14 @@ def assert_matches_brute_force(g: Dfg, reuse) -> int:
         as_cuts = []
         for s in brute:
             arrays = tuple(sorted({label[n] for n in s}))
-            as_cuts.append(Cut(tuple(sorted(s)), arrays,
-                               register_need(arrays, reuse, None, accounting)))
+            as_cuts.append(RefCut(tuple(sorted(s)), arrays,
+                                  register_need(arrays, reuse, None, accounting)))
         want = cheapest(as_cuts)
         got = find_cuts(g, reuse, None, accounting)
         assert [(c.arrays, c.need) for c in got] == \
             ([] if want is None else [(want.arrays, want.need)])
         for cut in got:
-            assert_minimal_disconnecting(g, cut.node_ids)
+            assert_minimal_array_cut(g, cut.arrays)
         found += len(got)
     return found
 
@@ -705,7 +716,7 @@ def test_cut_disconnection_and_minimality(seed):
     reuse = synthetic_reuse(g, rng)
     for accounting in ACCOUNTING_MODES:
         for cut in find_cuts(g, reuse, None, accounting):
-            assert_minimal_disconnecting(g, cut.node_ids)
+            assert_minimal_array_cut(g, cut.arrays)
 
 
 @settings(max_examples=150, deadline=None)

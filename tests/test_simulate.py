@@ -23,6 +23,7 @@ from sralloc import (
     manual_allocation,
     memory_levels,
     node_latencies,
+    oracle_replay,
     parse_kernel,
     partial_reuse,
     critical_path_aware,
@@ -206,6 +207,21 @@ def test_graph_and_port_errors_come_before_the_cap():
         steady_state_cycles(kernel, reuse, alloc, latencies={"multiply": 1}, cap=10)
     with pytest.raises(ValueError, match="ports must be >= 1"):
         steady_state_cycles(kernel, reuse, alloc, ports=0, cap=10)
+
+
+@pytest.mark.parametrize("arg, message", [({"policy": "bogus"}, "policy must be one of"),
+                                          ({"ports": -1}, "ports must be >= 1"),
+                                          ({"ports": 0}, "ports must be >= 1")],
+                         ids=["bogus-policy", "ports-minus-1", "ports-0"])
+def test_policy_and_port_errors_come_before_any_work(arg, message):
+    # a cap of 10 points would fail any walk or trace of this kernel
+    kernel = parse_kernel(OVER_CAP)
+    reuse = analyze_all(kernel)
+    alloc = unit_allocation(reuse)
+    with pytest.raises(ValueError, match=message):
+        steady_state_cycles(kernel, reuse, alloc, cap=10, **arg)
+    with pytest.raises(ValueError, match=message):
+        oracle_replay(kernel, alloc, cap=10, **arg)
 
 
 # ---------------------------------------------------------------------------
