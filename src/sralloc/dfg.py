@@ -41,7 +41,7 @@ class DfgNode:
     node_id: int
     kind: str  # "mem" | "op"
     label: str  # array name for mem nodes, operator kind for op nodes
-    ref_ids: tuple[int, ...] = ()
+    ref_ids: tuple[int, ...] = ()  # load: its read; store: its write, then its implicit read
 
 
 @dataclass(frozen=True)
@@ -157,13 +157,13 @@ def _build(kernel: Kernel) -> Dfg:
     """Data-flow graph of one body iteration, each node numbered after its inputs.
 
     ``forwarded_read_ids`` reads attach to the latest earlier store of their
-    pattern instead of loading (the d-style forwarding merge).
+    pattern instead of loading (the d-style forwarding merge) and add no id
+    to that store's ``ref_ids``.
     """
     nodes: list[DfgNode] = []
     edges: list[tuple[int, int]] = []
     forwarded = forwarded_read_ids(kernel)
     write_node: dict[tuple[str, tuple], int] = {}  # pattern -> latest store node
-    extra_refs: dict[int, list[int]] = {}  # node -> forwarded read refs it serves
 
     def new_node(kind, label, ref_ids=()):
         n = DfgNode(len(nodes), kind, label, tuple(ref_ids))
@@ -174,9 +174,7 @@ def _build(kernel: Kernel) -> Dfg:
         inputs: list[int] = []
         for r in stmt.explicit_reads:
             if r.ref_id in forwarded:
-                nid = write_node[(r.array, r.subscripts)]  # no load node
-                extra_refs.setdefault(nid, []).append(r.ref_id)
-                inputs.append(nid)
+                inputs.append(write_node[(r.array, r.subscripts)])  # no load node
             else:
                 inputs.append(new_node("mem", r.array, (r.ref_id,)))
         top: int | None = None
@@ -197,10 +195,6 @@ def _build(kernel: Kernel) -> Dfg:
         if top is not None:
             edges.append((top, wid))
         write_node[(w.array, w.subscripts)] = wid
-
-    for nid, extra in extra_refs.items():
-        n = nodes[nid]
-        nodes[nid] = DfgNode(n.node_id, n.kind, n.label, n.ref_ids + tuple(extra))
 
     return Dfg(tuple(nodes), tuple(edges))
 

@@ -10,7 +10,7 @@ built.  A carrier window is a contiguous slice of a trace, not a window in
 the analyzer's algebra; an array none of whose addresses occurs twice has no
 carrier.  The replay feeds each array's fill-once register file its events
 point-major over the middle outer iteration, instead of rank arithmetic, and
-levels dependences on its own; its per-point hit map is built when read.
+levels dependences on its own; it returns each event's hit column.
 Agreement with the analytic modules is therefore evidence of correctness
 rather than shared code, at the price of being slower.
 """
@@ -20,10 +20,9 @@ from __future__ import annotations
 import random
 import weakref
 from array import array
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain, compress, cycle, islice, pairwise, product, repeat, starmap
+from functools import lru_cache
+from itertools import chain, compress, cycle, islice, pairwise, repeat, starmap
 from math import prod
 from operator import add, eq, floordiv
 from typing import NamedTuple
@@ -273,37 +272,23 @@ class _RegisterFile:
         return False
 
 
-class _HitMap(Mapping):
-    """(array, point) -> all its events hit, built from the event columns when first read."""
-
-    def __init__(self, loops: tuple[Loop, ...], columns: dict[str, list[list[bool]]]):
-        self._loops, self._columns = loops, columns
-
-    @cached_property
-    def _map(self) -> dict[tuple[str, tuple], bool]:
-        points = list(product(*(lp.range for lp in self._loops)))
-        return {key: hit for name, cols in self._columns.items()
-                for key, hit in zip(zip(repeat(name), points), map(all, zip(*cols)))}
-
-    def __getitem__(self, key):
-        return self._map[key]
-
-    def __iter__(self):
-        return iter(self._map)
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-
 def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
                   ports: int = 1, cap: int = DEFAULT_CAP):
-    """(memory cycles, per-point per-array hit map, built when first read) for
-    one interior outermost iteration, simulated with explicit register files."""
+    """(memory cycles, hit columns) of one interior outermost iteration,
+    simulated with explicit register files.
+
+    The columns map each array to one list per event of that array, in
+    execution order; a list holds one bool per point of the middle outer
+    iteration, in loop order, true where the event hits a register.
+    """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
     if ports < 1:
         raise ValueError("ports must be >= 1")
     rec = _analysis_cached(kernel, cap)
+    for name, info in rec.arrays.items():
+        if not 1 <= (b := alloc.beta.get(name, 0)) <= info["required_regs"]:
+            raise ValueError(f"beta[{name}] = {b} outside 1..{info['required_regs']}")
     levels = [sub for grp in rec.depth_groups for sub in _split_ports(rec.events, grp, ports)]
     n = prod(lp.trip for lp in rec.loops)
 
@@ -327,8 +312,7 @@ def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
                 cols[idx] = flat[j::len(idxs)]
 
     cycles = sum(n - sum(map(all, zip(*(cols[i] for i in level)))) for level in levels)
-    return cycles, _HitMap(rec.loops, {name: [cols[i] for i in idxs]
-                                       for name, idxs in rec.by_array.items()})
+    return cycles, {name: [cols[i] for i in idxs] for name, idxs in rec.by_array.items()}
 
 
 # ---------------------------------------------------------------------------

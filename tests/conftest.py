@@ -57,3 +57,16 @@ def hit(kernel, reuse, alloc, array, point, policy=sa.POLICY_ELEMENT):
     limit = {array: _threshold(reuse[array], alloc.beta[array], policy)}
     miss = model.misses(kernel, reuse, limit)
     return not any(m >> 8 * i & 1 for m, n in zip(miss, model.mem) if n.label == array)
+
+
+def hit_map(kernel, columns):
+    """{(array, point): all its events hit} from ``oracle_replay``'s hit columns.
+
+    The columns cover the middle outer iteration in loop order, so the
+    points are the inner loops' product under the outermost index's middle value.
+    """
+    outer = kernel.loops[0]
+    mid = outer.lower + (outer.trip // 2) * outer.step
+    points = [(mid,) + p for p in itertools.product(*(lp.range for lp in kernel.loops[1:]))]
+    return {(array, point): hit for array, cols in columns.items()
+            for point, hit in zip(points, map(all, zip(*cols)))}

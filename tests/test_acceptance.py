@@ -17,7 +17,7 @@ from sralloc import (
     REFERENCE_REQUIRED,
 )
 
-from conftest import beta_tuple, hit
+from conftest import beta_tuple, hit, hit_map
 from test_properties import (
     assert_matches_brute_force,
     random_dag,
@@ -174,11 +174,11 @@ def test_criterion_7_oracle_equivalence(kernels, reuse_map, oracle_map):
             alloc = sa.run_allocator(alg, kernel, reuse, 64)
             for policy in (POLICY_ELEMENT, POLICY_STAGING):
                 mine = sa.steady_state_cycles(kernel, reuse, alloc, policy)
-                cycles, hits = sa.oracle_replay(kernel, alloc, policy)
-                assert mine.memory_cycles == cycles, (name, alg, policy)
+                assert mine.memory_cycles == sa.oracle_replay(kernel, alloc, policy)[0], \
+                    (name, alg, policy)
         # residency predicate spot agreement on a sampled iteration grid
         alloc = sa.run_allocator("pr", kernel, reuse, 64)
-        _, hits = sa.oracle_replay(kernel, alloc, POLICY_ELEMENT)
+        hits = hit_map(kernel, sa.oracle_replay(kernel, alloc, POLICY_ELEMENT)[1])
         outer = kernel.loops[0]
         mid = outer.lower + (outer.trip // 2) * outer.step
         points = list(itertools.product(*(lp.range for lp in kernel.loops[1:])))

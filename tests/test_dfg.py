@@ -48,22 +48,22 @@ def test_build_dfg_example_all_ones(example, example_reuse):
     assert all(lat[n.node_id] == 1 for n in mem.values())
     ops = [n for n in g.nodes if n.kind == "op"]
     assert [n.label for n in ops] == ["multiply", "multiply"]
-    # the d read is forwarded: one node for the write/read pair
-    assert len(mem["d"].ref_ids) == 2
+    # the d read is forwarded: the store's node serves it and holds only the write
+    assert len(mem["d"].ref_ids) == 1
     assert len(g.nodes) == 7
 
 
 @pytest.mark.parametrize("src,nodes,edges", [
-    # S3's read of x[i] joins S2's store, the latest earlier store of x[i];
-    # S2's implicit reduction read is forwarded onto the same node
+    # S3's read of x[i] joins S2's store, the latest earlier store of x[i],
+    # which holds its write and its implicit reduction read
     ("loop i = 0..4 { S1: x[i] = a[i]; S2: x[i] += b[i]; S3: y[i] = x[i]; }",
      [("mem", "a", (1,)), ("mem", "x", (0,)), ("mem", "b", (3,)), ("op", "accumulate", ()),
-      ("mem", "x", (2, 4, 6)), ("mem", "y", (5,))],
+      ("mem", "x", (2, 4)), ("mem", "y", (5,))],
      ((0, 1), (2, 3), (3, 4), (4, 5))),
     # S1 reads x[i] before its first store, so that read loads; S3's read is forwarded
     ("loop i = 0..4 { S1: y[i] = x[i] * a[i]; S2: x[i] = b[i]; S3: z[i] = x[i]; }",
      [("mem", "x", (1,)), ("mem", "a", (2,)), ("op", "multiply", ()), ("mem", "y", (0,)),
-      ("mem", "b", (4,)), ("mem", "x", (3, 6)), ("mem", "z", (5,))],
+      ("mem", "b", (4,)), ("mem", "x", (3,)), ("mem", "z", (5,))],
      ((0, 2), (1, 2), (2, 3), (4, 5), (5, 6))),
 ], ids=["latest-store", "read-before-store"])
 def test_build_dfg_forwards_to_latest_earlier_store(src, nodes, edges):

@@ -6,11 +6,14 @@ bounding-box layout and the trip and step arithmetic (``Loop.trip``,
 check.  A relation between a kernel and a rewritten copy catches such a
 fault without a third model (Chen, Cheung and Yiu, 1998).  Each relation
 runs on the bundled corpus and on seeded random kernels, and compares
-every ``analyze`` field, each allocator's beta at budgets n, n + 10 and
-n + 60 for n arrays, and each ``CycleReport`` under both policies.
+every ``analyze`` field, every ``oracle_analysis`` field, each allocator's
+beta at budgets n, n + 10 and n + 60 for n arrays, and each allocation's
+``CycleReport`` and oracle replay under both policies.
 
 - Shift one loop's bounds by c and substitute ``i - c`` for its index.
 - Append an innermost loop of one iteration.
+- Run a loop of T iterations as ``L..L + s*T step s``: it must answer as
+  the loop ``0..T`` whose index every subscript reads as ``L + s*i``.
 
 Some rewrites change the answers on purpose and are not relations:
 renaming an array, because ties break by name; loop interchange and
@@ -30,6 +33,8 @@ from sralloc import (
     Loop,
     analyze_all,
     bundled_kernel,
+    oracle_analysis,
+    oracle_replay,
     random_kernel,
     run_allocator,
     steady_state_cycles,
@@ -38,19 +43,38 @@ from sralloc import (
 SEEDS = range(30)
 
 
+def rewrite_loop(kernel, level: int, loop, start: int = 0, scale: int = 1):
+    """Loop ``level`` replaced by ``loop``, and every subscript reads its index
+    ``i`` as ``start + scale*i``."""
+    index = kernel.loops[level].index
+
+    def sub(ref):
+        exprs = tuple(AffineExpr(e.const + start * e.coeff(index),
+                                 tuple((n, c * scale if n == index else c) for n, c in e.terms))
+                      for e in ref.subscripts)
+        return dataclasses.replace(ref, subscripts=exprs)
+
+    loops = kernel.loops[:level] + (loop,) + kernel.loops[level + 1:]
+    statements = tuple(dataclasses.replace(s, write=sub(s.write), reads=tuple(map(sub, s.reads)))
+                       for s in kernel.statements)
+    return dataclasses.replace(kernel, loops=loops, statements=statements)
+
+
 def shift_loop(kernel, level: int, c: int):
     """Loop ``level`` runs c later, and every subscript reads its index as ``i - c``."""
     lp = kernel.loops[level]
+    return rewrite_loop(kernel, level, dataclasses.replace(lp, lower=lp.lower + c,
+                                                           upper=lp.upper + c), start=-c)
 
-    def sub(ref):
-        exprs = tuple(AffineExpr(e.const - c * e.coeff(lp.index), e.terms) for e in ref.subscripts)
-        return dataclasses.replace(ref, subscripts=exprs)
 
-    loops = list(kernel.loops)
-    loops[level] = dataclasses.replace(lp, lower=lp.lower + c, upper=lp.upper + c)
-    statements = tuple(dataclasses.replace(s, write=sub(s.write), reads=tuple(map(sub, s.reads)))
-                       for s in kernel.statements)
-    return dataclasses.replace(kernel, loops=tuple(loops), statements=statements)
+def stepped_pair(kernel, level: int, start: int, step: int):
+    """Loop ``level``, of T iterations, run as ``start..start + step*T step step``
+    with the subscripts unchanged, and run as ``0..T`` with its index read as
+    ``start + step*i``."""
+    lp = kernel.loops[level]
+    stepped = Loop(lp.index, start, start + step * lp.trip, step)
+    return (rewrite_loop(kernel, level, stepped),
+            rewrite_loop(kernel, level, Loop(lp.index, 0, lp.trip), start, step))
 
 
 def append_unit_loop(kernel):
@@ -72,14 +96,19 @@ RELATIONS = {
 
 
 def answers(kernel) -> tuple:
-    """Every analyze field, each allocator's beta at three budgets, and each
-    allocation's CycleReport under both policies."""
+    """Every analyze and oracle_analysis field, each allocator's beta at three
+    budgets, and each allocation's CycleReport and oracle replay under both
+    policies."""
     reuse = analyze_all(kernel)
     allocs = [run_allocator(alg, kernel, reuse, len(reuse) + extra)
               for alg in ("fr", "pr", "cpa") for extra in (0, 10, 60)]
     reports = [steady_state_cycles(kernel, reuse, alloc, policy)
                for alloc in allocs for policy in POLICIES]
-    return reuse, [alloc.beta for alloc in allocs], reports
+    # the replay depends on beta and policy alone, and budgets often repeat a beta
+    distinct = {tuple(sorted(alloc.beta.items())): alloc for alloc in allocs}
+    replays = [oracle_replay(kernel, alloc, policy)
+               for alloc in distinct.values() for policy in POLICIES]
+    return reuse, oracle_analysis(kernel), [alloc.beta for alloc in allocs], reports, replays
 
 
 KERNELS = {name: lambda name=name: bundled_kernel(name) for name in KERNEL_NAMES}
@@ -93,3 +122,13 @@ def test_relation_keeps_every_answer(case, relation):
     want = answers(kernel)
     for rewritten in RELATIONS[relation](kernel, random.Random(case)):
         assert answers(rewritten) == want, rewritten.loops
+
+
+@pytest.mark.parametrize("case", KERNELS)
+def test_stepped_loop_answers_as_its_substitution(case):
+    kernel = KERNELS[case]()
+    rng = random.Random(case)
+    for level in range(kernel.depth):
+        stepped, substituted = stepped_pair(kernel, level, rng.choice([-4, 0, 5]),
+                                            rng.choice([2, 3]))
+        assert answers(stepped) == answers(substituted), stepped.loops

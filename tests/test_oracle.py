@@ -10,6 +10,7 @@ from array import array
 from itertools import product
 
 import pytest
+from conftest import hit_map
 from test_reuse import SHAPES
 
 from sralloc import (
@@ -130,8 +131,9 @@ def test_random_kernel_generator_bounds():
 
 def test_oracle_replay_hit_map(example, example_reuse):
     fr = full_reuse(example_reuse, 64)
-    cycles, hits = oracle_replay(example, fr)
+    cycles, columns = oracle_replay(example, fr)
     assert cycles == 1799
+    hits = hit_map(example, columns)
     # b holds one register: only the first element of the window hits
     assert hits[("b", (50, 0, 0))] is True
     assert hits[("b", (50, 0, 1))] is False
@@ -434,7 +436,8 @@ def test_replay_matches_reference_replay(kernels):
     for kernel in replay_cases(kernels):
         for alloc in replay_allocations(kernel):
             for policy, ports in itertools.product(POLICIES, (1, 2, 3)):
-                assert oracle_replay(kernel, alloc, policy, ports) == \
+                cycles, columns = oracle_replay(kernel, alloc, policy, ports)
+                assert (cycles, hit_map(kernel, columns)) == \
                     reference_replay(kernel, alloc, policy, ports), \
                     (kernel.name, alloc.beta, policy, ports)
 
@@ -484,7 +487,8 @@ def test_oracle_replay_output_is_pinned(kernels):
     for kernel in replay_cases(kernels):
         for alloc in replay_allocations(kernel):
             for policy, ports in itertools.product(POLICIES, (1, 2)):
-                cycles, hits = oracle_replay(kernel, alloc, policy, ports)
+                cycles, columns = oracle_replay(kernel, alloc, policy, ports)
+                hits = hit_map(kernel, columns)
                 digest.update(json.dumps([kernel.name, cycles, sorted(hits.items())]).encode())
     assert digest.hexdigest() == \
         "e18fef0ed5616402ff436916255636ec54b07e8134dcbb3a2a29d4ae7f1503d8"
@@ -548,23 +552,22 @@ def test_oracle_analysis_memory_is_one_stream_under_a_unit_trip_loop():
     assert peak <= 1.5 * 8 * iteration_space_size(k, 0)
 
 
-def test_replay_builds_the_hit_map_only_when_read():
+def test_replay_memory_is_its_event_columns():
+    # the replay returns one bool column per event, 8 bytes a point: 3 events
+    # x 4,096 points here, about 0.094 MiB.  It holds about 1.04x of that and
+    # peaks at about 1.7x; a key per point and array cost about 1.8 MiB
     k = parse_kernel(MEMORY_KERNEL)
     alloc = run_allocator("fr", k, analyze_all(k), 64)
     oracle_analysis(k)  # the cached analysis is not the replay's cost
-
-    def replay_peak(read):
-        tracemalloc.start()
-        try:
-            _, hits = oracle_replay(k, alloc)
-            assert "_map" not in vars(hits)  # not built by the replay itself
-            if read:
-                assert hits[("a", (32, 0, 0))] is True
-                assert len(hits) == 3 * 64 * 64
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    # about 0.16 MiB for the event columns, 1.8 MiB once a key per point and
-    # array is built
-    assert replay_peak(read=False) <= 0.25 * replay_peak(read=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, columns = oracle_replay(k, alloc)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert sorted((a, len(c)) for a, cols in columns.items() for c in cols) == \
+        [("a", 64 * 64), ("b", 64 * 64), ("y", 64 * 64)]
+    unit = 8 * 3 * 64 * 64
+    assert held <= 1.5 * unit
+    assert peak <= 2.5 * unit

@@ -9,6 +9,8 @@ import pytest
 
 from conftest import hit
 from sralloc import (
+    ALG_MANUAL,
+    Allocation,
     CapExceededError,
     KernelError,
     KERNEL_NAMES,
@@ -17,6 +19,7 @@ from sralloc import (
     POLICY_STAGING,
     build_dfg,
     analyze_all,
+    bundled_kernel,
     critical_length,
     full_reuse,
     kernel_source,
@@ -222,6 +225,25 @@ def test_policy_and_port_errors_come_before_any_work(arg, message):
         steady_state_cycles(kernel, reuse, alloc, cap=10, **arg)
     with pytest.raises(ValueError, match=message):
         oracle_replay(kernel, alloc, cap=10, **arg)
+
+
+@pytest.mark.parametrize("coeff, shown", [(10**6, 10**6), (0, 0), (None, 0)],
+                         ids=["above-required", "zero", "missing"])
+def test_an_allocation_out_of_range_is_refused_by_both(coeff, shown):
+    # fir's coeff needs 52 registers; the replay checks β against its own
+    # required_regs, as validate does against the analyzer's, and reads a
+    # missing entry as 0
+    kernel = bundled_kernel("fir")
+    reuse = analyze_all(kernel)
+    beta = {a: 1 for a in reuse if a != "coeff"}
+    if coeff is not None:
+        beta["coeff"] = coeff
+    alloc = Allocation(ALG_MANUAL, 10**7, beta)
+    message = rf"beta\[coeff\] = {shown} outside 1\.\.52"
+    with pytest.raises(ValueError, match=message):
+        steady_state_cycles(kernel, reuse, alloc)
+    with pytest.raises(ValueError, match=message):
+        oracle_replay(kernel, alloc)
 
 
 # ---------------------------------------------------------------------------
