@@ -4,10 +4,10 @@ Everything here enumerates every iteration point and keeps its own
 bookkeeping.  A reference's trace is the linearized address at each point,
 in loop order, from the oracle's own per-dimension layout (one per kernel)
 rather than the analyzer's address forms, grown from the innermost loop
-outward by bulk copies; references with the same array and subscripts
-share one, and one array's traces are gone before the next array's are
-built.  A carrier window is a contiguous slice of a trace, not a window in
-the analyzer's algebra; an array none of whose addresses occurs twice has no
+outward by bulk copies once it is read.  A carrier window is one iteration
+of the loops down to the carrier, not a window in the analyzer's algebra:
+its offset plus the distinct addresses of the block inside it, built one
+array at a time; an array none of whose addresses occurs twice has no
 carrier.  The replay feeds each array's fill-once register file its events
 point-major over the middle outer iteration, instead of rank arithmetic, and
 levels dependences on its own; it returns each event's hit column.
@@ -20,9 +20,9 @@ from __future__ import annotations
 import random
 import weakref
 from array import array
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, compress, cycle, islice, pairwise, repeat, starmap
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import chain, compress, cycle, islice, pairwise, repeat
 from math import prod
 from operator import add, eq, floordiv
 from typing import NamedTuple
@@ -37,10 +37,16 @@ class AccessTrace:
     array: str
     access: str
     shape: tuple[int, ...]  # trip count of each loop
-    addrs: array  # linearized address at every iteration point, in loop order
+    ref: ArrayRef = field(repr=False)
+    layout: tuple[tuple[int, int], ...] = field(repr=False)
+    loops: tuple[Loop, ...] = field(repr=False)
+
+    @cached_property
+    def addrs(self) -> array:  # linearized address at every point, in loop order, once read
+        return _address_stream(self.ref, self.layout, self.loops)
 
     def __len__(self) -> int:
-        return len(self.addrs)
+        return prod(self.shape)
 
 
 #: each live kernel's layouts, computed once; an entry dies with its kernel
@@ -68,13 +74,14 @@ def _array_layouts(kernel: Kernel) -> dict[str, tuple[tuple[int, int], ...]]:
     return _LAYOUTS[kernel]
 
 
-def _address_stream(ref: ArrayRef, layout, loops) -> array:
+def _address_stream(ref: ArrayRef, layout, loops, relative: bool = False) -> array:
     """Linearized address of ``ref`` at every point of ``loops``, in loop order.
 
     The layout's row-major strides fold the subscripts into one coefficient
     per loop.  The stream grows from the innermost loop outward: each value of
     a loop appends the inner block shifted by its offset, a loop the subscripts
-    do not use repeats the block in place, and a loop that runs once moves the base.
+    do not use repeats the block in place, and a loop that runs once moves the
+    base.  A ``relative`` stream leaves out the address at all-zero indices.
     """
     stride, base, coef = 1, 0, {}
     for expr, (lo, hi) in zip(reversed(ref.subscripts), reversed(layout)):
@@ -82,7 +89,8 @@ def _address_stream(ref: ArrayRef, layout, loops) -> array:
         for name, c in expr.terms:
             coef[name] = coef.get(name, 0) + c * stride
         stride *= hi - lo + 1
-    base += sum(coef.get(lp.index, 0) * lp.lower for lp in loops if lp.trip == 1)
+    base = (0 if relative else base) + sum(coef.get(lp.index, 0) * lp.lower
+                                           for lp in loops if lp.trip == 1)
     block = array("q", [base])
     for lp in reversed([lp for lp in loops if lp.trip > 1]):
         if not (c := coef.get(lp.index, 0)):
@@ -102,9 +110,8 @@ def trace(kernel: Kernel, ref: ArrayRef, cap: int = DEFAULT_CAP) -> AccessTrace:
     points = iteration_space_size(kernel, 0)
     if points > cap:
         raise CapExceededError(f"iteration space {points} exceeds cap {cap}")
-    addrs = _address_stream(ref, _array_layouts(kernel)[ref.array], kernel.loops)
-    return AccessTrace(ref.ref_id, ref.array, ref.access,
-                       tuple(lp.trip for lp in kernel.loops), addrs)
+    return AccessTrace(ref.ref_id, ref.array, ref.access, tuple(lp.trip for lp in kernel.loops),
+                       ref, _array_layouts(kernel)[ref.array], kernel.loops)
 
 
 def _forwarded(kernel: Kernel) -> set[int]:
@@ -122,40 +129,42 @@ def _forwarded(kernel: Kernel) -> set[int]:
 # ---------------------------------------------------------------------------
 # reuse quantities from traces
 
+def _blocks(traces: list[AccessTrace], level: int) -> list[tuple[set[int], array]]:
+    """(distinct addresses of the block inside ``level``, each window's offset)
+    of each distinct stream; the block is relative, the offsets are not."""
+    streams = {(t.array, t.ref.subscripts): t for t in traces}.values()
+    return [(set(_address_stream(t.ref, t.layout, t.loops[level + 1:], relative=True)),
+             _address_stream(t.ref, t.layout, t.loops[:level + 1])) for t in streams]
+
+
+def _overlap(blocks: list[tuple[set[int], array]], trip: int) -> int:
+    """Max overlap of consecutive windows, each built from its distinct addresses."""
+    keep = cycle([True] * (trip - 1) + [False])
+    if len(blocks) == 1 and len(blocks[0][0]) == 1:  # one-address windows: compare the offsets
+        offs = blocks[0][1]
+        return int(any(compress(map(eq, offs, islice(offs, 1, None)), keep)))
+    inners, offsets = zip(*blocks)
+    windows = ({a + o for inner, o in zip(inners, row) for a in inner} for row in zip(*offsets))
+    return max((len(a & b) for a, b in compress(pairwise(windows), keep)), default=0)
+
+
 def oracle_alpha(trc: AccessTrace | list[AccessTrace], carrier: int) -> int:
     """Max overlap of consecutive carrier-iteration working sets in a trace.
 
-    A carrier window is a contiguous slice of the loop-order trace; a
-    group's window is the union of its traces' slices, and equal traces add
-    nothing to it.  The pair that straddles a wrap of the carrier loop is not
-    consecutive and is skipped.  One-point windows of a single trace overlap
-    exactly where neighbouring addresses are equal.
+    A carrier window is the distinct addresses of the trace's block over the
+    inner loops, shifted by the carrier iteration's offset; a group's window
+    is the union over its traces.  The pair that straddles a wrap of the
+    carrier loop is not consecutive and is skipped.
     """
     traces = trc if isinstance(trc, list) else [trc]
-    shape = traces[0].shape
-    if shape[carrier] < 2:
-        return 0
-    cols: list[array] = []
-    for t in traces:
-        if t.addrs not in cols:  # array equality, so callers' own traces count too
-            cols.append(t.addrs)
-    width = prod(shape[carrier + 1:])
-    keep = cycle([True] * (shape[carrier] - 1) + [False])
-    if width == 1 and len(cols) == 1:
-        a = cols[0]
-        return int(any(compress(map(eq, a, islice(a, 1, None)), keep)))
-    slices = zip(*(zip(*[iter(c)] * width) for c in cols))
-    windows = starmap(set().union, slices)
-    return max((len(a & b) for a, b in compress(pairwise(windows), keep)), default=0)
+    trip = traces[0].shape[carrier]
+    return _overlap(_blocks(traces, carrier), trip) if trip > 1 else 0
 
 
 def oracle_carrier(kernel: Kernel, traces: list[AccessTrace]) -> tuple[int | None, int]:
     """(carrier level, registers) recomputed from exhaustive traces."""
-    for level in range(kernel.depth):
-        overlap = oracle_alpha(traces, level)
-        if overlap > 0:
-            return level, overlap
-    return None, 1
+    overlaps = (oracle_alpha(traces, level) for level in range(kernel.depth))
+    return next(((lvl, a) for lvl, a in enumerate(overlaps) if a > 0), (None, 1))
 
 
 def _union_size(sets) -> int:
@@ -164,17 +173,25 @@ def _union_size(sets) -> int:
 
 
 def _array_fields(kernel: Kernel, refs: list[ArrayRef], fwd: set[int], cap: int) -> dict:
-    """One array's fields from its distinct streams, each traced and set once."""
+    """One array's fields from its distinct streams, each traced once."""
     distinct = {r.subscripts: r for r in refs}
-    streams = {key: trace(kernel, r, cap) for key, r in distinct.items()}
-    sets = {key: set(t.addrs) for key, t in streams.items()}
+    traces = [trace(kernel, r, cap) for r in distinct.values()]
     points = iteration_space_size(kernel, 0)
+    # loops that run once carry nothing; a stream's set is the union of its
+    # windows at the first loop that runs more (equal offsets, equal windows)
+    first = next((lvl for lvl, lp in enumerate(kernel.loops) if lp.trip > 1), kernel.depth - 1)
+    blocks = _blocks(traces, first)
+    sets = {key: {a + o for o in set(offs) for a in inner}
+            for key, (inner, offs) in zip(distinct, blocks)}
     counted = [r for r in refs if r.ref_id not in fwd]
     after = sum(_union_size(map(sets.get, {r.subscripts for r in counted if r.access == acc}))
                 for acc in ("read", "write"))
-    # no address occurs twice across the streams, so no two windows overlap
-    no_repeat = _union_size(sets.values()) == len(sets) * points
-    carrier, regs = (None, 1) if no_repeat else oracle_carrier(kernel, list(streams.values()))
+    carrier, regs = None, 1
+    if _union_size(sets.values()) < len(sets) * points:  # else no two windows can overlap
+        overlaps = chain([_overlap(blocks, kernel.loops[first].trip)],
+                         (oracle_alpha(traces, lvl) for lvl in range(first + 1, kernel.depth)))
+        carrier, regs = next(((lvl, a) for lvl, a in enumerate(overlaps, first) if a > 0),
+                             (None, 1))
     total = len(counted) * points
     return {"carrier": carrier, "required_regs": regs, "total": total, "after": after,
             "save": total - after, "forwarded_store": any(r.ref_id in fwd for r in refs)}
@@ -279,7 +296,8 @@ def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
 
     The columns map each array to one list per event of that array, in
     execution order; a list holds one bool per point of the middle outer
-    iteration, in loop order, true where the event hits a register.
+    iteration, in loop order, true where the event hits a register.  The cap
+    is checked before β, whose bound ``required_regs`` comes from traces.
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
