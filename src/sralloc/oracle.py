@@ -7,10 +7,12 @@ rather than the analyzer's address forms, grown from the innermost loop
 outward by bulk copies once it is read.  A carrier window is one iteration
 of the loops down to the carrier, not a window in the analyzer's algebra:
 its offset plus the distinct addresses of the block inside it, built one
-array at a time; an array none of whose addresses occurs twice has no
-carrier.  The replay feeds each array's fill-once register file its events
-point-major over the middle outer iteration, instead of rank arithmetic, and
-levels dependences on its own; it returns each event's hit column.
+array at a time; consecutive windows placed alike are compared once, and an
+array none of whose addresses occurs twice has no carrier.  The replay
+reads each array's events point-major over the middle outer iteration and
+gives each carrier window a fill-once register file, holding the window's
+first distinct addresses, instead of rank arithmetic; it levels
+dependences on its own and returns each event's hit column.
 Agreement with the analytic modules is therefore evidence of correctness
 rather than shared code, at the price of being slower.
 """
@@ -22,9 +24,9 @@ import weakref
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, compress, cycle, islice, pairwise, repeat
+from itertools import chain, compress, cycle, islice, pairwise, repeat, starmap
 from math import prod
-from operator import add, eq, floordiv
+from operator import add, eq, sub
 from typing import NamedTuple
 
 from .config import CapExceededError, DEFAULT_CAP, POLICIES, POLICY_ELEMENT, POLICY_STAGING
@@ -138,14 +140,42 @@ def _blocks(traces: list[AccessTrace], level: int) -> list[tuple[set[int], array
 
 
 def _overlap(blocks: list[tuple[set[int], array]], trip: int) -> int:
-    """Max overlap of consecutive windows, each built from its distinct addresses."""
-    keep = cycle([True] * (trip - 1) + [False])
-    if len(blocks) == 1 and len(blocks[0][0]) == 1:  # one-address windows: compare the offsets
+    """Max overlap of consecutive windows, each the union of every stream's
+    distinct addresses shifted by that window's offset; the pair that
+    straddles a wrap of the carrier loop is skipped.
+
+    A lone one-address stream compares its offsets, and where every block is
+    one address each window is a row of addresses, compared in bulk.
+    Otherwise each pair is keyed by its placement: every stream's offset in
+    both windows, relative to the first stream's offset in the earlier one.
+    Pairs with equal keys overlap equally, since |(A+t) & (B+t)| = |A & B|.
+    A key builds two windows, so keys are used while they number at most
+    half the windows; else each window is built once and met twice.
+    """
+    keep = [True] * (trip - 1) + [False]
+    if len(blocks) == 1 and len(blocks[0][0]) == 1:
         offs = blocks[0][1]
-        return int(any(compress(map(eq, offs, islice(offs, 1, None)), keep)))
+        return int(any(compress(map(eq, offs, islice(offs, 1, None)), cycle(keep))))
     inners, offsets = zip(*blocks)
-    windows = ({a + o for inner, o in zip(inners, row) for a in inner} for row in zip(*offsets))
-    return max((len(a & b) for a, b in compress(pairwise(windows), keep)), default=0)
+
+    def window(shifts) -> set[int]:
+        return {a + s for inner, s in zip(inners, shifts) for a in inner}
+
+    if max(map(len, inners)) == 1:
+        rows = zip(*(map(add, offs, repeat(a)) for (a,), offs in zip(inners, offsets)))
+        windows = map(set, rows)
+    else:
+        first = offsets[0]
+        cols = [map(sub, islice(first, 1, None), first)]
+        for offs in offsets[1:]:
+            cols += [map(sub, offs, first), map(sub, islice(offs, 1, None), first)]
+        keys = set(compress(zip(*cols), cycle(keep)))
+        if 2 * len(keys) <= len(first):
+            return max((len(window((0,) + key[1::2]) & window(key[::2])) for key in keys),
+                       default=0)
+        windows = map(window, zip(*offsets))
+    return max(map(len, starmap(set.intersection, compress(pairwise(windows), cycle(keep)))),
+               default=0)
 
 
 def oracle_alpha(trc: AccessTrace | list[AccessTrace], carrier: int) -> int:
@@ -268,36 +298,18 @@ def _split_ports(events, group: list[int], ports: int) -> list[list[int]]:
     return [slots[s] for s in sorted(slots)]
 
 
-class _RegisterFile:
-    """Fill-once register file over one carrier window: the first distinct
-    elements admitted model the prologue-preloaded working set."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.held: set[int] = set()
-        self.window: object = None
-
-    def access(self, window, addr: int) -> bool:
-        if window != self.window:
-            self.window = window
-            self.held = set()
-        if addr in self.held:
-            return True
-        if len(self.held) < self.size:
-            self.held.add(addr)
-            return True
-        return False
-
-
 def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
                   ports: int = 1, cap: int = DEFAULT_CAP):
     """(memory cycles, hit columns) of one interior outermost iteration,
     simulated with explicit register files.
 
-    The columns map each array to one list per event of that array, in
-    execution order; a list holds one bool per point of the middle outer
-    iteration, in loop order, true where the event hits a register.  The cap
-    is checked before β, whose bound ``required_regs`` comes from traces.
+    Each array's events are read point-major, one carrier window at a time;
+    the window's register file holds its first β distinct addresses, and an
+    access hits if its address is held.  The columns map each array to one
+    list per event of that array, in execution order; a list holds one bool
+    per point of the middle outer iteration, in loop order, true where the
+    event hits a register.  The cap is checked before β, whose bound
+    ``required_regs`` comes from traces.
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
@@ -307,7 +319,7 @@ def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
     for name, info in rec.arrays.items():
         if not 1 <= (b := alloc.beta.get(name, 0)) <= info["required_regs"]:
             raise ValueError(f"beta[{name}] = {b} outside 1..{info['required_regs']}")
-    levels = [sub for grp in rec.depth_groups for sub in _split_ports(rec.events, grp, ports)]
+    levels = [part for grp in rec.depth_groups for part in _split_ports(rec.events, grp, ports)]
     n = prod(lp.trip for lp in rec.loops)
 
     cols: list[list[bool]] = [[]] * len(rec.events)
@@ -319,15 +331,21 @@ def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
             for idx in idxs:
                 cols[idx] = [fixed] * n
         else:
-            # one file per array, fed point-major in event order, windows numbered
-            rf = _RegisterFile(beta)
-            span = len(idxs) * prod(lp.trip for lp in rec.loops[(info["carrier"] or 0) + 1:])
-            windows = map(floordiv, range(n * len(idxs)), repeat(span))
-            addrs = zip(*(_address_stream(rec.events[idx][1], rec.layouts[name], rec.loops)
-                          for idx in idxs))
-            flat = list(map(rf.access, windows, chain.from_iterable(addrs)))
+            m = len(idxs)
+            span = m * prod(lp.trip for lp in rec.loops[(info["carrier"] or 0) + 1:])
+            streams = (_address_stream(rec.events[idx][1], rec.layouts[name], rec.loops)
+                       for idx in idxs)
+            flat = next(streams) if m == 1 else array("q", [0]) * (n * m)
+            for j, stream in enumerate(streams):  # interleaved point-major
+                flat[j::m] = stream
+            hits: list[bool] = []
+            view = memoryview(flat)  # a window's segment is a view, not a copy
+            for start in range(0, len(flat), span):
+                seg = view[start:start + span]
+                held = set(islice(dict.fromkeys(seg), beta))
+                hits += map(held.__contains__, seg)
             for j, idx in enumerate(idxs):
-                cols[idx] = flat[j::len(idxs)]
+                cols[idx] = hits[j::m] if m > 1 else hits
 
     cycles = sum(n - sum(map(all, zip(*(cols[i] for i in level)))) for level in levels)
     return cycles, {name: [cols[i] for i in idxs] for name, idxs in rec.by_array.items()}

@@ -12,6 +12,8 @@ beta at budgets n, n + 10 and n + 60 for n arrays, and each allocation's
 
 - Shift one loop's bounds by c and substitute ``i - c`` for its index.
 - Append an innermost loop of one iteration.
+- Add a constant to every subscript of one array, one constant per
+  dimension: the array's box moves and the answers stay.
 - Run a loop of T iterations as ``L..L + s*T step s``: it must answer as
   the loop ``0..T`` whose index every subscript reads as ``L + s*i``.
 
@@ -77,6 +79,27 @@ def stepped_pair(kernel, level: int, start: int, step: int):
             rewrite_loop(kernel, level, Loop(lp.index, 0, lp.trip), start, step))
 
 
+def offset_array(kernel, array: str, consts):
+    """Every subscript of ``array``, in every reference, plus its dimension's constant."""
+
+    def sub(ref):
+        if ref.array != array:
+            return ref
+        exprs = tuple(AffineExpr(e.const + c, e.terms) for e, c in zip(ref.subscripts, consts))
+        return dataclasses.replace(ref, subscripts=exprs)
+
+    statements = tuple(dataclasses.replace(s, write=sub(s.write), reads=tuple(map(sub, s.reads)))
+                       for s in kernel.statements)
+    return dataclasses.replace(kernel, statements=statements)
+
+
+def offset_copies(kernel, rng):
+    """Each array in turn offset by seeded constants, the other arrays left as they are."""
+    dims = {r.array: len(r.subscripts) for r in kernel.refs}
+    return [offset_array(kernel, a, [rng.choice([-9, -2, 1, 6]) for _ in range(dims[a])])
+            for a in kernel.arrays]
+
+
 def append_unit_loop(kernel):
     """One more innermost loop, of one iteration, whose index no subscript reads."""
     taken = {lp.index for lp in kernel.loops} | {p for p, _ in kernel.params}
@@ -92,6 +115,7 @@ def shifted_copies(kernel, rng):
 RELATIONS = {
     "shift": shifted_copies,
     "unit-innermost": lambda kernel, rng: [append_unit_loop(kernel)],
+    "offset-array": offset_copies,
 }
 
 

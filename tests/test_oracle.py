@@ -359,6 +359,52 @@ def test_oracle_analysis_output_is_pinned(kernels):
         "0daa2b878cdb14eca9b91e8a7032b8feebda8ab0111db6e0dc91191ed2b96514"
 
 
+def reference_overlap(blocks, trip):
+    """The per-window formula: every window built as a set and compared with
+    the next one, the pair across a carrier wrap skipped."""
+    inners, offsets = zip(*blocks)
+    windows = [{a + o for inner, o in zip(inners, row) for a in inner} for row in zip(*offsets)]
+    return max((len(a & b) for w, (a, b) in enumerate(itertools.pairwise(windows))
+                if w % trip != trip - 1), default=0)
+
+
+def random_blocks(rng: random.Random):
+    """(blocks, trip) of 1-4 streams over 1-4 carrier runs of trip 2-6.
+
+    A block holds 1-12 addresses, every block one address in about a third
+    of the cases.  A stream's offsets are affine in the carrier and outer
+    indices, or drawn at random; both repeat and go negative, and streams
+    that share their rates make translated windows."""
+    trip, runs = rng.randint(2, 6), rng.randint(1, 4)
+    one = rng.random() < 0.3
+    rates = (rng.randint(-3, 3), rng.randint(-9, 9))
+    blocks = []
+    for _ in range(rng.randint(1, 4)):
+        inner = set(rng.sample(range(-10, 30), 1 if one else rng.randint(1, 12)))
+        if rng.random() < 0.2:
+            offs = [rng.randint(-12, 12) for _ in range(trip * runs)]
+        else:
+            c, d = rates if rng.random() < 0.7 else (rng.randint(-3, 3), rng.randint(-9, 9))
+            base = rng.randint(-15, 15)
+            offs = [base + c * t + d * r for r in range(runs) for t in range(trip)]
+        blocks.append((inner, array("q", offs)))
+    return blocks, trip
+
+
+def test_overlap_matches_the_per_window_formula():
+    rng = random.Random(2024)
+    cases = [random_blocks(rng) for _ in range(4000)]
+    for blocks, trip in cases:
+        assert oracle._overlap(blocks, trip) == reference_overlap(blocks, trip), (blocks, trip)
+    # every path is taken: a lone one-address stream, rows of one-address
+    # blocks, and larger blocks with few and with many distinct placements
+    shapes = collections.Counter((len(b) == 1, all(len(i) == 1 for i, _ in b)) for b, _ in cases)
+    assert min(shapes.values()) > 200 and len(shapes) == 4
+    placements = [len({tuple(o[w] - b[0][1][w] for _, o in b) for w in range(len(b[0][1]))})
+                  for b, _ in cases if len(b) > 1 and max(len(i) for i, _ in b) > 1]
+    assert sum(p == 1 for p in placements) > 300 and sum(p > 4 for p in placements) > 600
+
+
 def test_alpha_skips_the_carrier_wrap():
     # the only shared address, a[i + 1], is across the j wrap
     k = parse_kernel("loop i = 0..3 { loop j = 0..2 { S: y[i][j] = a[i + j]; } }")
@@ -410,6 +456,28 @@ def test_replay_streams_are_the_middle_outer_iteration(monkeypatch, kernels):
 # ---------------------------------------------------------------------------
 # the column replay against a per-point reference
 
+class RegisterFile:
+    """Fill-once register file over one carrier window, one call per access:
+    the first distinct elements admitted model the prologue-preloaded
+    working set."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.held: set[int] = set()
+        self.window: object = None
+
+    def access(self, window, addr: int) -> bool:
+        if window != self.window:
+            self.window = window
+            self.held = set()
+        if addr in self.held:
+            return True
+        if len(self.held) < self.size:
+            self.held.add(addr)
+            return True
+        return False
+
+
 def reference_replay(kernel, alloc, policy=POLICY_ELEMENT, ports=1, cap=DEFAULT_CAP):
     """The per-point replay: a dict per point and one register-file call per event."""
     analysis = oracle_analysis(kernel, cap)
@@ -417,7 +485,7 @@ def reference_replay(kernel, alloc, policy=POLICY_ELEMENT, ports=1, cap=DEFAULT_
     events, depth_groups = oracle._event_schedule(kernel)
     levels = [sub for grp in depth_groups for sub in oracle._split_ports(events, grp, ports)]
 
-    files = {a: oracle._RegisterFile(alloc.beta[a]) for a in analysis}
+    files = {a: RegisterFile(alloc.beta[a]) for a in analysis}
     outer = kernel.loops[0]
     mid = outer.lower + (outer.trip // 2) * outer.step
 
@@ -469,8 +537,28 @@ def replay_allocations(kernel):
     return allocs
 
 
+#: three events of one array per point whose carrier is the innermost loop,
+#: so each carrier window is one point; a holds 2 registers, and the
+#: one-short allocation gives it a partial beta of 1
+ONE_POINT_WINDOWS = ("loop i = 0..6 { loop j = 0..40 {"
+                     " S0: x[i][j] = a[i][j] + a[i][j + 1]; S1: y[i][j] = a[i][j + 2]; } }")
+
+
+def bulk_replay_cases(kernels):
+    """The replay cases, one-point windows and 60 edge kernels."""
+    return replay_cases(kernels) + [parse_kernel(ONE_POINT_WINDOWS)] + \
+        [edge_kernel(random.Random(seed)) for seed in range(60)]
+
+
+def test_one_point_windows_replay_a_partial_beta():
+    k = parse_kernel(ONE_POINT_WINDOWS)
+    info = oracle_analysis(k)["a"]
+    assert (info["carrier"], info["required_regs"]) == (1, 2)
+    assert any(alloc.beta["a"] == 1 for alloc in replay_allocations(k))
+
+
 def test_replay_matches_reference_replay(kernels):
-    for kernel in replay_cases(kernels):
+    for kernel in bulk_replay_cases(kernels):
         for alloc in replay_allocations(kernel):
             for policy, ports in itertools.product(POLICIES, (1, 2, 3)):
                 cycles, columns = oracle_replay(kernel, alloc, policy, ports)

@@ -1,4 +1,4 @@
-"""The scripts run to completion: the walkthroughs print the paper's numbers, the digest is stable."""
+"""The scripts run to completion: the walkthroughs print the paper's numbers, the digests are stable."""
 
 import re
 import runpy
@@ -47,3 +47,11 @@ def test_output_digest_pinned(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["output_digest.py", "20"])
     assert run_script("output_digest.py", capsys) == \
         "2457 records 4a980f80791c321597c8096509bd0be505b0392692f0b0466bbd6831a1fd4323\n"
+
+
+def test_oracle_digest_pinned(capsys, monkeypatch):
+    # every oracle output on the corpus plus 20 random kernels: analysis,
+    # alpha at every level and each replay's cycles and hit columns
+    monkeypatch.setattr(sys, "argv", ["oracle_digest.py", "20"])
+    assert run_script("oracle_digest.py", capsys) == \
+        "1074 records 24b2829914d4077f52cb47161cb7104d5b1247fe6c099788d7ca0efdfe2a98b1\n"
