@@ -2,7 +2,9 @@
 """One SHA-256 over the oracle's outputs, to show a change to it changes none of them.
 
 Usage: ``oracle_digest.py [N]`` (default 100).  The records cover the bundled
-corpus plus N seeded ``random_kernel`` kernels: every ``oracle_analysis``
+corpus plus, for each of N seeds, one ``random_kernel`` of depth at most 3
+and at most 1,024 points and one of depth at most 4 and at most 4,000 points
+(seeded ``10**6 + seed``): every ``oracle_analysis``
 field; ``oracle_alpha`` of each array at every loop level; and, for each
 allocator at three budgets, the cycles and hit columns of ``oracle_replay``
 under both residency policies at 1 and 2 ports.  Prints the record count and
@@ -42,7 +44,9 @@ def kernel_records(kernel: sa.Kernel):
 def main(argv: list[str]) -> int:
     count = int(argv[0]) if argv else 100
     kernels = [sa.bundled_kernel(name) for name in sa.KERNEL_NAMES]
-    kernels += [sa.random_kernel(random.Random(seed)) for seed in range(count)]
+    for seed in range(count):
+        kernels.append(sa.random_kernel(random.Random(seed)))
+        kernels.append(sa.random_kernel(random.Random(10**6 + seed), max_depth=4, max_points=4000))
     digest = hashlib.sha256()
     records = 0
     for kernel in kernels:

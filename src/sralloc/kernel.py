@@ -122,7 +122,7 @@ class Loop:
     upper: int  # exclusive
     step: int = 1
 
-    @property
+    @cached_property  # kept in the instance dict; == and hash read only the fields
     def trip(self) -> int:
         return len(range(self.lower, self.upper, self.step))
 

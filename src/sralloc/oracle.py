@@ -6,9 +6,12 @@ in loop order, from the oracle's own per-dimension layout (one per kernel)
 rather than the analyzer's address forms, grown from the innermost loop
 outward by bulk copies once it is read.  A carrier window is one iteration
 of the loops down to the carrier, not a window in the analyzer's algebra:
-its offset plus the distinct addresses of the block inside it, built one
-array at a time; consecutive windows placed alike are compared once, and an
-array none of whose addresses occurs twice has no carrier.  The replay
+the distinct addresses of the block inside it, shifted by the run of the
+carrier loop and by the offset of its enclosing iteration, built one array
+at a time and never as an offset per point.  Windows are consecutive only
+inside one enclosing iteration; enclosing iterations placed alike, and
+pairs whose runs move alike, are compared once, and an array none of whose
+addresses occurs twice has no carrier.  The replay
 reads each array's events point-major over the middle outer iteration and
 gives each carrier window a fill-once register file, holding the window's
 first distinct addresses, instead of rank arithmetic; it levels
@@ -23,10 +26,10 @@ import random
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import chain, compress, cycle, islice, pairwise, repeat, starmap
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import chain, islice, pairwise, repeat, starmap
 from math import prod
-from operator import add, eq, sub
+from operator import add, and_, sub
 from typing import NamedTuple
 
 from .config import CapExceededError, DEFAULT_CAP, POLICIES, POLICY_ELEMENT, POLICY_STAGING
@@ -131,51 +134,70 @@ def _forwarded(kernel: Kernel) -> set[int]:
 # ---------------------------------------------------------------------------
 # reuse quantities from traces
 
-def _blocks(traces: list[AccessTrace], level: int) -> list[tuple[set[int], array]]:
-    """(distinct addresses of the block inside ``level``, each window's offset)
-    of each distinct stream; the block is relative, the offsets are not."""
+#: a stream's block inside a level, its run over the level, its enclosing offsets
+_Block = tuple[set[int], array, "array | tuple[int]"]
+
+
+def _blocks(traces: list[AccessTrace], level: int) -> list[_Block]:
+    """(distinct addresses of the block inside ``level``, the run over
+    ``level`` alone, the offset of each enclosing iteration) of each distinct
+    stream.  The block and the run are relative, the enclosing offsets are
+    not; a lone stream's enclosing iterations are translates of each other,
+    so it builds no enclosing column and its offset is ``(0,)``."""
     streams = {(t.array, t.ref.subscripts): t for t in traces}.values()
     return [(set(_address_stream(t.ref, t.layout, t.loops[level + 1:], relative=True)),
-             _address_stream(t.ref, t.layout, t.loops[:level + 1])) for t in streams]
+             _address_stream(t.ref, t.layout, t.loops[level:level + 1], relative=True),
+             _address_stream(t.ref, t.layout, t.loops[:level]) if len(streams) > 1 else (0,))
+            for t in streams]
 
 
-def _overlap(blocks: list[tuple[set[int], array]], trip: int) -> int:
-    """Max overlap of consecutive windows, each the union of every stream's
-    distinct addresses shifted by that window's offset; the pair that
-    straddles a wrap of the carrier loop is skipped.
+def _overlap(blocks: list[_Block]) -> int:
+    """Max overlap of consecutive windows inside one enclosing iteration, each
+    window the union of every stream's distinct addresses shifted by its
+    enclosing offset plus its run value; a pair across enclosing iterations
+    is not consecutive, so no pair is masked.
 
-    A lone one-address stream compares its offsets, and where every block is
-    one address each window is a row of addresses, compared in bulk.
-    Otherwise each pair is keyed by its placement: every stream's offset in
-    both windows, relative to the first stream's offset in the earlier one.
-    Pairs with equal keys overlap equally, since |(A+t) & (B+t)| = |A & B|.
-    A key builds two windows, so keys are used while they number at most
-    half the windows; else each window is built once and met twice.
+    Windows of enclosing iterations whose placements (each stream's enclosing
+    offset minus the first stream's) are equal are translates, and so are
+    pairs whose runs move alike, since |(A+t) & (B+t)| = |A & B|.  A lone
+    stream is therefore keyed by its run's moves alone.  Where every block is
+    one address, each distinct placement compares its windows as rows of
+    addresses.  Otherwise each pair is keyed by its runs: the first stream's
+    move and every other stream's run in both windows, relative to the first
+    stream's run in the earlier one.  A key builds two windows, so each
+    placement uses the keys while they number at most half its windows; else
+    each of its windows is built once and met twice.
     """
-    keep = [True] * (trip - 1) + [False]
-    if len(blocks) == 1 and len(blocks[0][0]) == 1:
-        offs = blocks[0][1]
-        return int(any(compress(map(eq, offs, islice(offs, 1, None)), cycle(keep))))
-    inners, offsets = zip(*blocks)
+    inners, runs, offsets = zip(*blocks)
+    first = runs[0]
+    moves = map(sub, islice(first, 1, None), first)
+    if len(blocks) == 1:
+        inner = inners[0]
+        return max((len(inner & {a + d for a in inner}) for d in set(moves)), default=0)
+    places = [(0,) + place for place in set(zip(*(map(sub, offs, offsets[0])
+                                                  for offs in offsets[1:])))]
 
     def window(shifts) -> set[int]:
         return {a + s for inner, s in zip(inners, shifts) for a in inner}
 
+    def rows(place, heads):  # each window's shift of every stream, plus its head
+        return zip(*(map(add, run, repeat(h + d)) for run, h, d in zip(runs, heads, place)))
+
     if max(map(len, inners)) == 1:
-        rows = zip(*(map(add, offs, repeat(a)) for (a,), offs in zip(inners, offsets)))
-        windows = map(set, rows)
+        heads = [a for (a,) in inners]
+        pairs = (pair for place in places for pair in pairwise(map(set, rows(place, heads))))
     else:
-        first = offsets[0]
-        cols = [map(sub, islice(first, 1, None), first)]
-        for offs in offsets[1:]:
-            cols += [map(sub, offs, first), map(sub, islice(offs, 1, None), first)]
-        keys = set(compress(zip(*cols), cycle(keep)))
+        cols = [moves]
+        for run in runs[1:]:
+            cols += [map(sub, run, first), map(sub, islice(run, 1, None), first)]
+        keys = set(zip(*cols))
         if 2 * len(keys) <= len(first):
-            return max((len(window((0,) + key[1::2]) & window(key[::2])) for key in keys),
-                       default=0)
-        windows = map(window, zip(*offsets))
-    return max(map(len, starmap(set.intersection, compress(pairwise(windows), cycle(keep)))),
-               default=0)
+            return max((len(window(map(add, place, (0,) + key[1::2]))
+                            & window(map(add, place, key[::2])))
+                        for place in places for key in keys), default=0)
+        pairs = (pair for place in places
+                 for pair in pairwise(map(window, rows(place, repeat(0)))))
+    return max(map(len, starmap(set.intersection, pairs)), default=0)
 
 
 def oracle_alpha(trc: AccessTrace | list[AccessTrace], carrier: int) -> int:
@@ -183,12 +205,12 @@ def oracle_alpha(trc: AccessTrace | list[AccessTrace], carrier: int) -> int:
 
     A carrier window is the distinct addresses of the trace's block over the
     inner loops, shifted by the carrier iteration's offset; a group's window
-    is the union over its traces.  The pair that straddles a wrap of the
-    carrier loop is not consecutive and is skipped.
+    is the union over its traces.  Windows are consecutive only inside one
+    iteration of the loops outside the carrier, so no pair straddles a wrap
+    of the carrier loop.
     """
     traces = trc if isinstance(trc, list) else [trc]
-    trip = traces[0].shape[carrier]
-    return _overlap(_blocks(traces, carrier), trip) if trip > 1 else 0
+    return _overlap(_blocks(traces, carrier)) if traces[0].shape[carrier] > 1 else 0
 
 
 def oracle_carrier(kernel: Kernel, traces: list[AccessTrace]) -> tuple[int | None, int]:
@@ -208,17 +230,18 @@ def _array_fields(kernel: Kernel, refs: list[ArrayRef], fwd: set[int], cap: int)
     traces = [trace(kernel, r, cap) for r in distinct.values()]
     points = iteration_space_size(kernel, 0)
     # loops that run once carry nothing; a stream's set is the union of its
-    # windows at the first loop that runs more (equal offsets, equal windows)
+    # windows at the first loop that runs more (equal offsets, equal windows),
+    # relative for a lone stream, whose set is counted only by its size
     first = next((lvl for lvl, lp in enumerate(kernel.loops) if lp.trip > 1), kernel.depth - 1)
     blocks = _blocks(traces, first)
-    sets = {key: {a + o for o in set(offs) for a in inner}
-            for key, (inner, offs) in zip(distinct, blocks)}
+    sets = {key: {a + o for o in {pre[0] + r for r in run} for a in inner}
+            for key, (inner, run, pre) in zip(distinct, blocks)}
     counted = [r for r in refs if r.ref_id not in fwd]
     after = sum(_union_size(map(sets.get, {r.subscripts for r in counted if r.access == acc}))
                 for acc in ("read", "write"))
     carrier, regs = None, 1
     if _union_size(sets.values()) < len(sets) * points:  # else no two windows can overlap
-        overlaps = chain([_overlap(blocks, kernel.loops[first].trip)],
+        overlaps = chain([_overlap(blocks)],
                          (oracle_alpha(traces, lvl) for lvl in range(first + 1, kernel.depth)))
         carrier, regs = next(((lvl, a) for lvl, a in enumerate(overlaps, first) if a > 0),
                              (None, 1))
@@ -347,7 +370,8 @@ def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
             for j, idx in enumerate(idxs):
                 cols[idx] = hits[j::m] if m > 1 else hits
 
-    cycles = sum(n - sum(map(all, zip(*(cols[i] for i in level)))) for level in levels)
+    # a level costs a cycle at each point where one of its events misses
+    cycles = sum(n - sum(reduce(partial(map, and_), (cols[i] for i in level))) for level in levels)
     return cycles, {name: [cols[i] for i in idxs] for name, idxs in rec.by_array.items()}
 
 

@@ -12,6 +12,7 @@ from sralloc import (
     KernelError,
     KernelSyntaxError,
     KernelValidationError,
+    Loop,
     bundled_kernels,
     iteration_space_size,
     kernel_source,
@@ -291,3 +292,16 @@ def test_kernel_refs_and_arrays_are_computed_once(monkeypatch):
     assert refs == k.refs == again.refs and arrays == k.arrays == again.arrays
     assert fresh == k and hash(fresh) == hash(k)
     assert kernel_to_source(fresh) == kernel_to_source(k)
+
+
+@pytest.mark.parametrize("bounds", [(0, 10, 1), (0, 10, 2), (3, 17, 3), (-4, 5, 4), (2, 3, 1)])
+def test_loop_trip_is_computed_once_and_leaves_eq_and_hash(bounds):
+    lower, upper, step = bounds
+    lp, fresh = (Loop("i", lower, upper, step) for _ in range(2))
+    before = hash(fresh)
+    assert "trip" not in fresh.__dict__
+    assert fresh.trip == len(range(lower, upper, step))
+    assert fresh.__dict__["trip"] == fresh.trip  # kept after the first read
+    assert fresh == lp and hash(fresh) == hash(lp) == before == hash(("i", lower, upper, step))
+    assert dataclasses.astuple(fresh) == ("i", lower, upper, step)
+    assert fresh != Loop("i", lower, upper + step, step)

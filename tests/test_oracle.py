@@ -359,50 +359,72 @@ def test_oracle_analysis_output_is_pinned(kernels):
         "0daa2b878cdb14eca9b91e8a7032b8feebda8ab0111db6e0dc91191ed2b96514"
 
 
-def reference_overlap(blocks, trip):
-    """The per-window formula: every window built as a set and compared with
-    the next one, the pair across a carrier wrap skipped."""
-    inners, offsets = zip(*blocks)
-    windows = [{a + o for inner, o in zip(inners, row) for a in inner} for row in zip(*offsets)]
-    return max((len(a & b) for w, (a, b) in enumerate(itertools.pairwise(windows))
-                if w % trip != trip - 1), default=0)
+def reference_overlap(blocks):
+    """The plain formula: every window of every enclosing iteration built as a
+    set, and each compared with the next one in the same enclosing iteration."""
+    inners, runs, offsets = zip(*blocks)
+    pairs = []
+    for outer in zip(*offsets):
+        windows = [{a + o + r for inner, o, r in zip(inners, outer, row) for a in inner}
+                   for row in zip(*runs)]
+        pairs += itertools.pairwise(windows)
+    return max((len(a & b) for a, b in pairs), default=0)
 
 
 def random_blocks(rng: random.Random):
-    """(blocks, trip) of 1-4 streams over 1-4 carrier runs of trip 2-6.
+    """1-4 streams, each (block, run, enclosing offsets) over a run of 1-8
+    values and 1-5 enclosing iterations.
 
     A block holds 1-12 addresses, every block one address in about a third
-    of the cases.  A stream's offsets are affine in the carrier and outer
-    indices, or drawn at random; both repeat and go negative, and streams
-    that share their rates make translated windows."""
-    trip, runs = rng.randint(2, 6), rng.randint(1, 4)
+    of the cases.  Each run and each enclosing column is affine or drawn at
+    random; both repeat and go negative, and streams that share their rates
+    make translated windows."""
+    trip, outer = rng.randint(1, 8), rng.randint(1, 5)
     one = rng.random() < 0.3
     rates = (rng.randint(-3, 3), rng.randint(-9, 9))
-    blocks = []
-    for _ in range(rng.randint(1, 4)):
-        inner = set(rng.sample(range(-10, 30), 1 if one else rng.randint(1, 12)))
+
+    def column(n: int, rate: int) -> array:
         if rng.random() < 0.2:
-            offs = [rng.randint(-12, 12) for _ in range(trip * runs)]
-        else:
-            c, d = rates if rng.random() < 0.7 else (rng.randint(-3, 3), rng.randint(-9, 9))
-            base = rng.randint(-15, 15)
-            offs = [base + c * t + d * r for r in range(runs) for t in range(trip)]
-        blocks.append((inner, array("q", offs)))
-    return blocks, trip
+            return array("q", [rng.randint(-12, 12) for _ in range(n)])
+        c = rate if rng.random() < 0.7 else rng.randint(-9, 9)
+        base = rng.randint(-15, 15)
+        return array("q", [base + c * v for v in range(n)])
+
+    return [(set(rng.sample(range(-10, 30), 1 if one else rng.randint(1, 12))),
+             column(trip, rates[0]), column(outer, rates[1]))
+            for _ in range(rng.randint(1, 4))]
+
+
+def overlap_path(blocks) -> str:
+    """The path ``_overlap`` takes on ``blocks``, re-derived from its rule."""
+    inners, runs, _ = zip(*blocks)
+    if len(blocks) == 1:
+        return "lone"
+    if max(map(len, inners)) == 1:
+        return "rows"
+    first = runs[0]
+    keys = {(first[t + 1] - first[t],) + tuple(x for run in runs[1:]
+                                                for x in (run[t] - first[t], run[t + 1] - first[t]))
+            for t in range(len(first) - 1)}
+    return "few keys" if 2 * len(keys) <= len(first) else "many keys"
 
 
 def test_overlap_matches_the_per_window_formula():
     rng = random.Random(2024)
     cases = [random_blocks(rng) for _ in range(4000)]
-    for blocks, trip in cases:
-        assert oracle._overlap(blocks, trip) == reference_overlap(blocks, trip), (blocks, trip)
-    # every path is taken: a lone one-address stream, rows of one-address
-    # blocks, and larger blocks with few and with many distinct placements
-    shapes = collections.Counter((len(b) == 1, all(len(i) == 1 for i, _ in b)) for b, _ in cases)
-    assert min(shapes.values()) > 200 and len(shapes) == 4
-    placements = [len({tuple(o[w] - b[0][1][w] for _, o in b) for w in range(len(b[0][1]))})
-                  for b, _ in cases if len(b) > 1 and max(len(i) for i, _ in b) > 1]
-    assert sum(p == 1 for p in placements) > 300 and sum(p > 4 for p in placements) > 600
+    for blocks in cases:
+        assert oracle._overlap(blocks) == reference_overlap(blocks), blocks
+    # every path is taken: a lone stream, rows of one-address blocks, larger
+    # blocks with few and with many distinct keys, and each of the last three
+    # with several placements of its enclosing iterations
+    def placements(blocks) -> int:
+        return len({tuple(o - offs[0] for o in offs)
+                    for offs in zip(*(offsets for _, _, offsets in blocks))})
+
+    paths = collections.Counter(map(overlap_path, cases))
+    assert len(paths) == 4 and min(paths.values()) > 600, paths
+    placed = collections.Counter(overlap_path(b) for b in cases if placements(b) > 1)
+    assert len(placed) == 3 and min(placed.values()) > 400, placed
 
 
 def test_alpha_skips_the_carrier_wrap():
@@ -568,8 +590,9 @@ def test_replay_matches_reference_replay(kernels):
 
 
 def test_oracle_analysis_memory_is_one_trace_per_reference():
-    # at most 8 bytes per point per reference; about 0.4x of that here, where
-    # only y's scan reaches the innermost loop and builds an offset per point
+    # a quarter of 8 bytes per point per reference; about 0.04x of that here:
+    # y's scan reaches the innermost loop, where it builds the run of that
+    # loop alone, no offset per point (an offset per point read about 0.40x)
     k = parse_kernel("loop i = 0..64 { loop j = 0..64 { loop k = 0..64 {"
                      " S: y[i][j] = a[j + k] + b[k]; } } }")
     oracle._analysis_cached.cache_clear()
@@ -579,7 +602,7 @@ def test_oracle_analysis_memory_is_one_trace_per_reference():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 8 * iteration_space_size(k, 0) * len(k.refs)
+    assert peak <= 0.25 * 8 * iteration_space_size(k, 0) * len(k.refs)
 
 
 def test_oracle_keeps_no_trace_when_the_outer_loop_runs_once():
@@ -602,9 +625,9 @@ def test_oracle_keeps_no_trace_when_the_outer_loop_runs_once():
     assert after_analysis - base <= 0.01 * unit
     # about 0.0x: the replay's streams are gone too
     assert after_replay - base <= 0.5 * unit
-    # about 0.44x: y's offsets at the innermost loop, one stream; no window
-    # is the whole trace held as Python ints
-    assert peak <= 1.5 * unit
+    # about 0.09x: no window is the whole trace held as Python ints, and y's
+    # scan at the innermost loop builds no offset per point (about 0.44x)
+    assert peak <= 0.25 * unit
 
 
 def test_replay_checks_the_cap_before_beta():

@@ -50,8 +50,9 @@ def test_output_digest_pinned(capsys, monkeypatch):
 
 
 def test_oracle_digest_pinned(capsys, monkeypatch):
-    # every oracle output on the corpus plus 20 random kernels: analysis,
-    # alpha at every level and each replay's cycles and hit columns
+    # every oracle output on the corpus plus 20 shallow and 20 depth-4 random
+    # kernels: analysis, alpha at every level and each replay's cycles and hit
+    # columns
     monkeypatch.setattr(sys, "argv", ["oracle_digest.py", "20"])
     assert run_script("oracle_digest.py", capsys) == \
-        "1074 records 24b2829914d4077f52cb47161cb7104d5b1247fe6c099788d7ca0efdfe2a98b1\n"
+        "1858 records 45b31ebedc233c10632ba8e6653852c6368c88dc0c50e1d01ed1871f37af65e0\n"
