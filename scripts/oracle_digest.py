@@ -5,7 +5,8 @@ Usage: ``oracle_digest.py [N]`` (default 100).  The records cover the bundled
 corpus plus, for each of N seeds, one ``random_kernel`` of depth at most 3
 and at most 1,024 points and one of depth at most 4 and at most 4,000 points
 (seeded ``10**6 + seed``): every ``oracle_analysis``
-field; ``oracle_alpha`` of each array at every loop level; and, for each
+field; ``oracle_alpha(kernel, array, level)`` of each array at every loop
+level, over all of the array's references; and, for each
 allocator at three budgets, the cycles and hit columns of ``oracle_replay``
 under both residency policies at 1 and 2 ports.  Prints the record count and
 the digest; run it on two checkouts and compare the line.
@@ -23,8 +24,7 @@ def kernel_records(kernel: sa.Kernel):
     analysis = sa.oracle_analysis(kernel)
     yield analysis
     for array in kernel.arrays:
-        traces = [sa.trace(kernel, r) for r in kernel.refs if r.array == array]
-        yield {array: [sa.oracle_alpha(traces, level) for level in range(kernel.depth)]}
+        yield {array: [sa.oracle_alpha(kernel, array, level) for level in range(kernel.depth)]}
     reuse = sa.analyze_all(kernel)
     n = len(reuse)
     for budget in (n, n + 10, n + 60):

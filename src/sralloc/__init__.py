@@ -3,7 +3,7 @@
 Pipeline: parse a kernel (or pick a bundled one), analyze per-array data
 reuse, run one of three register allocators, and evaluate the resulting
 allocation with a steady-state memory-cycle simulator.  A brute-force
-oracle revalidates every analytic quantity from exhaustive traces.
+oracle revalidates every analytic quantity from exhaustive address streams.
 """
 
 from .allocate import (
@@ -65,13 +65,10 @@ from .kernel import (
     parse_kernel_file,
 )
 from .oracle import (
-    AccessTrace,
     oracle_alpha,
     oracle_analysis,
-    oracle_carrier,
     oracle_replay,
     random_kernel,
-    trace,
 )
 from .reuse import (
     ReuseInfo,

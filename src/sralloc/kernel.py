@@ -337,10 +337,9 @@ class _TokenParser:
         _, label, line, _ = self.take("name")
         self.take("sym", ":")
         target = self.array_ref()
-        kind, assign, _, _ = self.peek()
-        if kind == "sym" and assign not in ("=", "+="):
+        if (assign := self.peek()[1]) not in ("=", "+="):
             self.error("expected '=' or '+='")
-        self.take("sym")
+        self.take()
         terms = [self.array_ref()]
         op = "add" if assign == "+=" else "copy"  # a one-term reduction still adds
         if self.peek()[1] in _OP_TOKEN:

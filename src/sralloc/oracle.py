@@ -1,17 +1,20 @@
 """Brute-force ground truth for the analytic modules.
 
 Everything here enumerates every iteration point and keeps its own
-bookkeeping.  A reference's trace is the linearized address at each point,
-in loop order, from the oracle's own per-dimension layout (one per kernel)
-rather than the analyzer's address forms, grown from the innermost loop
-outward by bulk copies once it is read.  A carrier window is one iteration
+bookkeeping.  A reference's address stream is the linearized address at
+each point, in loop order, from the oracle's own per-dimension layout (one
+per kernel) rather than the analyzer's address forms, grown from the
+innermost loop outward by bulk copies.  A carrier window is one iteration
 of the loops down to the carrier, not a window in the analyzer's algebra:
 the distinct addresses of the block inside it, shifted by the run of the
 carrier loop and by the offset of its enclosing iteration, built one array
 at a time and never as an offset per point.  Windows are consecutive only
-inside one enclosing iteration; enclosing iterations placed alike, and
-pairs whose runs move alike, are compared once, and an array none of whose
-addresses occurs twice has no carrier.  The replay
+inside one enclosing iteration, and enclosing iterations placed alike are
+compared once.  Where every stream of an array has the same run, a
+placement's windows are translates of one window, which is built once and
+met with itself shifted by each distinct move; otherwise each window is
+built once and met with the next.  An array none of whose addresses occurs
+twice has no carrier.  The replay
 reads each array's events point-major over the middle outer iteration and
 gives each carrier window a fill-once register file, holding the window's
 first distinct addresses, instead of rank arithmetic; it levels
@@ -23,11 +26,9 @@ rather than shared code, at the price of being slower.
 from __future__ import annotations
 
 import random
-import weakref
 from array import array
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial, reduce
-from itertools import chain, islice, pairwise, repeat, starmap
+from functools import lru_cache, partial, reduce
+from itertools import islice, pairwise, repeat
 from math import prod
 from operator import add, and_, sub
 from typing import NamedTuple
@@ -36,32 +37,8 @@ from .config import CapExceededError, DEFAULT_CAP, POLICIES, POLICY_ELEMENT, POL
 from .kernel import AffineExpr, ArrayRef, Kernel, Loop, iteration_space_size, parse_kernel
 
 
-@dataclass(frozen=True)
-class AccessTrace:
-    ref_id: int
-    array: str
-    access: str
-    shape: tuple[int, ...]  # trip count of each loop
-    ref: ArrayRef = field(repr=False)
-    layout: tuple[tuple[int, int], ...] = field(repr=False)
-    loops: tuple[Loop, ...] = field(repr=False)
-
-    @cached_property
-    def addrs(self) -> array:  # linearized address at every point, in loop order, once read
-        return _address_stream(self.ref, self.layout, self.loops)
-
-    def __len__(self) -> int:
-        return prod(self.shape)
-
-
-#: each live kernel's layouts, computed once; an entry dies with its kernel
-_LAYOUTS: weakref.WeakKeyDictionary[Kernel, dict] = weakref.WeakKeyDictionary()
-
-
 def _array_layouts(kernel: Kernel) -> dict[str, tuple[tuple[int, int], ...]]:
-    """Per-array (lo, hi) value range of each subscript dimension, once per kernel."""
-    if kernel in _LAYOUTS:
-        return _LAYOUTS[kernel]
+    """Per-array (lo, hi) value range of each subscript dimension."""
     bounds = {lp.index: (lp.lower, lp.upper - ((lp.upper - lp.lower - 1) % lp.step) - 1)
               for lp in kernel.loops}
     layouts: dict[str, list[list[int]]] = {}
@@ -75,8 +52,7 @@ def _array_layouts(kernel: Kernel) -> dict[str, tuple[tuple[int, int], ...]]:
                 hi += max(coef * blo, coef * bhi)
             dims[d][0] = min(dims[d][0], lo)
             dims[d][1] = max(dims[d][1], hi)
-    _LAYOUTS[kernel] = {a: tuple((lo, hi) for lo, hi in dims) for a, dims in layouts.items()}
-    return _LAYOUTS[kernel]
+    return {a: tuple((lo, hi) for lo, hi in dims) for a, dims in layouts.items()}
 
 
 def _address_stream(ref: ArrayRef, layout, loops, relative: bool = False) -> array:
@@ -110,13 +86,12 @@ def _address_stream(ref: ArrayRef, layout, loops, relative: bool = False) -> arr
     return block
 
 
-def trace(kernel: Kernel, ref: ArrayRef, cap: int = DEFAULT_CAP) -> AccessTrace:
-    """Exhaustive access trace of one static reference, in loop order."""
+def _points(kernel: Kernel, cap: int) -> int:
+    """The kernel's iteration-space size, checked against ``cap``."""
     points = iteration_space_size(kernel, 0)
     if points > cap:
         raise CapExceededError(f"iteration space {points} exceeds cap {cap}")
-    return AccessTrace(ref.ref_id, ref.array, ref.access, tuple(lp.trip for lp in kernel.loops),
-                       ref, _array_layouts(kernel)[ref.array], kernel.loops)
+    return points
 
 
 def _forwarded(kernel: Kernel) -> set[int]:
@@ -132,23 +107,23 @@ def _forwarded(kernel: Kernel) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# reuse quantities from traces
+# reuse quantities from address streams
 
 #: a stream's block inside a level, its run over the level, its enclosing offsets
 _Block = tuple[set[int], array, "array | tuple[int]"]
 
 
-def _blocks(traces: list[AccessTrace], level: int) -> list[_Block]:
+def _blocks(streams: list[ArrayRef], layout, loops: tuple[Loop, ...], level: int) -> list[_Block]:
     """(distinct addresses of the block inside ``level``, the run over
-    ``level`` alone, the offset of each enclosing iteration) of each distinct
-    stream.  The block and the run are relative, the enclosing offsets are
-    not; a lone stream's enclosing iterations are translates of each other,
-    so it builds no enclosing column and its offset is ``(0,)``."""
-    streams = {(t.array, t.ref.subscripts): t for t in traces}.values()
-    return [(set(_address_stream(t.ref, t.layout, t.loops[level + 1:], relative=True)),
-             _address_stream(t.ref, t.layout, t.loops[level:level + 1], relative=True),
-             _address_stream(t.ref, t.layout, t.loops[:level]) if len(streams) > 1 else (0,))
-            for t in streams]
+    ``level`` alone, the offset of each enclosing iteration) of each of one
+    array's ``streams``, references with distinct subscripts.  The block and
+    the run are relative, the enclosing offsets are not; a lone stream's
+    enclosing iterations are translates of each other, so it builds no
+    enclosing column and its offset is ``(0,)``."""
+    return [(set(_address_stream(r, layout, loops[level + 1:], relative=True)),
+             _address_stream(r, layout, loops[level:level + 1], relative=True),
+             _address_stream(r, layout, loops[:level]) if len(streams) > 1 else (0,))
+            for r in streams]
 
 
 def _overlap(blocks: list[_Block]) -> int:
@@ -157,66 +132,51 @@ def _overlap(blocks: list[_Block]) -> int:
     enclosing offset plus its run value; a pair across enclosing iterations
     is not consecutive, so no pair is masked.
 
-    Windows of enclosing iterations whose placements (each stream's enclosing
-    offset minus the first stream's) are equal are translates, and so are
-    pairs whose runs move alike, since |(A+t) & (B+t)| = |A & B|.  A lone
-    stream is therefore keyed by its run's moves alone.  Where every block is
-    one address, each distinct placement compares its windows as rows of
-    addresses.  Otherwise each pair is keyed by its runs: the first stream's
-    move and every other stream's run in both windows, relative to the first
-    stream's run in the earlier one.  A key builds two windows, so each
-    placement uses the keys while they number at most half its windows; else
-    each of its windows is built once and met twice.
+    Enclosing iterations whose placements (each stream's enclosing offset
+    minus the first stream's) are equal hold translated windows, so each
+    distinct placement is compared once, since |(A+t) & (B+t)| = |A & B|.
+    When every stream has the same run, a placement's windows are
+    translates of its window W by the run, so a pair that moves by d
+    overlaps in |W & (W + d)|, one per distinct move.  Otherwise each window
+    is built once and met with the next one; where every block is one
+    address, a window is the row of its streams' shifted heads.
     """
     inners, runs, offsets = zip(*blocks)
-    first = runs[0]
-    moves = map(sub, islice(first, 1, None), first)
-    if len(blocks) == 1:
-        inner = inners[0]
-        return max((len(inner & {a + d for a in inner}) for d in set(moves)), default=0)
-    places = [(0,) + place for place in set(zip(*(map(sub, offs, offsets[0])
-                                                  for offs in offsets[1:])))]
+    places = set(zip(*(map(sub, offs, offsets[0]) for offs in offsets)))
 
     def window(shifts) -> set[int]:
         return {a + s for inner, s in zip(inners, shifts) for a in inner}
+
+    first = runs[0]
+    if all(run == first for run in runs[1:]):
+        moves = set(map(sub, islice(first, 1, None), first))
+        return max((len(w & {a + d for a in w}) for w in map(window, places) for d in moves),
+                   default=0)
 
     def rows(place, heads):  # each window's shift of every stream, plus its head
         return zip(*(map(add, run, repeat(h + d)) for run, h, d in zip(runs, heads, place)))
 
     if max(map(len, inners)) == 1:
         heads = [a for (a,) in inners]
-        pairs = (pair for place in places for pair in pairwise(map(set, rows(place, heads))))
+        windows = (map(set, rows(place, heads)) for place in places)
     else:
-        cols = [moves]
-        for run in runs[1:]:
-            cols += [map(sub, run, first), map(sub, islice(run, 1, None), first)]
-        keys = set(zip(*cols))
-        if 2 * len(keys) <= len(first):
-            return max((len(window(map(add, place, (0,) + key[1::2]))
-                            & window(map(add, place, key[::2])))
-                        for place in places for key in keys), default=0)
-        pairs = (pair for place in places
-                 for pair in pairwise(map(window, rows(place, repeat(0)))))
-    return max(map(len, starmap(set.intersection, pairs)), default=0)
+        windows = (map(window, rows(place, repeat(0))) for place in places)
+    return max((len(a & b) for ws in windows for a, b in pairwise(ws)), default=0)
 
 
-def oracle_alpha(trc: AccessTrace | list[AccessTrace], carrier: int) -> int:
-    """Max overlap of consecutive carrier-iteration working sets in a trace.
+def oracle_alpha(kernel: Kernel, array: str, level: int, cap: int = DEFAULT_CAP) -> int:
+    """Max overlap of consecutive carrier windows of ``array`` at loop ``level``.
 
-    A carrier window is the distinct addresses of the trace's block over the
-    inner loops, shifted by the carrier iteration's offset; a group's window
-    is the union over its traces.  Windows are consecutive only inside one
-    iteration of the loops outside the carrier, so no pair straddles a wrap
-    of the carrier loop.
+    A carrier window is one iteration of the loops down to ``level``: the
+    distinct addresses of each of the array's streams over the inner loops,
+    shifted by the iteration's offset, united over the streams.  Windows are
+    consecutive only inside one iteration of the loops outside ``level``, so
+    no pair straddles a wrap of that loop, and a loop that runs once has none.
     """
-    traces = trc if isinstance(trc, list) else [trc]
-    return _overlap(_blocks(traces, carrier)) if traces[0].shape[carrier] > 1 else 0
-
-
-def oracle_carrier(kernel: Kernel, traces: list[AccessTrace]) -> tuple[int | None, int]:
-    """(carrier level, registers) recomputed from exhaustive traces."""
-    overlaps = (oracle_alpha(traces, level) for level in range(kernel.depth))
-    return next(((lvl, a) for lvl, a in enumerate(overlaps) if a > 0), (None, 1))
+    _points(kernel, cap)
+    layout = _array_layouts(kernel)[array]
+    streams = list({r.subscripts: r for r in kernel.refs if r.array == array}.values())
+    return _overlap(_blocks(streams, layout, kernel.loops, level))
 
 
 def _union_size(sets) -> int:
@@ -224,16 +184,16 @@ def _union_size(sets) -> int:
     return len(first.union(*rest) if rest else first)  # a lone set is not copied
 
 
-def _array_fields(kernel: Kernel, refs: list[ArrayRef], fwd: set[int], cap: int) -> dict:
-    """One array's fields from its distinct streams, each traced once."""
+def _array_fields(kernel: Kernel, refs: list[ArrayRef], layout, fwd: set[int],
+                  points: int) -> dict:
+    """One array's fields from its distinct streams, each built once per level."""
     distinct = {r.subscripts: r for r in refs}
-    traces = [trace(kernel, r, cap) for r in distinct.values()]
-    points = iteration_space_size(kernel, 0)
+    streams = list(distinct.values())
     # loops that run once carry nothing; a stream's set is the union of its
     # windows at the first loop that runs more (equal offsets, equal windows),
     # relative for a lone stream, whose set is counted only by its size
-    first = next((lvl for lvl, lp in enumerate(kernel.loops) if lp.trip > 1), kernel.depth - 1)
-    blocks = _blocks(traces, first)
+    levels = [lvl for lvl, lp in enumerate(kernel.loops) if lp.trip > 1] or [kernel.depth - 1]
+    blocks = _blocks(streams, layout, kernel.loops, levels[0])
     sets = {key: {a + o for o in {pre[0] + r for r in run} for a in inner}
             for key, (inner, run, pre) in zip(distinct, blocks)}
     counted = [r for r in refs if r.ref_id not in fwd]
@@ -241,10 +201,9 @@ def _array_fields(kernel: Kernel, refs: list[ArrayRef], fwd: set[int], cap: int)
                 for acc in ("read", "write"))
     carrier, regs = None, 1
     if _union_size(sets.values()) < len(sets) * points:  # else no two windows can overlap
-        overlaps = chain([_overlap(blocks)],
-                         (oracle_alpha(traces, lvl) for lvl in range(first + 1, kernel.depth)))
-        carrier, regs = next(((lvl, a) for lvl, a in enumerate(overlaps, first) if a > 0),
-                             (None, 1))
+        overlaps = (_overlap(blocks if lvl == levels[0] else
+                             _blocks(streams, layout, kernel.loops, lvl)) for lvl in levels)
+        carrier, regs = next(((lvl, a) for lvl, a in zip(levels, overlaps) if a > 0), (None, 1))
     total = len(counted) * points
     return {"carrier": carrier, "required_regs": regs, "total": total, "after": after,
             "save": total - after, "forwarded_store": any(r.ref_id in fwd for r in refs)}
@@ -263,21 +222,22 @@ class _Record(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _analysis_cached(kernel: Kernel, cap: int) -> _Record:
-    fwd, refs = _forwarded(kernel), kernel.refs
+    points, fwd, refs = _points(kernel, cap), _forwarded(kernel), kernel.refs
+    layouts = _array_layouts(kernel)
     # one array at a time: an array's streams are gone before the next one's are built
-    arrays = {a: _array_fields(kernel, [r for r in refs if r.array == a], fwd, cap)
+    arrays = {a: _array_fields(kernel, [r for r in refs if r.array == a], layouts[a], fwd, points)
               for a in kernel.arrays}
     outer = kernel.loops[0]
     mid = outer.lower + (outer.trip // 2) * outer.step
     events, depth_groups = _event_schedule(kernel)
     by_array = {a: [i for i, (_, r) in enumerate(events) if r.array == a]
                 for a in dict.fromkeys(r.array for _, r in events)}
-    return _Record(arrays, _array_layouts(kernel), (Loop(outer.index, mid, mid + 1),)
+    return _Record(arrays, layouts, (Loop(outer.index, mid, mid + 1),)
                    + kernel.loops[1:], events, depth_groups, by_array)
 
 
 def oracle_analysis(kernel: Kernel, cap: int = DEFAULT_CAP) -> dict[str, dict]:
-    """Carrier, registers, and counts per array, all trace-derived."""
+    """Carrier, registers, and counts per array, all from address streams."""
     return {a: dict(v) for a, v in _analysis_cached(kernel, cap).arrays.items()}
 
 
@@ -385,8 +345,9 @@ def random_kernel(rng: random.Random, max_depth: int = 3, max_trip: int = 16,
                   max_points: int = 1024) -> Kernel:
     """Small random affine kernel exercising self and group reuse.
 
-    Bounds follow the agreement-suite limits: at most three loops, trip
-    counts bounded by ``max_trip``, subscript coefficients in [-2, 2].
+    Bounds follow the agreement-suite limits: at most ``max_depth`` loops,
+    trip counts bounded by ``max_trip`` and at most ``max_points`` points,
+    subscript coefficients in [-2, 2].
     """
     depth = rng.randint(1, max_depth)
     while True:

@@ -124,7 +124,7 @@ def test_validation_errors(src, match):
 
 #: SHA-256 over every outcome of the mutation test below; a change to what
 #: the parser accepts, builds or reports, or to the rendered corpus, moves it
-MUTATION_OUTCOMES_SHA256 = "c66a35d61eaac9d9723abf4e65201d0013a9f361859ce9cee6ddfb20690b8d54"
+MUTATION_OUTCOMES_SHA256 = "a4412a932565ad6e2b91036ae2581b68475ec43bf367b2bdab9cebf5299a7c7d"
 
 SIGNED_SOURCE = """\
 param N = 4;
@@ -173,6 +173,8 @@ def test_syntax_error_carries_position():
     ("loop i = 0..4 {\n  loop j = 0..i\n  { S: y[i] = x[j]; } }", "non-constant bound", 2, 15),
     ("param N = 3;\nloop i = 0..4 {\n  S: y[i] = N\n[i]; }", "'N' is not an array", 3, 13),
     ("loop i = 0..4 {\n  S: y[i] *\n x[i]; }", "expected '=' or '\\+='", 2, 11),
+    # any token but '=' or '+=' after the target, a name included
+    ("loop i = 0..4 { S: y[i] x[i]; }", "expected '=' or '\\+='", 1, 25),
     ("loop i = 0..4 { S: y[i] = x[i] @ }", "unexpected character '@'", 1, 32),
     ("loop i = 0..4 { S: y[i] =    @x[i]; }", "unexpected character '@'", 1, 30),
     # digits and names are ASCII only

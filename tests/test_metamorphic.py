@@ -16,6 +16,9 @@ beta at budgets n, n + 10 and n + 60 for n arrays, and each allocation's
   dimension: the array's box moves and the answers stay.
 - Run a loop of T iterations as ``L..L + s*T step s``: it must answer as
   the loop ``0..T`` whose index every subscript reads as ``L + s*i``.
+- Reverse the order of every array's subscripts, in every reference: the
+  layout's strides change and the answers stay, since reuse is equality of
+  elements, not of addresses.
 
 Some rewrites change the answers on purpose and are not relations:
 renaming an array, because ties break by name; loop interchange and
@@ -45,6 +48,13 @@ from sralloc import (
 SEEDS = range(30)
 
 
+def map_refs(kernel, sub):
+    """``kernel`` with every reference, in every statement, replaced by ``sub(ref)``."""
+    statements = tuple(dataclasses.replace(s, write=sub(s.write), reads=tuple(map(sub, s.reads)))
+                       for s in kernel.statements)
+    return dataclasses.replace(kernel, statements=statements)
+
+
 def rewrite_loop(kernel, level: int, loop, start: int = 0, scale: int = 1):
     """Loop ``level`` replaced by ``loop``, and every subscript reads its index
     ``i`` as ``start + scale*i``."""
@@ -57,9 +67,7 @@ def rewrite_loop(kernel, level: int, loop, start: int = 0, scale: int = 1):
         return dataclasses.replace(ref, subscripts=exprs)
 
     loops = kernel.loops[:level] + (loop,) + kernel.loops[level + 1:]
-    statements = tuple(dataclasses.replace(s, write=sub(s.write), reads=tuple(map(sub, s.reads)))
-                       for s in kernel.statements)
-    return dataclasses.replace(kernel, loops=loops, statements=statements)
+    return dataclasses.replace(map_refs(kernel, sub), loops=loops)
 
 
 def shift_loop(kernel, level: int, c: int):
@@ -88,9 +96,7 @@ def offset_array(kernel, array: str, consts):
         exprs = tuple(AffineExpr(e.const + c, e.terms) for e, c in zip(ref.subscripts, consts))
         return dataclasses.replace(ref, subscripts=exprs)
 
-    statements = tuple(dataclasses.replace(s, write=sub(s.write), reads=tuple(map(sub, s.reads)))
-                       for s in kernel.statements)
-    return dataclasses.replace(kernel, statements=statements)
+    return map_refs(kernel, sub)
 
 
 def offset_copies(kernel, rng):
@@ -98,6 +104,11 @@ def offset_copies(kernel, rng):
     dims = {r.array: len(r.subscripts) for r in kernel.refs}
     return [offset_array(kernel, a, [rng.choice([-9, -2, 1, 6]) for _ in range(dims[a])])
             for a in kernel.arrays]
+
+
+def reverse_dims(kernel):
+    """Every array's subscripts in reverse order, in every reference."""
+    return map_refs(kernel, lambda ref: dataclasses.replace(ref, subscripts=ref.subscripts[::-1]))
 
 
 def append_unit_loop(kernel):
@@ -116,6 +127,7 @@ RELATIONS = {
     "shift": shifted_copies,
     "unit-innermost": lambda kernel, rng: [append_unit_loop(kernel)],
     "offset-array": offset_copies,
+    "reverse-dims": lambda kernel, rng: [reverse_dims(kernel)],
 }
 
 

@@ -1,13 +1,11 @@
 import collections
 import dataclasses
-import gc
 import hashlib
 import itertools
 import json
 import random
 import re
 import tracemalloc
-import weakref
 from array import array
 from itertools import product
 
@@ -32,13 +30,11 @@ from sralloc import (
     manual_allocation,
     oracle_alpha,
     oracle_analysis,
-    oracle_carrier,
     oracle_replay,
     parse_kernel,
     random_kernel,
     run_allocator,
     steady_state_cycles,
-    trace,
 )
 from sralloc import oracle
 
@@ -48,38 +44,48 @@ def ref_of(kernel, array, access="read"):
                 and not r.implicit)
 
 
+def stream(kernel, ref):
+    """The oracle's address stream of ``ref`` over the whole nest."""
+    return oracle._address_stream(ref, oracle._array_layouts(kernel)[ref.array], kernel.loops)
+
+
+def carrier_scan(kernel, array):
+    """(carrier level, registers): the first level whose alpha is positive."""
+    alphas = [oracle_alpha(kernel, array, level) for level in range(kernel.depth)]
+    return next(((lvl, a) for lvl, a in enumerate(alphas) if a > 0), (None, 1))
+
+
 def test_trace_example_a(example):
-    t = trace(example, ref_of(example, "a"))
-    assert len(t) == 60000
-    assert len(set(t.addrs)) == 30
+    addrs = stream(example, ref_of(example, "a"))
+    assert len(addrs) == 60000
+    assert len(set(addrs)) == 30
 
 
 def test_trace_single_iteration():
     k = parse_kernel("loop i = 0..1 { S: y[i] = x[i]; }")
-    t = trace(k, ref_of(k, "x"))
-    assert len(t) == 1
+    assert len(stream(k, ref_of(k, "x"))) == 1
 
 
 def test_trace_mat_b(kernels):
     mat = kernels["mat"]
-    t = trace(mat, ref_of(mat, "b"))
-    assert len(t) == 4096
-    assert len(set(t.addrs)) == 256
+    addrs = stream(mat, ref_of(mat, "b"))
+    assert len(addrs) == 4096
+    assert len(set(addrs)) == 256
 
 
 def test_trace_cap(example):
-    with pytest.raises(CapExceededError):
-        trace(example, ref_of(example, "a"), cap=100)
+    with pytest.raises(CapExceededError, match="iteration space 60000 exceeds cap 100"):
+        oracle_alpha(example, "a", 0, cap=100)
+    with pytest.raises(CapExceededError, match="iteration space 60000 exceeds cap 100"):
+        oracle_analysis(example, cap=100)
 
 
 def test_oracle_alpha_examples(example, kernels):
-    assert oracle_alpha(trace(example, ref_of(example, "b")), carrier=0) == 600
-    fir = kernels["fir"]
-    assert oracle_alpha(trace(fir, ref_of(fir, "in")), carrier=0) == 51
+    assert oracle_alpha(example, "b", 0) == 600
+    assert oracle_alpha(kernels["fir"], "in", 0) == 51
     # a full-rank reference never overlaps + the carrier scan floors at one
-    e_trace = trace(example, ref_of(example, "e", "write"))
-    assert oracle_alpha(e_trace, carrier=0) == 0
-    assert oracle_carrier(example, [e_trace]) == (None, 1)
+    assert oracle_alpha(example, "e", 0) == 0
+    assert carrier_scan(example, "e") == (None, 1)
 
 
 def test_oracle_residency_cycles_example(example, example_reuse):
@@ -188,16 +194,15 @@ def reference_alpha(entries, carrier, step):
 
 
 def assert_matches_reference(kernel):
-    traces = {r.ref_id: trace(kernel, r) for r in kernel.refs}
     entries = {r.ref_id: reference_trace(kernel, r) for r in kernel.refs}
-    for rid, t in traces.items():
-        assert t.shape == tuple(lp.trip for lp in kernel.loops)
-        assert list(t.addrs) == [addr for _, addr in entries[rid]], (kernel.name, rid)
-    for group in ([r.ref_id for r in kernel.refs if r.array == a] for a in kernel.arrays):
+    for r in kernel.refs:
+        assert list(stream(kernel, r)) == [addr for _, addr in entries[r.ref_id]], \
+            (kernel.name, r.ref_id)
+    for array in kernel.arrays:
+        group = [r.ref_id for r in kernel.refs if r.array == array]
         for level, lp in enumerate(kernel.loops):
             want = reference_alpha([entries[rid] for rid in group], level, lp.step)
-            got = oracle_alpha([traces[rid] for rid in group], level)
-            assert got == want, (kernel.name, group, level)
+            assert oracle_alpha(kernel, array, level) == want, (kernel.name, group, level)
 
 
 #: one array read (or read and written) through several references, so
@@ -314,40 +319,49 @@ def test_address_stream_matches_the_chunked_builder(kernels):
 
 
 def test_analysis_traces_each_distinct_stream_once(monkeypatch, kernels):
-    real = oracle.trace
-    built = collections.Counter()
+    # every level an array's scan builds gets each of its distinct streams once
+    real = oracle._blocks
+    calls = []
 
-    def spy(kernel, ref, cap=DEFAULT_CAP):
-        built[ref.array, tuple(map(str, ref.subscripts))] += 1
-        return real(kernel, ref, cap)
+    def spy(streams, layout, loops, level):
+        calls.append(sorted((r.array, tuple(map(str, r.subscripts))) for r in streams))
+        return real(streams, layout, loops, level)
 
-    monkeypatch.setattr(oracle, "trace", spy)
+    monkeypatch.setattr(oracle, "_blocks", spy)
     oracle._analysis_cached.cache_clear()
     shared = 0
     for kernel in replay_cases(kernels):
-        built.clear()
+        calls.clear()
         oracle_analysis(kernel)
         keys = {(r.array, tuple(map(str, r.subscripts))) for r in kernel.refs}
-        assert built == dict.fromkeys(keys, 1), kernel.name
+        for built in calls:
+            assert built == sorted(k for k in keys if k[0] == built[0][0]), kernel.name
+        assert {built[0][0] for built in calls} == set(kernel.arrays), kernel.name
         shared += len(kernel.refs) - len(keys)
     assert shared > 0
 
 
-def test_layouts_are_computed_once_per_kernel_object():
+def test_layouts_are_computed_once_per_kernel_object(monkeypatch):
+    # one layout computation per analysis, and every replay reads the
+    # analysis record's layouts
     source = "loop i = 0..6 { loop j = 0..5 { S: y[i][j] = a[i + j] * b[2*j - i]; } }"
     k = parse_kernel(source)
+    real = oracle._array_layouts
+    made = []
+
+    def spy(kernel):
+        made.append(real(kernel))
+        return made[-1]
+
+    monkeypatch.setattr(oracle, "_array_layouts", spy)
     oracle._analysis_cached.cache_clear()
-    layouts = oracle._array_layouts(k)
-    assert oracle._array_layouts(k) is layouts
-    assert oracle._analysis_cached(k, DEFAULT_CAP).layouts is layouts
-    # the entry dies with its kernel, so a kernel parsed again computes its own
-    alive = weakref.ref(k)
-    oracle._analysis_cached.cache_clear()
-    del k
-    gc.collect()
-    assert alive() is None
-    again = oracle._array_layouts(parse_kernel(source))
-    assert again == layouts and again is not layouts
+    oracle_analysis(k)
+    assert len(made) == 1
+    assert oracle._analysis_cached(k, DEFAULT_CAP).layouts is made[0]
+    for alloc in replay_allocations(k):
+        for policy in POLICIES:
+            oracle_replay(k, alloc, policy)
+    assert len(made) == 1
 
 
 def test_oracle_analysis_output_is_pinned(kernels):
@@ -396,17 +410,15 @@ def random_blocks(rng: random.Random):
 
 
 def overlap_path(blocks) -> str:
-    """The path ``_overlap`` takes on ``blocks``, re-derived from its rule."""
-    inners, runs, _ = zip(*blocks)
-    if len(blocks) == 1:
-        return "lone"
-    if max(map(len, inners)) == 1:
-        return "rows"
-    first = runs[0]
-    keys = {(first[t + 1] - first[t],) + tuple(x for run in runs[1:]
-                                                for x in (run[t] - first[t], run[t + 1] - first[t]))
-            for t in range(len(first) - 1)}
-    return "few keys" if 2 * len(keys) <= len(first) else "many keys"
+    """The path ``_overlap`` takes on ``blocks``, re-derived from its rule,
+    and whether its enclosing iterations have several placements."""
+    inners, runs, offsets = zip(*blocks)
+    places = {tuple(o - offs[0] for o in offs) for offs in zip(*offsets)}
+    if all(run == runs[0] for run in runs[1:]):
+        path = "translates"
+    else:
+        path = "rows" if max(map(len, inners)) == 1 else "every window"
+    return path, len(places) > 1
 
 
 def test_overlap_matches_the_per_window_formula():
@@ -414,28 +426,28 @@ def test_overlap_matches_the_per_window_formula():
     cases = [random_blocks(rng) for _ in range(4000)]
     for blocks in cases:
         assert oracle._overlap(blocks) == reference_overlap(blocks), blocks
-    # every path is taken: a lone stream, rows of one-address blocks, larger
-    # blocks with few and with many distinct keys, and each of the last three
-    # with several placements of its enclosing iterations
-    def placements(blocks) -> int:
-        return len({tuple(o - offs[0] for o in offs)
-                    for offs in zip(*(offsets for _, _, offsets in blocks))})
-
-    paths = collections.Counter(map(overlap_path, cases))
-    assert len(paths) == 4 and min(paths.values()) > 600, paths
-    placed = collections.Counter(overlap_path(b) for b in cases if placements(b) > 1)
-    assert len(placed) == 3 and min(placed.values()) > 400, placed
+    # streams that share one run, so that several streams' windows are
+    # translates too: each of the first 1,000 cases with every run the first
+    shared = [[(inner, blocks[0][1], offsets) for inner, _, offsets in blocks]
+              for blocks in cases[:1000]]
+    for blocks in shared:
+        assert oracle._overlap(blocks) == reference_overlap(blocks), blocks
+    # every path is taken, each with one and with several placements of its
+    # enclosing iterations: translated windows, rows of one-address blocks,
+    # and every window built
+    paths = collections.Counter(map(overlap_path, cases + shared))
+    assert len(paths) == 6 and min(paths.values()) > 300, paths
 
 
 def test_alpha_skips_the_carrier_wrap():
     # the only shared address, a[i + 1], is across the j wrap
     k = parse_kernel("loop i = 0..3 { loop j = 0..2 { S: y[i][j] = a[i + j]; } }")
-    assert oracle_alpha(trace(k, ref_of(k, "a")), carrier=1) == 0
-    assert oracle_alpha(trace(k, ref_of(k, "a")), carrier=0) == 1
+    assert oracle_alpha(k, "a", 1) == 0
+    assert oracle_alpha(k, "a", 0) == 1
     # a unit-trip carrier has no consecutive pair at all
     k = parse_kernel("loop i = 0..3 { loop j = 0..1 { loop k = 0..4 { S: y[k] = a[k]; } } }")
-    assert oracle_alpha(trace(k, ref_of(k, "a")), carrier=1) == 0
-    assert oracle_alpha(trace(k, ref_of(k, "a")), carrier=0) == 4
+    assert oracle_alpha(k, "a", 1) == 0
+    assert oracle_alpha(k, "a", 0) == 4
 
 
 def replay_cases(kernels):
@@ -450,14 +462,14 @@ def test_replay_streams_are_the_middle_outer_iteration(monkeypatch, kernels):
     seen = []
 
     def spy(ref, layout, loops):
-        stream = real(ref, layout, loops)
-        seen.append((ref, stream))
-        return stream
+        built = real(ref, layout, loops)
+        seen.append((ref, built))
+        return built
 
     cases = replay_cases(kernels)
     streamed = []
     for kernel in cases:
-        full = {r.ref_id: trace(kernel, r).addrs for r in kernel.refs}
+        full = {r.ref_id: stream(kernel, r) for r in kernel.refs}
         outer = kernel.loops[0]
         width = iteration_space_size(kernel, 0) // outer.trip
         start = (outer.trip // 2) * width
@@ -470,8 +482,8 @@ def test_replay_streams_are_the_middle_outer_iteration(monkeypatch, kernels):
                 oracle_replay(kernel, alloc)
         if seen:
             streamed.append(kernel.name)
-        for ref, stream in seen:
-            assert stream == full[ref.ref_id][start:start + width], (kernel.name, ref.ref_id)
+        for ref, built in seen:
+            assert built == full[ref.ref_id][start:start + width], (kernel.name, ref.ref_id)
     assert len(streamed) >= len(cases) // 2  # 75 of 119
 
 
@@ -666,15 +678,15 @@ def test_oracle_replay_output_is_pinned(kernels):
 def test_no_repeat_shortcut_agrees_with_the_carrier_scan(kernels):
     # an array none of whose addresses occurs twice skips the level scan, and
     # one with a repeat scans from its first loop that runs more than once;
-    # either way the full scan over the same traces gives the same answer
+    # either way the full per-level scan over the same streams gives the same answer
     fired = []
     for kernel in list(kernels.values()) + [random_kernel(random.Random(s)) for s in range(300)]:
         got = oracle_analysis(kernel)
         for array in kernel.arrays:
-            traces = [trace(kernel, r) for r in kernel.refs if r.array == array]
-            assert oracle_carrier(kernel, traces) == \
+            assert carrier_scan(kernel, array) == \
                 (got[array]["carrier"], got[array]["required_regs"]), (kernel.name, array)
-            addrs = [t.addrs for t in {t.ref.subscripts: t for t in traces}.values()]
+            refs = {r.subscripts: r for r in kernel.refs if r.array == array}.values()
+            addrs = [stream(kernel, r) for r in refs]
             if len(set().union(*addrs)) == sum(map(len, addrs)):
                 fired.append((kernel.name, array))
     assert ("example", "e") in fired
