@@ -25,6 +25,9 @@ OUTPUT_FORMATS = ("table", "json", "csv")
 #: default iteration-space cap for exhaustive enumeration
 DEFAULT_CAP = 10_000_000
 
+#: widest address range, in elements, that one bitset may span (16 MiB)
+MAX_ADDRESS_BITS = 1 << 27
+
 
 class CapExceededError(RuntimeError):
     """Work past a cap: the configured enumeration cap or a fixed ceiling."""

@@ -1,24 +1,24 @@
 """Brute-force ground truth for the analytic modules.
 
-Everything here enumerates every iteration point and keeps its own
-bookkeeping.  A reference's address stream is the linearized address at
-each point, in loop order, from the oracle's own per-dimension layout (one
-per kernel) rather than the analyzer's address forms, grown from the
-innermost loop outward by bulk copies.  A carrier window is one iteration
-of the loops down to the carrier, not a window in the analyzer's algebra:
-the distinct addresses of the block inside it, shifted by the run of the
-carrier loop and by the offset of its enclosing iteration, built one array
-at a time and never as an offset per point.  Windows are consecutive only
-inside one enclosing iteration, and enclosing iterations placed alike are
-compared once.  Where every stream of an array has the same run, a
-placement's windows are translates of one window, which is built once and
-met with itself shifted by each distinct move; otherwise each window is
-built once and met with the next.  An array none of whose addresses occurs
-twice has no carrier.  The replay
-reads each array's events point-major over the middle outer iteration and
-gives each carrier window a fill-once register file, holding the window's
-first distinct addresses, instead of rank arithmetic; it levels
-dependences on its own and returns each event's hit column.
+Every quantity here is counted on concrete address columns, never read from
+subscript coefficients.  A reference's address stream is the linearized
+address at each point, in loop order, from the oracle's own per-dimension
+layout (one per kernel) rather than the analyzer's address forms, grown from
+the innermost loop outward by bulk copies.  A stream's distinct addresses
+are counted on one int bitset.  A carrier window is one iteration of the
+loops down to the carrier, not a window in the analyzer's algebra: the
+distinct addresses of the block inside it, shifted by the run of the carrier
+loop and by the offset of its enclosing iteration, built one array at a time
+and never as an offset per point.  Windows are consecutive only inside one
+enclosing iteration, and enclosing iterations placed alike are compared
+once.  Where every stream of an array has the same run, a placement's
+windows are translates of one window, which is built once and met with
+itself shifted by each distinct move; otherwise each window is built once
+and met with the next.  An array none of whose addresses occurs twice has no
+carrier.  The replay reads each array's events point-major over the middle
+outer iteration and gives each carrier window a fill-once register file,
+holding the window's first distinct addresses, instead of rank arithmetic;
+it levels dependences on its own and returns each event's hit column.
 Agreement with the analytic modules is therefore evidence of correctness
 rather than shared code, at the price of being slower.
 """
@@ -29,21 +29,22 @@ import random
 from array import array
 from functools import lru_cache, partial, reduce
 from itertools import islice, pairwise, repeat
-from math import prod
+from math import inf, prod
 from operator import add, and_, sub
 from typing import NamedTuple
 
-from .config import CapExceededError, DEFAULT_CAP, POLICIES, POLICY_ELEMENT, POLICY_STAGING
+from .config import (CapExceededError, DEFAULT_CAP, MAX_ADDRESS_BITS, POLICIES, POLICY_ELEMENT,
+                     POLICY_STAGING)
 from .kernel import AffineExpr, ArrayRef, Kernel, Loop, iteration_space_size, parse_kernel
 
 
 def _array_layouts(kernel: Kernel) -> dict[str, tuple[tuple[int, int], ...]]:
-    """Per-array (lo, hi) value range of each subscript dimension."""
+    """Per-array (lo, hi) value range of each subscript dimension over its references."""
     bounds = {lp.index: (lp.lower, lp.upper - ((lp.upper - lp.lower - 1) % lp.step) - 1)
               for lp in kernel.loops}
     layouts: dict[str, list[list[int]]] = {}
     for r in kernel.refs:
-        dims = layouts.setdefault(r.array, [[0, 0] for _ in r.subscripts])
+        dims = layouts.setdefault(r.array, [[inf, -inf] for _ in r.subscripts])
         for d, expr in enumerate(r.subscripts):
             lo = hi = expr.const
             for name, coef in expr.terms:
@@ -179,9 +180,34 @@ def oracle_alpha(kernel: Kernel, array: str, level: int, cap: int = DEFAULT_CAP)
     return _overlap(_blocks(streams, layout, kernel.loops, level))
 
 
-def _union_size(sets) -> int:
-    first, *rest = list(sets) or [set()]
-    return len(first.union(*rest) if rest else first)  # a lone set is not copied
+def _or(high: tuple[int, int], low: tuple[int, int]) -> tuple[int, int]:
+    """Union of two (origin, bits) bitsets, ``low``'s origin the lower one."""
+    return low[0], low[1] | high[1] << (high[0] - low[0])
+
+
+def _union(bitsets) -> tuple[int, int]:
+    """Union of (origin, bits) bitsets in origin order (bit k: address origin + k),
+    merged pairwise as they come, a run per set bit of the count so far: no int
+    is much wider than the span it covers, and at most log2(count) are held."""
+    stack: list[tuple[int, int]] = []
+    for n, bitset in enumerate(bitsets, 1):
+        while not n & 1:  # one merge per trailing zero bit of the count
+            bitset, n = _or(bitset, stack.pop()), n >> 1
+        stack.append(bitset)
+    return reduce(_or, reversed(stack)) if stack else (0, 0)
+
+
+def _sum_bits(block: set[int], heads: array) -> tuple[int, int]:
+    """(origin, bits) of {a + h : a in block, h in the sorted heads}: the block is
+    marked once in a bytearray read as one int, and its translates by the heads are
+    merged pairwise, after a swap of roles if the heads' translates hold fewer words."""
+    lo, hi, first, last = min(block), max(block), heads[0], heads[-1]
+    if len(block) * ((last - first) // 64 + 1) < len(heads) * ((hi - lo) // 64 + 1):
+        block, heads, lo, hi = heads, sorted(block), first, last
+    marks = bytearray(b"0") * (hi - lo + 1)
+    for a in block:
+        marks[hi - a] = 49  # "1"; the first digit is the most significant, the highest address
+    return _union(zip(map(add, heads, repeat(lo)), repeat(int(marks, 2))))
 
 
 def _array_fields(kernel: Kernel, refs: list[ArrayRef], layout, fwd: set[int],
@@ -189,18 +215,18 @@ def _array_fields(kernel: Kernel, refs: list[ArrayRef], layout, fwd: set[int],
     """One array's fields from its distinct streams, each built once per level."""
     distinct = {r.subscripts: r for r in refs}
     streams = list(distinct.values())
-    # loops that run once carry nothing; a stream's set is the union of its
-    # windows at the first loop that runs more (equal offsets, equal windows),
-    # relative for a lone stream, whose set is counted only by its size
+    # loops that run once carry nothing; a stream's bitset is the union of its windows at the
+    # first loop that runs more, relative for a lone stream, which is counted only by its size
     levels = [lvl for lvl, lp in enumerate(kernel.loops) if lp.trip > 1] or [kernel.depth - 1]
     blocks = _blocks(streams, layout, kernel.loops, levels[0])
-    sets = {key: {a + o for o in {pre[0] + r for r in run} for a in inner}
-            for key, (inner, run, pre) in zip(distinct, blocks)}
+    bitsets = {key: _sum_bits(inner, array("q", sorted({pre[0] + r for r in run})))
+               for key, (inner, run, pre) in zip(distinct, blocks)}
     counted = [r for r in refs if r.ref_id not in fwd]
-    after = sum(_union_size(map(sets.get, {r.subscripts for r in counted if r.access == acc}))
-                for acc in ("read", "write"))
+    kinds = ({r.subscripts for r in counted if r.access == acc} for acc in ("read", "write"))
+    after = sum(_union(sorted(map(bitsets.get, keys)))[1].bit_count() for keys in kinds)
+    addresses = _union(sorted(bitsets.values()))[1].bit_count()
     carrier, regs = None, 1
-    if _union_size(sets.values()) < len(sets) * points:  # else no two windows can overlap
+    if addresses < len(distinct) * points:  # else no two windows can overlap
         overlaps = (_overlap(blocks if lvl == levels[0] else
                              _blocks(streams, layout, kernel.loops, lvl)) for lvl in levels)
         carrier, regs = next(((lvl, a) for lvl, a in zip(levels, overlaps) if a > 0), (None, 1))
@@ -224,6 +250,10 @@ class _Record(NamedTuple):
 def _analysis_cached(kernel: Kernel, cap: int) -> _Record:
     points, fwd, refs = _points(kernel, cap), _forwarded(kernel), kernel.refs
     layouts = _array_layouts(kernel)
+    for a, box in layouts.items():  # each array's addresses are counted on one bitset
+        if (width := prod(hi - lo + 1 for lo, hi in box)) > MAX_ADDRESS_BITS:
+            raise CapExceededError(f"array {a!r} spans an address range of {width} elements, "
+                                   f"above the bitset ceiling of {MAX_ADDRESS_BITS}")
     # one array at a time: an array's streams are gone before the next one's are built
     arrays = {a: _array_fields(kernel, [r for r in refs if r.array == a], layouts[a], fwd, points)
               for a in kernel.arrays}

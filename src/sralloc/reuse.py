@@ -25,11 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import CapExceededError
+from .config import MAX_ADDRESS_BITS, CapExceededError
 from .kernel import ArrayRef, Kernel, iteration_space_size
-
-#: widest address range, in elements, that one bitset may span (16 MiB)
-MAX_ADDRESS_BITS = 1 << 27
 
 
 @dataclass(frozen=True)

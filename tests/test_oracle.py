@@ -762,3 +762,67 @@ def test_replay_memory_is_its_event_columns():
     unit = 8 * 3 * 64 * 64
     assert held <= 1.5 * unit
     assert peak <= 2.5 * unit
+
+
+def set_after(kernel):
+    """Each array's accesses after full replacement, counted as Python sets of
+    the full-nest address streams of its counted references, per access kind."""
+    fwd = oracle._forwarded(kernel)
+    out = {}
+    for array in kernel.arrays:
+        refs = [r for r in kernel.refs if r.array == array and r.ref_id not in fwd]
+        out[array] = sum(len(set().union(*(stream(kernel, r) for r in refs if r.access == acc)))
+                         for acc in ("read", "write"))
+    return out
+
+
+def test_after_matches_set_counts_of_full_streams(kernels):
+    # the oracle counts distinct addresses on int bitsets, and so does the
+    # analyzer; this count uses none, only sets of every address
+    depth4 = [random_kernel(random.Random(10**6 + s), max_depth=4, max_points=4000)
+              for s in range(300)]
+    for kernel in (list(kernels.values()) + [random_kernel(random.Random(s)) for s in range(300)]
+                   + depth4):
+        got = oracle_analysis(kernel)
+        assert {a: got[a]["after"] for a in kernel.arrays} == set_after(kernel), kernel.name
+
+
+def test_oracle_analysis_memory_is_under_a_byte_per_point():
+    # each stream's distinct addresses are one bitset, about 1/8 byte per
+    # address of the array's box, where a set of every address took about
+    # 220 bytes per point; the peak is about 0.9 bytes per point here
+    k = parse_kernel("loop i = 0..300 { loop j = 0..300 {"
+                     " S1: y[i][j] = a[i][j] + a[i][j + 1]; } }")
+    oracle._analysis_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        oracle_analysis(k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < iteration_space_size(k, 0)
+
+
+def test_layout_spans_each_dimension_own_range():
+    # a dimension's range starts at its lowest subscript value, not at 0, so
+    # a[i][100000 + j] is 1,000 x 10 elements wide, not 1,000 x 100,010
+    k = parse_kernel("loop i = 0..1000 { loop j = 0..10 { S1: y[i] = a[i][100000 + j]; } }")
+    layouts = oracle._array_layouts(k)
+    assert layouts["a"] == ((0, 999), (100000, 100009))
+    assert layouts["y"] == ((0, 999),)
+
+
+def test_oracle_checks_each_array_box_against_the_bitset_ceiling():
+    # 10^6 points pass the cap, but a's box is 199,998,001 x 10 elements:
+    # the oracle stops with the analyzer's message before any stream is built
+    k = parse_kernel("loop i = 0..100000 { loop j = 0..10 { S1: y[i] = a[2000*i][j]; } }")
+    oracle._analysis_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match=r"array 'a' spans an address range of "
+                           r"1999980010 elements, above the bitset ceiling of 134217728"):
+            oracle_analysis(k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
