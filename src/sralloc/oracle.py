@@ -4,28 +4,31 @@ Every quantity here is counted on concrete address columns, never read from
 subscript coefficients.  A reference's address stream is the linearized
 address at each point, in loop order, from the oracle's own per-dimension
 layout (one per kernel) rather than the analyzer's address forms, grown from
-the innermost loop outward by bulk copies.  A stream's distinct addresses
-are counted on one int bitset.  A carrier window is one iteration of the
-loops down to the carrier, not a window in the analyzer's algebra: the
-distinct addresses of the block inside it, shifted by the run of the carrier
-loop and by the offset of its enclosing iteration, built one array at a time
-and never as an offset per point.  Windows are consecutive only inside one
-enclosing iteration, and enclosing iterations placed alike are compared
-once.  Where every stream of an array has the same run, a placement's
-windows are translates of one window, which is built once and met with
-itself shifted by each distinct move; otherwise each window is built once
-and met with the next.  An array none of whose addresses occurs twice has no
-carrier.  The replay reads each array's events point-major over the middle
-outer iteration and gives each carrier window a fill-once register file,
-holding the window's first distinct addresses, instead of rank arithmetic;
-it levels dependences on its own and returns each event's hit column.
-Agreement with the analytic modules is therefore evidence of correctness
-rather than shared code, at the price of being slower.
+the innermost loop outward, each shifted copy of a block one integer add over
+its 64-bit lanes.  A stream's distinct addresses are counted on one int
+bitset.  A carrier window is one iteration of the loops down to the carrier,
+not a window in the analyzer's algebra: the distinct addresses of the block
+inside it, shifted by the run of the carrier loop and by the offset of its
+enclosing iteration, built one array at a time and never as an offset per
+point.  Windows are consecutive only inside one enclosing iteration, and
+enclosing iterations placed alike are compared once.  Where every stream of
+an array has the same run, a placement's windows are translates of one
+window, which is built once and met with itself shifted by each distinct
+move; otherwise each window is built once and met with the next.  An array
+none of whose addresses occurs twice has no carrier.  The replay reads each
+array's events point-major over the middle outer iteration and gives each
+carrier window a fill-once register file, holding the window's first
+distinct addresses, read from the shortest doubling prefix of the window
+that holds them, instead of rank arithmetic; it levels dependences on its
+own and returns each event's hit column.  Agreement with the analytic
+modules is therefore evidence of correctness rather than shared code, at
+the price of being slower.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from functools import lru_cache, partial, reduce
 from itertools import islice, pairwise, repeat
@@ -61,9 +64,11 @@ def _address_stream(ref: ArrayRef, layout, loops, relative: bool = False) -> arr
 
     The layout's row-major strides fold the subscripts into one coefficient
     per loop.  The stream grows from the innermost loop outward: each value of
-    a loop appends the inner block shifted by its offset, a loop the subscripts
-    do not use repeats the block in place, and a loop that runs once moves the
-    base.  A ``relative`` stream leaves out the address at all-zero indices.
+    a loop appends the inner block shifted by its offset, one integer add over
+    the whole block (``_shifted``), a loop the subscripts do not use repeats
+    the block in place, and a loop that runs once moves the base.  A
+    ``relative`` stream leaves out the address at all-zero indices, so its
+    addresses can be negative.
     """
     stride, base, coef = 1, 0, {}
     for expr, (lo, hi) in zip(reversed(ref.subscripts), reversed(layout)):
@@ -80,11 +85,36 @@ def _address_stream(ref: ArrayRef, layout, loops, relative: bool = False) -> arr
         elif len(block) == 1:  # the first loop that moves the address: one arithmetic run
             block = array("q", range(block[0] + c * lp.lower, block[0] + c * lp.upper, c * lp.step))
         else:
-            out = array("q")
-            for off in (c * v for v in lp.range):
-                out.extend(map(add, block, repeat(off)) if off else block)
-            block = out
+            block = _shifted(block, range(c * lp.lower, c * lp.upper, c * lp.step))
     return block
+
+
+#: addresses read as one int, which bounds the builder's temporaries
+_LANES = 1 << 13
+
+
+def _shifted(block: array, offsets: range) -> array:
+    """``block`` once per offset in turn, shifted by it, one integer add per copy
+    (Lamport, "Multiple byte processing with full-word instructions", 1975).
+
+    Each part of up to ``_LANES`` addresses is read once as one int of 64-bit
+    lanes, each lane biased by 2^63 so that a negative address borrows nothing
+    from its neighbour; a copy adds the offset times a one in every lane, and
+    unbiases.  The parts share one bias and one ones int, so the copies hold
+    one biased copy of the block and temporaries of one part.
+    """
+    n, order, parts = len(block), sys.byteorder, []
+    top, ones = (int.from_bytes(array("q", [v]) * min(n, _LANES), order) for v in (-1 << 63, 1))
+    for s in range(0, n, _LANES):
+        part = block[s:s + _LANES]
+        if len(part) < _LANES < n:  # a short last part: the bias and ones of its lanes
+            top, ones = top >> 64 * (_LANES - len(part)), ones >> 64 * (_LANES - len(part))
+        parts.append((int.from_bytes(part, order) ^ top, top, ones, 8 * len(part)))
+    out = array("q")
+    for off in offsets:
+        for lanes, top, ones, width in parts:
+            out.frombytes((lanes + off * ones ^ top).to_bytes(width, order))
+    return out
 
 
 def _points(kernel: Kernel, cap: int) -> int:
@@ -180,9 +210,15 @@ def oracle_alpha(kernel: Kernel, array: str, level: int, cap: int = DEFAULT_CAP)
     return _overlap(_blocks(streams, layout, kernel.loops, level))
 
 
-def _or(high: tuple[int, int], low: tuple[int, int]) -> tuple[int, int]:
-    """Union of two (origin, bits) bitsets, ``low``'s origin the lower one."""
-    return low[0], low[1] | high[1] << (high[0] - low[0])
+def _merge(stack: list[tuple[int, int]]) -> None:
+    """Replace the top two (origin, bits) bitsets of ``stack``, the lower origin
+    below, by their union.  Both are popped and the upper one's bits are
+    rebound to their shifted copy before the OR, so that the merge holds the
+    lower operand, the shifted one and the result, not the unshifted one too."""
+    high, bits = stack.pop()
+    origin, low = stack.pop()
+    bits <<= high - origin
+    stack.append((origin, low | bits))
 
 
 def _union(bitsets) -> tuple[int, int]:
@@ -191,10 +227,13 @@ def _union(bitsets) -> tuple[int, int]:
     is much wider than the span it covers, and at most log2(count) are held."""
     stack: list[tuple[int, int]] = []
     for n, bitset in enumerate(bitsets, 1):
-        while not n & 1:  # one merge per trailing zero bit of the count
-            bitset, n = _or(bitset, stack.pop()), n >> 1
         stack.append(bitset)
-    return reduce(_or, reversed(stack)) if stack else (0, 0)
+        while not n & 1:  # one merge per trailing zero bit of the count
+            _merge(stack)
+            n >>= 1
+    while len(stack) > 1:
+        _merge(stack)
+    return stack[0] if stack else (0, 0)
 
 
 def _sum_bits(block: set[int], heads: array) -> tuple[int, int]:
@@ -225,6 +264,7 @@ def _array_fields(kernel: Kernel, refs: list[ArrayRef], layout, fwd: set[int],
     kinds = ({r.subscripts for r in counted if r.access == acc} for acc in ("read", "write"))
     after = sum(_union(sorted(map(bitsets.get, keys)))[1].bit_count() for keys in kinds)
     addresses = _union(sorted(bitsets.values()))[1].bit_count()
+    del bitsets  # no bitset is held while windows are built
     carrier, regs = None, 1
     if addresses < len(distinct) * points:  # else no two windows can overlap
         overlaps = (_overlap(blocks if lvl == levels[0] else
@@ -354,8 +394,11 @@ def oracle_replay(kernel: Kernel, alloc, policy: str = POLICY_ELEMENT,
             hits: list[bool] = []
             view = memoryview(flat)  # a window's segment is a view, not a copy
             for start in range(0, len(flat), span):
-                seg = view[start:start + span]
-                held = set(islice(dict.fromkeys(seg), beta))
+                seg, width = view[start:start + span], beta
+                # the shortest doubling prefix that holds beta distinct addresses
+                while len(first := dict.fromkeys(seg[:width])) < beta and width < len(seg):
+                    width *= 2
+                held = set(islice(first, beta))
                 hits += map(held.__contains__, seg)
             for j, idx in enumerate(idxs):
                 cols[idx] = hits[j::m] if m > 1 else hits

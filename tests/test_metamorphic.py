@@ -19,6 +19,9 @@ beta at budgets n, n + 10 and n + 60 for n arrays, and each allocation's
 - Reverse the order of every array's subscripts, in every reference: the
   layout's strides change and the answers stay, since reuse is equality of
   elements, not of addresses.
+- Linearise every 2-D array, ``a[e1][e2] -> a[W*e1 + e2]``, with ``W``
+  wider than ``e2``'s range over the array's references: distinct elements
+  keep distinct addresses, in the same order, under a stride of ``W``.
 
 Some rewrites change the answers on purpose and are not relations:
 renaming an array, because ties break by name; loop interchange and
@@ -111,6 +114,35 @@ def reverse_dims(kernel):
     return map_refs(kernel, lambda ref: dataclasses.replace(ref, subscripts=ref.subscripts[::-1]))
 
 
+def linearize_2d(kernel, rng):
+    """Every 2-D array read as 1-D, ``a[e1][e2] -> a[W*e1 + e2]`` in every
+    reference, ``W`` the range of ``e2`` over the array's references plus a
+    seeded margin of 0, 1 or 5."""
+    ends = {lp.index: (lp.lower, lp.lower + (lp.trip - 1) * lp.step) for lp in kernel.loops}
+
+    def span(e):
+        return [e.const + sum(f(c * v for v in ends[n]) for n, c in e.terms) for f in (min, max)]
+
+    bounds = {}
+    for ref in kernel.refs:
+        if len(ref.subscripts) == 2:
+            lo, hi = span(ref.subscripts[1])
+            old_lo, old_hi = bounds.get(ref.array, (lo, hi))
+            bounds[ref.array] = min(lo, old_lo), max(hi, old_hi)
+    width = {a: hi - lo + 1 + rng.choice([0, 1, 5]) for a, (lo, hi) in bounds.items()}
+
+    def sub(ref):
+        if ref.array not in width:
+            return ref
+        w, (e1, e2) = width[ref.array], ref.subscripts
+        names = e1.indices() | e2.indices()
+        flat = AffineExpr.make(w * e1.const + e2.const,
+                               {n: w * e1.coeff(n) + e2.coeff(n) for n in names})
+        return dataclasses.replace(ref, subscripts=(flat,))
+
+    return map_refs(kernel, sub)
+
+
 def append_unit_loop(kernel):
     """One more innermost loop, of one iteration, whose index no subscript reads."""
     taken = {lp.index for lp in kernel.loops} | {p for p, _ in kernel.params}
@@ -128,6 +160,7 @@ RELATIONS = {
     "unit-innermost": lambda kernel, rng: [append_unit_loop(kernel)],
     "offset-array": offset_copies,
     "reverse-dims": lambda kernel, rng: [reverse_dims(kernel)],
+    "linearize-2d": lambda kernel, rng: [linearize_2d(kernel, rng)],
 }
 
 

@@ -252,16 +252,17 @@ def test_trace_matches_reference_random():
         assert_matches_reference(edge_kernel(random.Random(seed)))
 
 
-def chunked_address_stream(ref, layout, loops):
+def chunked_address_stream(ref, layout, loops, relative=False):
     """The earlier builder, kept as a reference: each loop's column is added
-    to every address so far, in chunks of about 2^12 addresses."""
+    to every address so far, in chunks of about 2^12 addresses.  A relative
+    stream starts from 0, not from the address at all-zero indices."""
     stride, base, coef = 1, 0, {}
     for expr, (lo, hi) in zip(reversed(ref.subscripts), reversed(layout)):
         base += (expr.const - lo) * stride
         for name, c in expr.terms:
             coef[name] = coef.get(name, 0) + c * stride
         stride *= hi - lo + 1
-    cur = array("q", [base])
+    cur = array("q", [0 if relative else base])
     for lp in loops:
         col = [coef.get(lp.index, 0) * v for v in lp.range]
         out, step = array("q"), max(1, 2**12 // len(col))
@@ -301,21 +302,38 @@ def test_analysis_matches_the_enumeration_on_edge_kernels():
     assert carried > 300
 
 
+#: the block over j and k, 10^4 addresses and longer than the builder reads
+#: as one int, is shifted by i, also in the relative block inside h, where
+#: every address of a but the first is negative
+WIDE_BLOCKS = ("loop h = 0..2 { loop i = 0..3 { loop j = 0..100 { loop k = 0..100 {"
+               " S: y[h][i][j][k] = a[-i][-j][-2*k] + b[h - i - j + k]; } } } }")
+
+
 def test_address_stream_matches_the_chunked_builder(kernels):
+    # the whole nest, the replay's middle outer iteration, and at every level
+    # the three slices that the level scan builds: the relative block inside
+    # the level and run over it, whose negative addresses would borrow across
+    # the builder's 64-bit lanes without its bias, and the enclosing offsets
     cases = list(kernels.values()) + [parse_kernel(s) for s in SHAPES + MULTI_REF + STREAM_EDGES]
     cases += [random_kernel(random.Random(seed)) for seed in range(200)]
-    built = 0
+    cases += [edge_kernel(random.Random(seed)) for seed in range(60)]
+    cases.append(parse_kernel(WIDE_BLOCKS))
+    built = negative = 0
     for kernel in cases:
-        layouts = oracle._array_layouts(kernel)
-        # the whole nest, and the replay's middle outer iteration
-        for loops in (kernel.loops, oracle._analysis_cached(kernel, DEFAULT_CAP).loops):
+        layouts, loops = oracle._array_layouts(kernel), kernel.loops
+        slices = [(loops, False), (oracle._analysis_cached(kernel, DEFAULT_CAP).loops, False)]
+        slices += [part for lvl in range(kernel.depth) for part in
+                   ((loops[lvl + 1:], True), (loops[lvl:lvl + 1], True), (loops[:lvl], False))]
+        for part, relative in slices:
             for r in kernel.refs:
-                got = oracle._address_stream(r, layouts[r.array], loops)
+                got = oracle._address_stream(r, layouts[r.array], part, relative)
                 assert got.typecode == "q"
-                assert got == chunked_address_stream(r, layouts[r.array], loops), \
-                    (kernel.name, str(r), loops)
+                assert got == chunked_address_stream(r, layouts[r.array], part, relative), \
+                    (kernel.name, str(r), part, relative)
                 built += 1
-    assert built > 2000
+                negative += min(got) < 0
+    assert built > 10000
+    assert negative > 1500
 
 
 def test_analysis_traces_each_distinct_stream_once(monkeypatch, kernels):
@@ -578,10 +596,18 @@ ONE_POINT_WINDOWS = ("loop i = 0..6 { loop j = 0..40 {"
                      " S0: x[i][j] = a[i][j] + a[i][j + 1]; S1: y[i][j] = a[i][j + 2]; } }")
 
 
+#: a's carrier window, one iteration of i, is 96 accesses of 13 distinct
+#: addresses, and its 12th distinct address comes at the 82nd access: under
+#: the one-short beta of 12, a register file filled from the first 12, 24 or
+#: 48 accesses holds too few
+REPEATS_BEFORE_BETA = ("loop i = 0..5 { loop j = 0..12 { loop k = 0..4 {"
+                       " S: y[i][j][k] = a[j] + a[j + 1]; } } }")
+
+
 def bulk_replay_cases(kernels):
-    """The replay cases, one-point windows and 60 edge kernels."""
-    return replay_cases(kernels) + [parse_kernel(ONE_POINT_WINDOWS)] + \
-        [edge_kernel(random.Random(seed)) for seed in range(60)]
+    """The replay cases, one-point windows, repeats before beta and 60 edge kernels."""
+    fixed = [parse_kernel(ONE_POINT_WINDOWS), parse_kernel(REPEATS_BEFORE_BETA)]
+    return replay_cases(kernels) + fixed + [edge_kernel(random.Random(seed)) for seed in range(60)]
 
 
 def test_one_point_windows_replay_a_partial_beta():
