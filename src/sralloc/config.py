@@ -64,6 +64,9 @@ class RunConfig:
             raise ValueError("iteration cap must be >= 1")
         if any(v < 0 for v in self.latencies.values()):
             raise ValueError("latencies must be non-negative")
+        if not self.latencies.keys() <= DEFAULT_LATENCIES.keys():
+            raise ValueError(f"latency keys must be among {tuple(DEFAULT_LATENCIES)}, got "
+                             f"{sorted(self.latencies.keys() - DEFAULT_LATENCIES.keys())}")
         return self
 
     @classmethod

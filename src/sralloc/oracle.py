@@ -6,23 +6,24 @@ address at each point, in loop order, from the oracle's own per-dimension
 layout (one per kernel) rather than the analyzer's address forms, grown from
 the innermost loop outward, each shifted copy of a block one integer add over
 its 64-bit lanes.  A stream's distinct addresses are counted on one int
-bitset.  A carrier window is one iteration of the loops down to the carrier,
-not a window in the analyzer's algebra: the distinct addresses of the block
-inside it, shifted by the run of the carrier loop and by the offset of its
-enclosing iteration, built one array at a time and never as an offset per
-point.  Windows are consecutive only inside one enclosing iteration, and
-enclosing iterations placed alike are compared once.  Where every stream of
-an array has the same run, a placement's windows are translates of one
-window, which is built once and met with itself shifted by each distinct
-move; otherwise each window is built once and met with the next.  An array
-none of whose addresses occurs twice has no carrier.  The replay reads each
-array's events point-major over the middle outer iteration and gives each
-carrier window a fill-once register file, holding the window's first
-distinct addresses, read from the shortest doubling prefix of the window
-that holds them, instead of rank arithmetic; it levels dependences on its
-own and returns each event's hit column.  Agreement with the analytic
-modules is therefore evidence of correctness rather than shared code, at
-the price of being slower.
+bitset: its block inside the first loop that runs more than once, copied
+along that loop's run by doubling.  A carrier window is one iteration of the
+loops down to the carrier, not a window in the analyzer's algebra: the
+distinct addresses of the block inside it, shifted by the run of the carrier
+loop and by the offset of its enclosing iteration, built one array at a time
+and never as an offset per point.  Windows are consecutive only inside one
+enclosing iteration, and enclosing iterations placed alike are compared once.
+Where every stream of an array has the same run, a placement's windows are
+translates of one window, which is built once and met with itself shifted by
+each distinct move; otherwise each window is built once and met with the
+next.  An array none of whose addresses occurs twice has no carrier.  The
+replay reads each array's events point-major over the middle outer iteration
+and gives each carrier window a fill-once register file, holding the window's
+first distinct addresses, read from the shortest doubling prefix of the
+window that holds them, instead of rank arithmetic; it levels dependences on
+its own and returns each event's hit column.  Agreement with the analytic
+modules is therefore evidence of correctness rather than shared code, at the
+price of being slower.
 """
 
 from __future__ import annotations
@@ -125,18 +126,6 @@ def _points(kernel: Kernel, cap: int) -> int:
     return points
 
 
-def _forwarded(kernel: Kernel) -> set[int]:
-    """Re-derived set of reads fed by an earlier same-iteration write."""
-    seen: set[tuple] = set()
-    out: set[int] = set()
-    for stmt in kernel.statements:
-        for r in stmt.reads:
-            if (r.array, r.subscripts) in seen:
-                out.add(r.ref_id)
-        seen.add((stmt.write.array, stmt.write.subscripts))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reuse quantities from address streams
 
@@ -168,9 +157,8 @@ def _overlap(blocks: list[_Block]) -> int:
     distinct placement is compared once, since |(A+t) & (B+t)| = |A & B|.
     When every stream has the same run, a placement's windows are
     translates of its window W by the run, so a pair that moves by d
-    overlaps in |W & (W + d)|, one per distinct move.  Otherwise each window
-    is built once and met with the next one; where every block is one
-    address, a window is the row of its streams' shifted heads.
+    overlaps in |W & (W + d)|, one per distinct move, counted without
+    building W + d.  Otherwise each window is built once and met with the next.
     """
     inners, runs, offsets = zip(*blocks)
     places = set(zip(*(map(sub, offs, offsets[0]) for offs in offsets)))
@@ -181,17 +169,13 @@ def _overlap(blocks: list[_Block]) -> int:
     first = runs[0]
     if all(run == first for run in runs[1:]):
         moves = set(map(sub, islice(first, 1, None), first))
-        return max((len(w & {a + d for a in w}) for w in map(window, places) for d in moves),
-                   default=0)
+        return max((sum(map(w.__contains__, map(add, w, repeat(d))))
+                    for w in map(window, places) for d in moves), default=0)
 
-    def rows(place, heads):  # each window's shift of every stream, plus its head
-        return zip(*(map(add, run, repeat(h + d)) for run, h, d in zip(runs, heads, place)))
+    def rows(place):  # each window's shift of every stream
+        return zip(*(map(add, run, repeat(d)) for run, d in zip(runs, place)))
 
-    if max(map(len, inners)) == 1:
-        heads = [a for (a,) in inners]
-        windows = (map(set, rows(place, heads)) for place in places)
-    else:
-        windows = (map(window, rows(place, repeat(0))) for place in places)
+    windows = (map(window, rows(place)) for place in places)
     return max((len(a & b) for ws in windows for a, b in pairwise(ws)), default=0)
 
 
@@ -210,43 +194,35 @@ def oracle_alpha(kernel: Kernel, array: str, level: int, cap: int = DEFAULT_CAP)
     return _overlap(_blocks(streams, layout, kernel.loops, level))
 
 
-def _merge(stack: list[tuple[int, int]]) -> None:
-    """Replace the top two (origin, bits) bitsets of ``stack``, the lower origin
-    below, by their union.  Both are popped and the upper one's bits are
-    rebound to their shifted copy before the OR, so that the merge holds the
-    lower operand, the shifted one and the result, not the unshifted one too."""
-    high, bits = stack.pop()
-    origin, low = stack.pop()
-    bits <<= high - origin
-    stack.append((origin, low | bits))
-
-
-def _union(bitsets) -> tuple[int, int]:
-    """Union of (origin, bits) bitsets in origin order (bit k: address origin + k),
-    merged pairwise as they come, a run per set bit of the count so far: no int
-    is much wider than the span it covers, and at most log2(count) are held."""
-    stack: list[tuple[int, int]] = []
-    for n, bitset in enumerate(bitsets, 1):
-        stack.append(bitset)
-        while not n & 1:  # one merge per trailing zero bit of the count
-            _merge(stack)
-            n >>= 1
-    while len(stack) > 1:
-        _merge(stack)
-    return stack[0] if stack else (0, 0)
-
-
-def _sum_bits(block: set[int], heads: array) -> tuple[int, int]:
-    """(origin, bits) of {a + h : a in block, h in the sorted heads}: the block is
-    marked once in a bytearray read as one int, and its translates by the heads are
-    merged pairwise, after a swap of roles if the heads' translates hold fewer words."""
-    lo, hi, first, last = min(block), max(block), heads[0], heads[-1]
-    if len(block) * ((last - first) // 64 + 1) < len(heads) * ((hi - lo) // 64 + 1):
-        block, heads, lo, hi = heads, sorted(block), first, last
+def _run_bits(block: set[int], start: int, stride: int, count: int) -> tuple[int, int]:
+    """(origin, bits) of {a + start + k*stride : a in block, 0 <= k < count}, bit j
+    for address origin + j: the block is marked once in a bytearray read as one int,
+    then copied along the run by doubling, from the top bit of ``count`` down (the
+    copies so far doubled, one more where the bit is set): O(log count) shift-ORs."""
+    if stride < 0:  # the same set, walked from its lowest copy
+        start, stride = start + (count - 1) * stride, -stride
+    lo, hi = min(block), max(block)
     marks = bytearray(b"0") * (hi - lo + 1)
     for a in block:
         marks[hi - a] = 49  # "1"; the first digit is the most significant, the highest address
-    return _union(zip(map(add, heads, repeat(lo)), repeat(int(marks, 2))))
+    bits, out, copies = int(marks, 2), 0, 0
+    for digit in bin(count)[2:]:
+        out |= out << copies * stride
+        copies *= 2
+        if digit == "1":
+            out |= bits << copies * stride
+            copies += 1
+    return lo + start, out
+
+
+def _count(bitsets: list[tuple[int, int]]) -> int:
+    """Distinct addresses of origin-sorted (origin, bits) bitsets: the first is
+    taken as it is and each later one ORed onto it, shifted by its origin's
+    distance, so a lone bitset is counted in place."""
+    (low, bits), *rest = bitsets or [(0, 0)]
+    for origin, more in rest:
+        bits |= more << origin - low
+    return bits.bit_count()
 
 
 def _array_fields(kernel: Kernel, refs: list[ArrayRef], layout, fwd: set[int],
@@ -254,16 +230,17 @@ def _array_fields(kernel: Kernel, refs: list[ArrayRef], layout, fwd: set[int],
     """One array's fields from its distinct streams, each built once per level."""
     distinct = {r.subscripts: r for r in refs}
     streams = list(distinct.values())
-    # loops that run once carry nothing; a stream's bitset is the union of its windows at the
-    # first loop that runs more, relative for a lone stream, which is counted only by its size
+    # loops that run once carry nothing, so at the first loop that runs more a stream's
+    # enclosing column is one offset and its run one progression (stride 0 for one value)
+    # that its bitset spreads its block along; relative for a lone stream, counted by size
     levels = [lvl for lvl, lp in enumerate(kernel.loops) if lp.trip > 1] or [kernel.depth - 1]
     blocks = _blocks(streams, layout, kernel.loops, levels[0])
-    bitsets = {key: _sum_bits(inner, array("q", sorted({pre[0] + r for r in run})))
+    bitsets = {key: _run_bits(inner, pre[0] + run[0], run[len(run) > 1] - run[0], len(run))
                for key, (inner, run, pre) in zip(distinct, blocks)}
     counted = [r for r in refs if r.ref_id not in fwd]
     kinds = ({r.subscripts for r in counted if r.access == acc} for acc in ("read", "write"))
-    after = sum(_union(sorted(map(bitsets.get, keys)))[1].bit_count() for keys in kinds)
-    addresses = _union(sorted(bitsets.values()))[1].bit_count()
+    after = sum(_count(sorted(map(bitsets.get, keys))) for keys in kinds)
+    addresses = _count(sorted(bitsets.values()))
     del bitsets  # no bitset is held while windows are built
     carrier, regs = None, 1
     if addresses < len(distinct) * points:  # else no two windows can overlap
@@ -288,7 +265,8 @@ class _Record(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _analysis_cached(kernel: Kernel, cap: int) -> _Record:
-    points, fwd, refs = _points(kernel, cap), _forwarded(kernel), kernel.refs
+    points, refs = _points(kernel, cap), kernel.refs
+    events, depth_groups, fwd = _event_schedule(kernel)
     layouts = _array_layouts(kernel)
     for a, box in layouts.items():  # each array's addresses are counted on one bitset
         if (width := prod(hi - lo + 1 for lo, hi in box)) > MAX_ADDRESS_BITS:
@@ -299,7 +277,6 @@ def _analysis_cached(kernel: Kernel, cap: int) -> _Record:
               for a in kernel.arrays}
     outer = kernel.loops[0]
     mid = outer.lower + (outer.trip // 2) * outer.step
-    events, depth_groups = _event_schedule(kernel)
     by_array = {a: [i for i, (_, r) in enumerate(events) if r.array == a]
                 for a in dict.fromkeys(r.array for _, r in events)}
     return _Record(arrays, layouts, (Loop(outer.index, mid, mid + 1),)
@@ -314,23 +291,23 @@ def oracle_analysis(kernel: Kernel, cap: int = DEFAULT_CAP) -> dict[str, dict]:
 # ---------------------------------------------------------------------------
 # steady-state replay with explicit register files
 
-def _event_schedule(kernel: Kernel) -> tuple[list[tuple[int, ArrayRef]], list[list[int]]]:
-    """Memory events of one iteration with their dependence depth.
-
-    Returns the events in execution order (statement sequence, reads before
-    the write) and the event indices grouped by depth.
-    """
+def _event_schedule(kernel: Kernel) -> tuple[list[tuple[int, ArrayRef]], list[list[int]], set[int]]:
+    """Memory events of one iteration with their dependence depth: the events in
+    execution order (statement sequence, reads before the write), their indices
+    grouped by depth, and the ids of the reads that an earlier write of the
+    iteration feeds, implicit reads included."""
     events: list[tuple[int, ArrayRef]] = []
+    forwarded: set[int] = set()
     write_depth: dict[tuple, int] = {}  # a read forwards iff its pattern is here
     for stmt in kernel.statements:
         feeding = [0]
         for r in stmt.reads:
-            if r.implicit:
-                continue  # reduction read rides with the write transaction
             key = (r.array, r.subscripts)
             if key in write_depth:
-                feeding.append(write_depth[key])
-            else:
+                forwarded.add(r.ref_id)
+                if not r.implicit:  # a reduction read rides with the write transaction
+                    feeding.append(write_depth[key])
+            elif not r.implicit:
                 events.append((0, r))
         depth = max(feeding) + 1
         events.append((depth, stmt.write))
@@ -338,7 +315,7 @@ def _event_schedule(kernel: Kernel) -> tuple[list[tuple[int, ArrayRef]], list[li
     groups: dict[int, list[int]] = {}
     for idx, (depth, _) in enumerate(events):
         groups.setdefault(depth, []).append(idx)
-    return events, [groups[d] for d in sorted(groups)]
+    return events, [groups[d] for d in sorted(groups)], forwarded
 
 
 def _split_ports(events, group: list[int], ports: int) -> list[list[int]]:

@@ -336,6 +336,7 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
     {"iteration_cap": True},
     {"latencies": {"multiply": "x"}},
     {"latencies": [1]},
+    {"latencies": {"multply": 3}},  # names no op kind
     [64],
     {"validate": 1},  # a method of RunConfig, not a field
     {"__class__": 1},

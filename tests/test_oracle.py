@@ -110,15 +110,24 @@ def test_oracle_agreement_bundled(kernels, reuse_map, oracle_map):
             assert got["after"] == info.after_accesses, (name, array)
 
 
+#: S2's reduction reads x[j], which S1 wrote in the same iteration: the read
+#: is forwarded, yet as an implicit read it feeds no dependence depth;
+#: ``random_kernel`` never draws a reduction onto an element written earlier
+REDUCE_ONTO_WRITTEN = ("loop i = 0..8 { loop j = 0..6 {"
+                       " S1: x[j] = a[i + j] * b[j]; S2: x[j] += c[j]; } }")
+
+
 def assert_cycles_agree(kernels, reuse_map, ports):
-    for name, kernel in kernels.items():
-        reuse = reuse_map[name]
+    cases = [(kernel, reuse_map[name], 64) for name, kernel in kernels.items()]
+    reduce_onto = parse_kernel(REDUCE_ONTO_WRITTEN)
+    cases += [(reduce_onto, analyze_all(reduce_onto), budget) for budget in (4, 64)]
+    for kernel, reuse, budget in cases:
         for alg in ("fr", "pr", "cpa"):
-            alloc = run_allocator(alg, kernel, reuse, 64)
+            alloc = run_allocator(alg, kernel, reuse, budget)
             for policy in POLICIES:
                 mine = steady_state_cycles(kernel, reuse, alloc, policy, ports).memory_cycles
                 assert oracle_replay(kernel, alloc, policy, ports)[0] == mine, \
-                    (name, alg, policy)
+                    (kernel.name, alg, budget, policy)
 
 
 def test_oracle_cycles_agreement_bundled(kernels, reuse_map):
@@ -430,12 +439,9 @@ def random_blocks(rng: random.Random):
 def overlap_path(blocks) -> str:
     """The path ``_overlap`` takes on ``blocks``, re-derived from its rule,
     and whether its enclosing iterations have several placements."""
-    inners, runs, offsets = zip(*blocks)
+    _, runs, offsets = zip(*blocks)
     places = {tuple(o - offs[0] for o in offs) for offs in zip(*offsets)}
-    if all(run == runs[0] for run in runs[1:]):
-        path = "translates"
-    else:
-        path = "rows" if max(map(len, inners)) == 1 else "every window"
+    path = "translates" if all(run == runs[0] for run in runs[1:]) else "every window"
     return path, len(places) > 1
 
 
@@ -450,11 +456,10 @@ def test_overlap_matches_the_per_window_formula():
               for blocks in cases[:1000]]
     for blocks in shared:
         assert oracle._overlap(blocks) == reference_overlap(blocks), blocks
-    # every path is taken, each with one and with several placements of its
-    # enclosing iterations: translated windows, rows of one-address blocks,
-    # and every window built
+    # both paths are taken, each with one and with several placements of its
+    # enclosing iterations: translated windows and every window built
     paths = collections.Counter(map(overlap_path, cases + shared))
-    assert len(paths) == 6 and min(paths.values()) > 300, paths
+    assert len(paths) == 4 and min(paths.values()) > 300, paths
 
 
 def test_alpha_skips_the_carrier_wrap():
@@ -534,7 +539,7 @@ def reference_replay(kernel, alloc, policy=POLICY_ELEMENT, ports=1, cap=DEFAULT_
     """The per-point replay: a dict per point and one register-file call per event."""
     analysis = oracle_analysis(kernel, cap)
     layouts = oracle._array_layouts(kernel)
-    events, depth_groups = oracle._event_schedule(kernel)
+    events, depth_groups, _ = oracle._event_schedule(kernel)
     levels = [sub for grp in depth_groups for sub in oracle._split_ports(events, grp, ports)]
 
     files = {a: RegisterFile(alloc.beta[a]) for a in analysis}
@@ -793,7 +798,7 @@ def test_replay_memory_is_its_event_columns():
 def set_after(kernel):
     """Each array's accesses after full replacement, counted as Python sets of
     the full-nest address streams of its counted references, per access kind."""
-    fwd = oracle._forwarded(kernel)
+    fwd = oracle._event_schedule(kernel)[2]
     out = {}
     for array in kernel.arrays:
         refs = [r for r in kernel.refs if r.array == array and r.ref_id not in fwd]
@@ -802,15 +807,48 @@ def set_after(kernel):
     return out
 
 
+#: runs and blocks whose addresses lie far apart, rising and falling, one
+#: and two streams of an array
+SPARSE_RUNS = [
+    "loop i = 0..40 { loop j = 0..30 { S: y[i] = a[22*i + 23*j] + a[22*i + 23*j + 5]; } }",
+    "loop i = 0..50 { loop j = 0..9 { S: y[j] += a[-7*i + j] * b[-7*i + 2*j]; } }",
+]
+
+
 def test_after_matches_set_counts_of_full_streams(kernels):
     # the oracle counts distinct addresses on int bitsets, and so does the
     # analyzer; this count uses none, only sets of every address
     depth4 = [random_kernel(random.Random(10**6 + s), max_depth=4, max_points=4000)
               for s in range(300)]
+    edges = [edge_kernel(random.Random(seed)) for seed in range(300)]
     for kernel in (list(kernels.values()) + [random_kernel(random.Random(s)) for s in range(300)]
-                   + depth4):
+                   + depth4 + edges + [parse_kernel(src) for src in SPARSE_RUNS]):
         got = oracle_analysis(kernel)
         assert {a: got[a]["after"] for a in kernel.arrays} == set_after(kernel), kernel.name
+
+
+def bit_addresses(origin: int, bits: int) -> set[int]:
+    return {origin + j for j, digit in enumerate(reversed(bin(bits)[2:])) if digit == "1"}
+
+
+def test_run_bits_is_the_block_along_its_progression():
+    # the doubling copies against the plain set, the origin its lowest
+    # address; and their union's count against the union of the sets
+    rng = random.Random(29)
+    for count in range(1, 71):
+        made = []
+        for stride in (-1000, -23, -3, -1, 0, 1, 2, 7, 64, 1000):
+            block = set(rng.sample(range(-40, 40), rng.randint(1, 12)))
+            start = rng.randint(-100, 100)
+            want = {a + start + k * stride for a in block for k in range(count)}
+            origin, bits = oracle._run_bits(block, start, stride, count)
+            assert (origin, bit_addresses(origin, bits)) == (min(want), want), \
+                (block, start, stride, count)
+            made.append((origin, bits, want))
+        picked = rng.sample(made, rng.randint(1, 4))
+        assert oracle._count(sorted((o, b) for o, b, _ in picked)) == \
+            len(set().union(*(w for _, _, w in picked)))
+    assert oracle._count([]) == 0
 
 
 def test_oracle_analysis_memory_is_under_a_byte_per_point():
