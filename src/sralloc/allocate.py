@@ -97,13 +97,11 @@ def partial_reuse(reuse: dict[str, ReuseInfo], budget: int) -> Allocation:
     alloc = full_reuse(reuse, budget)
     alloc.algorithm = ALG_PARTIAL
     left = budget - alloc.registers_used
-    if left <= 0:
-        return alloc
-    for array in bc_order(reuse):
-        info = reuse[array]
-        if alloc.beta[array] == 1 and info.save > 0 and info.required_regs > 1:
-            alloc.beta[array] = min(1 + left, info.required_regs)
-            break
+    unserved = [a for a, info in reuse.items()
+                if alloc.beta[a] == 1 and info.save > 0 and info.required_regs > 1]
+    if left > 0 and unserved:  # max keeps the first of equal bc: source order
+        best = max(unserved, key=lambda a: reuse[a].bc)
+        alloc.beta[best] = min(1 + left, reuse[best].required_regs)
     return alloc
 
 

@@ -3,18 +3,19 @@
 One graph abstracts a single innermost-body iteration; neither an
 allocation nor a latency table enters it.  ``build_dfg`` builds it once per
 kernel object, and the allocators, the simulator and the dot dumps share
-it; it lives as long as its kernel.  ``node_latencies`` prices it: an
-arithmetic node costs its op kind's latency, and a memory node 0 when its
-array is fully register resident and 1 otherwise.  Edges point to
-higher node ids, so ascending id is a topological order.  ``T_exec`` is the
-latency of the longest root-to-sink path.  ``memory_levels`` groups memory
-nodes by dependence depth, one longest-path pass.  One forward and one
-backward pass give each node the longest latency into it and out of it; a
-node or edge lies on some longest path exactly when its slack, ``T_exec``
-minus the longest path through it, is zero (the critical-path method).
-Those zero-slack nodes and edges form the critical graph.  A cut is a set
-of candidate arrays whose memory nodes together break every root-to-sink
-path of the critical graph, priced by its register need; a candidate saves
+it; it lives as long as its kernel.  A graph builds its adjacency lists,
+roots, sinks and per-node rows once, and every pass reads them.
+``node_latencies`` prices it: an arithmetic node costs its op kind's
+latency, and a memory node 0 when its array is fully register resident and
+1 otherwise.  Edges point to higher node ids, so ascending id is a
+topological order, and one longest-path routine, ``_longest``, serves
+``T_exec`` (the latency of the longest root-to-sink path), the memory
+levels (memory nodes by dependence depth) and the critical graph.  A node
+or edge lies on some longest path exactly when its slack, ``T_exec`` minus
+the longest path through it, is zero (the critical-path method); those
+zero-slack nodes and edges form the critical graph.  A cut is a set of
+candidate arrays whose memory nodes together break every root-to-sink path
+of the critical graph, priced by its register need; a candidate saves
 accesses and holds fewer registers than its ``required_regs`` (one each
 when no allocation is given).  Registering a whole cut is the only way to
 shorten all critical paths at once.  ``find_cuts`` returns only the cut
@@ -26,7 +27,7 @@ without listing paths or cuts.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import DEFAULT_LATENCIES, CapExceededError
 from .kernel import Kernel, KernelError, KernelValidationError
@@ -46,12 +47,11 @@ class DfgNode:
 
 @dataclass(frozen=True)
 class Dfg:
-    """Edges point to higher node ids; adjacency lists, keyed in id order, are built once."""
+    """Edges point to higher node ids.  Built once and shared, not copied: adjacency
+    lists keyed in id order, roots and sinks, and an ``(id, is_mem, label)`` row per node."""
 
     nodes: tuple[DfgNode, ...]
     edges: tuple[tuple[int, int], ...]
-    _preds: dict[int, list[int]] = field(init=False, repr=False, compare=False)
-    _succs: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         preds: dict[int, list[int]] = {nid: [] for nid in sorted(n.node_id for n in self.nodes)}
@@ -61,22 +61,23 @@ class Dfg:
                 raise KernelValidationError("cyclic dependence in data-flow graph")
             succs[a].append(b)
             preds[b].append(a)
-        object.__setattr__(self, "_preds", preds)
-        object.__setattr__(self, "_succs", succs)
+        rows = [(n.node_id, n.kind == "mem", n.label) for n in self.nodes]
+        for name, value in (("_preds", preds), ("_succs", succs), ("_rows", rows),
+                            ("_roots", [nid for nid, _, _ in rows if not preds[nid]]),
+                            ("_sinks", [nid for nid, _, _ in rows if not succs[nid]])):
+            object.__setattr__(self, name, value)  # no fields: == and hash read nodes, edges
 
-    def succs(self) -> dict[int, list[int]]:  # shared, not a copy
+    def succs(self) -> dict[int, list[int]]:
         return self._succs
 
-    def preds(self) -> dict[int, list[int]]:  # shared, not a copy
+    def preds(self) -> dict[int, list[int]]:
         return self._preds
 
     def roots(self) -> list[int]:
-        p = self.preds()
-        return [n.node_id for n in self.nodes if not p[n.node_id]]
+        return self._roots
 
     def sinks(self) -> list[int]:
-        s = self.succs()
-        return [n.node_id for n in self.nodes if not s[n.node_id]]
+        return self._sinks
 
     def mem_nodes(self) -> list[DfgNode]:
         return [n for n in self.nodes if n.kind == "mem"]
@@ -86,14 +87,13 @@ def _longest(before: dict[int, list[int]], weight: dict[int, int],
              backward: bool = False) -> dict[int, int]:
     """Heaviest chain ending at each node, its own weight included.
 
-    Visits ``before``'s keys in order, or reversed with ``backward``, so
-    each ``before[n]`` must be visited earlier: a ``Dfg``'s predecessor
-    lists give the heaviest path into each node, its successor lists
-    visited backward the heaviest path out of it.
+    Visits ``before``'s keys in order, or reversed with ``backward``, so each
+    ``before[n]`` must be visited earlier: a ``Dfg``'s predecessor lists give the
+    heaviest path into each node, its successor lists backward the path out of it.
     """
     best: dict[int, int] = {}
-    for nid in (reversed(before) if backward else before):
-        best[nid] = weight[nid] + max((best[p] for p in before[nid]), default=0)
+    for nid, prior in (reversed(before.items()) if backward else before.items()):
+        best[nid] = weight[nid] + (max(map(best.__getitem__, prior)) if prior else 0)
     return best
 
 
@@ -107,13 +107,13 @@ def memory_levels(g: Dfg, ports: int = 1) -> tuple[tuple[int, ...], ...]:
     """
     if ports < 1:
         raise ValueError("ports must be >= 1")
-    chain = _longest(g.preds(), {n.node_id: int(n.kind == "mem") for n in g.nodes})
+    chain = _longest(g._preds, {nid: int(is_mem) for nid, is_mem, _ in g._rows})
     seen: dict[tuple[int, str], int] = {}  # (chain, array) -> its nodes so far
     levels: dict[tuple[int, int], list[int]] = {}  # (chain, port round) -> node ids
-    for n in sorted(g.mem_nodes(), key=lambda n: n.node_id):
-        at = (chain[n.node_id], n.label)
+    for nid, _, label in sorted(row for row in g._rows if row[1]):
+        at = (chain[nid], label)
         seen[at] = seen.get(at, 0) + 1
-        levels.setdefault((at[0], (seen[at] - 1) // ports), []).append(n.node_id)
+        levels.setdefault((at[0], (seen[at] - 1) // ports), []).append(nid)
     return tuple(tuple(levels[k]) for k in sorted(levels))
 
 
@@ -134,11 +134,11 @@ def node_latencies(g: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
     beta = {a: 1 for a in reuse} if alloc is None else alloc.beta
     mem = {a: mem_latency(info, beta[a]) for a, info in reuse.items()}
     try:
-        return {n.node_id: mem[n.label] if n.kind == "mem" else ops[n.label] for n in g.nodes}
+        return {nid: mem[label] if is_mem else ops[label] for nid, is_mem, label in g._rows}
     except KeyError:
-        for n in g.nodes:
-            if n.kind == "op" and n.label not in ops:
-                raise KernelError(f"unknown op kind {n.label!r}") from None
+        for _, is_mem, label in g._rows:
+            if not is_mem and label not in ops:
+                raise KernelError(f"unknown op kind {label!r}") from None
         raise
 
 
@@ -148,9 +148,7 @@ _GRAPHS: weakref.WeakKeyDictionary[Kernel, Dfg] = weakref.WeakKeyDictionary()
 
 def build_dfg(kernel: Kernel) -> Dfg:
     """The kernel's graph, built by ``_build`` once per kernel object."""
-    if kernel not in _GRAPHS:
-        _GRAPHS[kernel] = _build(kernel)
-    return _GRAPHS[kernel]
+    return _GRAPHS.get(kernel) or _GRAPHS.setdefault(kernel, _build(kernel))
 
 
 def _build(kernel: Kernel) -> Dfg:
@@ -204,8 +202,8 @@ def _build(kernel: Kernel) -> Dfg:
 
 def critical_length(g: Dfg, lat: dict[int, int]) -> int:
     """T_exec under node latencies ``lat``, 0 for no nodes."""
-    into = _longest(g.preds(), lat)
-    return max((into[nid] for nid in g.sinks()), default=0)
+    into = _longest(g._preds, lat)
+    return max(map(into.__getitem__, g._sinks), default=0)
 
 
 def critical_graph(g: Dfg, lat: dict[int, int]) -> Dfg:
@@ -213,9 +211,9 @@ def critical_graph(g: Dfg, lat: dict[int, int]) -> Dfg:
 
     Node ids are kept, so ``lat`` prices the result too.
     """
-    into = _longest(g.preds(), lat)
-    out = _longest(g.succs(), lat, backward=True)
-    t_exec = max((into[nid] for nid in g.sinks()), default=0)
+    into = _longest(g._preds, lat)
+    out = _longest(g._succs, lat, backward=True)
+    t_exec = max(map(into.__getitem__, g._sinks), default=0)
     nodes = tuple(n for n in g.nodes
                   if into[n.node_id] + out[n.node_id] - lat[n.node_id] == t_exec)
     edges = tuple(sorted({(a, b) for a, b in g.edges if into[a] + out[b] == t_exec}))
@@ -368,13 +366,12 @@ def find_cuts(cg: Dfg, reuse: dict[str, ReuseInfo], alloc=None,
         need = {a: info.required_regs for a, info in reuse.items()}
     else:
         raise ValueError(f"unknown accounting mode {accounting!r}")
-    label = {n.node_id: n.label for n in cg.mem_nodes()
-             if reuse[n.label].save > 0 and beta[n.label] < reuse[n.label].required_regs}
+    label = {nid: a for nid, is_mem, a in cg._rows
+             if is_mem and reuse[a].save > 0 and beta[a] < reuse[a].required_regs}
     if not label:
         return ()
 
-    succs = cg.succs()
-    roots = set(cg.roots())
+    succs, roots = cg._succs, set(cg._roots)
     arrays: list[str] = []
     for comp in _components(cg, label):
         comp_roots = [nid for nid in comp if nid in roots]

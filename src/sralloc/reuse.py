@@ -22,6 +22,7 @@ quantities from exhaustive traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,21 +70,30 @@ def _address_forms(kernel: Kernel, array: str, patterns) -> list[tuple[int, tupl
     Dimensions are folded in Horner form, the first dimension most significant.
     """
     ends = {lp.index: (lp.lower, lp.lower + (lp.trip - 1) * lp.step) for lp in kernel.loops}
-    forms = [(0, (0,) * kernel.depth) for _ in patterns]
-    width = 1
-    for d in range(len(patterns[0])):
-        exprs = [p[d] for p in patterns]
-        lo = min(e.const + sum(min(c * v for v in ends[n]) for n, c in e.terms) for e in exprs)
-        hi = max(e.const + sum(max(c * v for v in ends[n]) for n, c in e.terms) for e in exprs)
-        size = hi - lo + 1
-        width *= size
-        forms = [(base * size + e.const - lo,
-                  tuple(a * size + e.coeff(lp.index) for a, lp in zip(coeffs, kernel.loops)))
-                 for (base, coeffs), e in zip(forms, exprs)]
+    lows, sizes = [], []
+    for exprs in zip(*patterns):  # each dimension's least and greatest subscript on the box
+        lo, hi = math.inf, -math.inf
+        for e in exprs:
+            low = high = e.const
+            for n, c in e.terms:
+                low, high = low + c * ends[n][c < 0], high + c * ends[n][c > 0]
+            lo, hi = min(lo, low), max(hi, high)
+        lows.append(lo)
+        sizes.append(hi - lo + 1)
+    width = math.prod(sizes)
     if width > MAX_ADDRESS_BITS:
         raise CapExceededError(
             f"array {array!r} spans an address range of {width} elements, above "
             f"the bitset ceiling of {MAX_ADDRESS_BITS}")
+    forms, stride = [], width
+    strides = [stride := stride // size for size in sizes]  # the Horner fold's weights
+    for p in patterns:
+        base, coeffs = 0, dict.fromkeys(ends, 0)
+        for e, lo, weight in zip(p, lows, strides):
+            base += weight * (e.const - lo)
+            for n, c in e.terms:
+                coeffs[n] += weight * c
+        forms.append((base, tuple(coeffs.values())))
     return forms
 
 
@@ -230,5 +240,4 @@ def analyze_all(kernel: Kernel) -> dict[str, ReuseInfo]:
 
 def bc_order(reuse: dict[str, ReuseInfo]) -> list[str]:
     """Array names by descending benefit/cost; ties keep source order."""
-    ranked = sorted(enumerate(reuse), key=lambda pos_name: (-reuse[pos_name[1]].bc, pos_name[0]))
-    return [name for _, name in ranked]
+    return sorted(reuse, key=lambda name: reuse[name].bc, reverse=True)  # a stable sort

@@ -17,29 +17,21 @@ staging latch) or with a store forwarded to a same-iteration read (the
 forwarding conduit); beta otherwise.
 
 Ranks do not depend on beta (the inclusion property of Mattson et al.'s
-stack algorithm), so each array is walked once per kernel object and port
-count.  Each call takes the kernel's one graph from ``build_dfg`` and
-prices ``T_exec`` on it with ``node_latencies`` under its latency table.
-The first call for a kernel object and port count builds one cost model
-from that graph: the memory levels, each array's node positions and
-subscripts, the all-miss
-bitset once a call has passed the cap and, per walked array, carrier and
-``required_regs``, a column of each access's rank at every interior inner
-point, clipped at ``required_regs`` (exact: beta = ``required_regs`` prices
-at infinity) in the narrowest ``array`` typecode, walked ``BLOCK`` points at
-a time from one block per node over the innermost loops that fit, shifted
-per outer point.  A node misses where its rank is ``>= t``, the threshold: a
-call compares the column's byte planes, keeping nothing per threshold, and a
-level's cycles are the popcount of its members' OR.  Arrays that miss
-everywhere (threshold 0) or nowhere (infinite threshold, or no carrier:
-rank 0) are never walked, and a call walks at most ``MAX_RANK_ENTRIES``
-accesses.  The models sit in a ``WeakKeyDictionary`` keyed by the kernel
-and hold no reference to it, so a model lives as long as its kernel object.
+stack algorithm), so the first call for a kernel object and port count
+builds a cost model from the kernel's one graph (``build_dfg``) that later
+calls read: each level's member nodes, each array's node subscripts, the
+all-miss bitset, and per walked array, carrier and ``required_regs`` a rank
+column over the interior inner points, clipped at ``required_regs`` (beta =
+``required_regs`` prices at infinity) and walked as ``range`` runs of at
+most ``BLOCK`` addresses.  A call prices ``T_exec`` with ``node_latencies``
+and ``critical_length``, then each array's misses (``array_misses``, a
+byte-plane compare of its column with the threshold) and each level's cycles
+(``level_cycles``, the popcount of an OR).  The model keeps nothing per
+threshold or allocation, and dies with its kernel.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import weakref
@@ -47,6 +39,7 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain, filterfalse, groupby, islice, repeat, tee
 from operator import add, or_
 
 from .config import CapExceededError, POLICIES, POLICY_ELEMENT, POLICY_STAGING
@@ -102,50 +95,72 @@ def _threshold(info: ReuseInfo, beta: int, policy: str) -> float:
     return beta
 
 
-def _at_least(column: array, t: int, k: int, ones: int) -> list[int]:
+#: plane ``i``'s compare table for a threshold byte ``d``: its slice ``[255 - d:511 - d]``
+_PLANES = [bytes([i == 0] * 255 + [(i == 0) + (1 << i), *[(i == 0) + (2 << i)] * 255])
+           for i in range(4)]
+#: its slice ``[256 - t:512 - t]`` maps a byte to whether it is ``>= t``; at ``2^w``, bit ``w``
+_BIT = bytes(256) + b"\1" * 256
+
+
+def _at_least(column: array, t: int, k: int) -> list[int]:
     """Bitsets of ``column[q::k] >= t`` for each ``q < k``, bit ``8p`` per access.
 
-    Per node, over little-endian byte planes from the least significant:
-    ``out = (plane > d) | ((plane == d) & out)``, ``d`` being ``t``'s byte and
-    ``out`` starting as ``ones`` (bit ``8p`` per access).  Plane ``i``'s
-    ``bytes.translate`` maps below, at and above ``d`` to 0, ``2^i`` and
-    ``2^(i+1)``; added to ``out``, no carry leaves a byte: bit ``i + 1`` is ``out``.
+    One ``bytes.translate`` for a one-byte column.  A wider one sums its byte
+    planes ``i``, each translated to 0, ``2^i`` or ``2^(i+1)`` below, at or above
+    ``t``'s byte ``i``, plus 1 in plane 0: no carry leaves an access's byte, whose
+    bit ``w`` is whether it reaches ``t``.  Each table is a slice of a fixed one.
     """
     raw, w = column.tobytes(), column.itemsize
-    out = []
-    for q in range(k):
-        total = ones
+    if w == 1:
+        hits = raw.translate(_BIT[256 - t:512 - t])
+    else:
+        total = 0
         for i in range(w):
             d = t >> 8 * i & 255
-            table = bytes(d) + bytes((1 << i,)) + bytes((2 << i,)) * (255 - d)
-            plane = slice(q * w + (i if sys.byteorder == "little" else w - 1 - i), None, k * w)
-            total += int.from_bytes(raw[plane].translate(table), "little")
-        out.append(total >> w & ones)
-    return out
+            plane = raw[i if sys.byteorder == "little" else w - 1 - i::w]
+            total += int.from_bytes(plane.translate(_PLANES[i][255 - d:511 - d]), "little")
+        hits = total.to_bytes(len(column), "little").translate(_BIT[256 - (1 << w):512 - (1 << w)])
+    return [int.from_bytes(hits[q::k], "little") for q in range(k)]
 
 
-def _shifted(block: list[int], cols: list[list[int]]) -> Iterator[int]:
-    """``block`` once per point of the columns' product, in loop order, shifted by its sum."""
-    return itertools.chain.from_iterable(
-        map(add, block, itertools.repeat(s)) if s else block
-        for s in map(sum, itertools.product(*cols)))
+def _runs(x: int, coeffs, loops) -> Iterator:
+    """``x`` plus ``coeffs`` dotted with each point of ``loops``, in loop order, as
+    runs of the last loop, each a ``range`` of at most ``BLOCK`` points or for a
+    move of 0 a repeat, and each placed by the loops outside it: no address costs
+    Python work.  A loop whose move spans the run inside it joins that run."""
+    shape = []  # (move, trip) per loop, joined runs merged
+    for c, lp in zip(coeffs, loops):
+        x, s, n = x + c * lp.lower, c * lp.step, lp.trip
+        if shape and shape[-1][0] == s * n:
+            shape[-1] = (s, shape[-1][1] * n)
+        else:
+            shape.append((s, n))
+    runs = iter(((x,),))
+    for s, n in shape:
+        starts = chain.from_iterable(runs)
+        if s == 0:
+            runs = map(repeat, starts, repeat(n))
+        else:
+            starts, ends = tee(starts)
+            runs = map(range, starts, map(add, ends, repeat(s * n)), repeat(s))
+    if shape and shape[-1][0] and shape[-1][1] > BLOCK:  # the last loop's runs, in pieces
+        runs = (run[j:j + BLOCK] for run in runs for j in range(0, shape[-1][1], BLOCK))
+    return runs
 
 
 class _CostModel:
-    """One kernel's memory levels, node index and rank columns; holds no reference to
-    the kernel or its graph, whose structure no latency table changes."""
+    """One kernel's levels, node index and rank columns, and no reference to the kernel
+    or its graph.  ``index`` maps each array, in name order, to its nodes' subscripts
+    in execution order; ``members`` numbers each level's nodes in that order."""
 
     def __init__(self, kernel: Kernel, graph, ports: int):
-        self.mem = graph.mem_nodes()
-        pos = {n.node_id: p for p, n in enumerate(self.mem)}
+        pattern = {r.ref_id: r.subscripts for r in kernel.refs}
+        nodes = sorted(graph.mem_nodes(), key=lambda n: (n.label, n.node_id))
+        pos = {n.node_id: p for p, n in enumerate(nodes)}
         self.members = [[pos[nid] for nid in lev] for lev in memory_levels(graph, ports)]
         self.points = iteration_space_size(kernel, 1)
-        self.index: dict[str, tuple[list[int], list]] = {}  # array -> positions in mem, subscripts
-        pattern = {r.ref_id: r.subscripts for r in kernel.refs}
-        for p, n in enumerate(self.mem):
-            at, subs = self.index.setdefault(n.label, ([], []))
-            at.append(p)
-            subs.append(pattern[n.ref_ids[0]])
+        self.index = {a: [pattern[n.ref_ids[0]] for n in group]  # array -> its nodes' subscripts
+                      for a, group in groupby(nodes, key=lambda n: n.label)}
         self.ranks: dict[tuple, array] = {}  # (array, carrier, required_regs) -> column
 
     @cached_property
@@ -153,58 +168,40 @@ class _CostModel:
         """The all-miss bitset, first built by a call that passed the cap."""
         return int.from_bytes(b"\1" * self.points, "little")
 
-    def misses(self, kernel: Kernel, reuse: dict[str, ReuseInfo],
-               threshold: dict[str, float]) -> list[int]:
-        """Miss bitsets, indexed like ``mem``; nodes of arrays not in ``threshold`` read 0."""
-        walk = {a: t for a, t in threshold.items()
-                if 0 < t < math.inf and reuse[a].carrier is not None}
-        entries = self.points * sum(len(self.index[a][0]) for a in walk)
-        if entries > MAX_RANK_ENTRIES:
-            raise CapExceededError(
-                f"kernel {kernel.name!r} walks {entries} accesses for first-access "
-                f"ranks, above the rank ceiling of {MAX_RANK_ENTRIES}")
-        miss = [self.everywhere if threshold.get(n.label, 1) <= 0 else 0 for n in self.mem]
-        for a, t in walk.items():
-            key = (a, reuse[a].carrier, reuse[a].required_regs)
-            if key not in self.ranks:
-                self.ranks[key] = self._walk(kernel, *key)
-            at = self.index[a][0]
-            for p, bits in zip(at, _at_least(self.ranks[key], t, len(at), self.everywhere)):
-                miss[p] = bits
-        return miss
+    def array_misses(self, kernel: Kernel, info: ReuseInfo, t: float) -> list[int]:
+        """Miss bitsets of ``info.array``'s nodes at threshold ``t``, in ``index``
+        order: where a node's rank is ``>= t``, its array walked on first need."""
+        k = len(self.index[info.array])
+        if t <= 0 or t == math.inf or info.carrier is None:  # misses everywhere or nowhere
+            return [self.everywhere if t <= 0 else 0] * k
+        key = (info.array, info.carrier, info.required_regs)
+        column = self.ranks.get(key) or self.ranks.setdefault(key, self._walk(kernel, *key))
+        return _at_least(column, t, k)
+
+    @staticmethod
+    def level_cycles(bitsets) -> int:
+        """A level's cycles: the points where some of the given miss bitsets is set."""
+        return reduce(or_, bitsets, 0).bit_count()
 
     def _walk(self, kernel: Kernel, a: str, carrier: int, clip: int) -> array:
         """``a``'s ranks, clipped at ``clip``: inner points in loop order, the outermost
         index at its middle value, and at each point ``a``'s nodes in execution order."""
-        loops = kernel.loops
-        mid = loops[0].lower + (loops[0].trip // 2) * loops[0].step
-        subs = self.index[a][1]
-        pats = list(dict.fromkeys(subs))
-        form = dict(zip(pats, _address_forms(kernel, a, pats)))
-        cut, size = len(loops), 1  # a block over loops[cut:], at most BLOCK points
-        while cut > 1 and size * loops[cut - 1].trip <= BLOCK:
-            cut -= 1
-            size *= loops[cut].trip
-        streams = []
-        for base, coeffs in map(form.__getitem__, subs):
-            block = [base + coeffs[0] * mid]
-            for c, lp in zip(reversed(coeffs[cut:]), reversed(loops[cut:])):
-                block = [x + off for off in [c * v for v in lp.range] for x in block]
-            streams.append(_shifted(block, [[c * v for v in lp.range]
-                                            for c, lp in zip(coeffs[1:cut], loops[1:cut])]))
-        stream = streams[0] if len(streams) == 1 else itertools.chain.from_iterable(zip(*streams))
+        outer, inner = kernel.loops[0], kernel.loops[1:]
+        subs = self.index[a]  # a repeated pattern gets the same form: no wider box
+        mid = outer.lower + (outer.trip // 2) * outer.step
+        streams = [chain.from_iterable(_runs(base + c0 * mid, cs, inner))
+                   for base, (c0, *cs) in _address_forms(kernel, a, subs)]
+        stream = streams[0] if len(streams) == 1 else chain.from_iterable(zip(*streams))
         span = iteration_space_size(kernel, carrier + 1)
         column = array("B" if clip < 1 << 8 else "H" if clip < 1 << 16 else "I")
         pack, append = (bytes, column.frombytes) if clip < 1 << 8 else (list, column.fromlist)
         for _ in range(self.points // span):
             first: dict[int, int] = {}
             for lo in range(0, span, BLOCK):
-                seg = list(itertools.islice(stream, min(BLOCK, span - lo) * len(subs)))
+                seg = list(islice(stream, min(BLOCK, span - lo) * len(subs)))
                 # the filter reads the dict as it grows: first accesses only
-                fresh = itertools.filterfalse(first.__contains__, seg)
-                first.update(zip(itertools.islice(fresh, clip - len(first)),
-                                 itertools.count(len(first))))
-                append(pack(map(first.get, seg, itertools.repeat(clip))))
+                first.update(zip(filterfalse(first.__contains__, seg), range(len(first), clip)))
+                append(pack(map(first.get, seg, repeat(clip))))
         return column
 
 
@@ -221,38 +218,35 @@ def steady_state_cycles(kernel: Kernel, reuse: dict[str, ReuseInfo], alloc,
                         cap: int | None = None) -> CycleReport:
     """Memory cycles of one interior outermost-loop iteration.
 
-    Prices the allocation on the kernel's cost model: a dependence level
-    charges one cycle at each point where any member node's rank reaches
-    its array's threshold.  Deferred stores and forwarded reads charge
-    nothing; an array that saves nothing charges on every access.
+    A dependence level charges one cycle at each point where any member
+    node's rank reaches its array's threshold.  Deferred stores and forwarded
+    reads charge nothing; an array that saves nothing charges on every access.
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
     alloc.validate(reuse)
     graph = build_dfg(kernel)
-    lat = node_latencies(graph, reuse, alloc, latencies)
-    models = _MODELS.setdefault(kernel, {})
+    t_exec = critical_length(graph, node_latencies(graph, reuse, alloc, latencies))
+    models = _MODELS.get(kernel) or _MODELS.setdefault(kernel, {})
     model = models[ports] = models.get(ports) or _CostModel(kernel, graph, ports)
     if cap is not None and model.points > cap:
         raise CapExceededError(f"inner iteration space {model.points} exceeds cap {cap}")
     threshold = {a: _threshold(info, alloc.beta[a], policy) for a, info in reuse.items()}
-    miss = model.misses(kernel, reuse, threshold)
-    per_array = {a: 0 for a in reuse}
-    for n, m in zip(model.mem, miss):
-        per_array[n.label] += m.bit_count()
-    per_level = [reduce(or_, map(miss.__getitem__, level), 0).bit_count()
-                 for level in model.members]
-
+    entries = model.points * sum(len(model.index[a]) for a, t in threshold.items()
+                                 if 0 < t < math.inf and reuse[a].carrier is not None)
+    if entries > MAX_RANK_ENTRIES:
+        raise CapExceededError(
+            f"kernel {kernel.name!r} walks {entries} accesses for first-access "
+            f"ranks, above the rank ceiling of {MAX_RANK_ENTRIES}")
+    miss, per_array = [], []
+    for a in model.index:
+        bits = model.array_misses(kernel, reuse[a], threshold[a])
+        miss += bits
+        per_array.append((a, sum(map(int.bit_count, bits))))
+    per_level = [model.level_cycles(map(miss.__getitem__, level)) for level in model.members]
     return CycleReport(
-        kernel=kernel.name,
-        algorithm=alloc.algorithm,
-        policy=policy,
-        register_budget=alloc.register_budget,
-        registers_used=alloc.registers_used,
-        beta=tuple(sorted(alloc.beta.items())),
-        memory_cycles=sum(per_level),
-        per_level=tuple(per_level),
-        per_array=tuple(sorted(per_array.items())),
-        t_exec_per_iter=critical_length(graph, lat),
-        inner_iterations=model.points,
-    )
+        kernel=kernel.name, algorithm=alloc.algorithm, policy=policy,
+        register_budget=alloc.register_budget, registers_used=alloc.registers_used,
+        beta=tuple(sorted(alloc.beta.items())), memory_cycles=sum(per_level),
+        per_level=tuple(per_level), per_array=tuple(per_array),
+        t_exec_per_iter=t_exec, inner_iterations=model.points)

@@ -45,18 +45,18 @@ def beta_tuple(kernel, alloc):
 def hit(kernel, reuse, alloc, array, point, policy=sa.POLICY_ELEMENT):
     """Whether every access of ``array`` at ``point`` hits a register.
 
-    Reads the simulator's miss bytesets from the kernel's cost model, so
-    the point must lie in the measured window: the outermost index at its
-    middle value.
+    Reads the array's miss bitsets from a cost model of the kernel
+    (``array_misses``), so the point must lie in the measured window: the
+    outermost index at its middle value.
     """
     outer = kernel.loops[0]
     assert point[0] == outer.lower + (outer.trip // 2) * outer.step
     inner = itertools.product(*(lp.range for lp in kernel.loops[1:]))
     i = next(i for i, p in enumerate(inner) if p == point[1:])
     model = simulate._CostModel(kernel, sa.build_dfg(kernel), 1)
-    limit = {array: _threshold(reuse[array], alloc.beta[array], policy)}
-    miss = model.misses(kernel, reuse, limit)
-    return not any(m >> 8 * i & 1 for m, n in zip(miss, model.mem) if n.label == array)
+    miss = model.array_misses(kernel, reuse[array],
+                              _threshold(reuse[array], alloc.beta[array], policy))
+    return not any(m >> 8 * i & 1 for m in miss)
 
 
 def hit_map(kernel, columns):

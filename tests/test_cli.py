@@ -196,6 +196,22 @@ def test_verify_all_json_pinned_two_ports(capsys):
         "47f6a45c485f09260caea1e9013285277691817bf74070b3d8e16205d9a13451"
 
 
+def test_simulate_all_json_pinned_under_a_latency_table(tmp_path, monkeypatch, capsys):
+    # T_exec and cpa-ra's allocations under a non-default table read from
+    # SRALLOC_CONFIG, at two ports: seven stdout texts concatenated in order
+    path = tmp_path / "latencies.json"
+    path.write_text(json.dumps({"latencies": {"multiply": 3, "add": 2, "accumulate": 2}}))
+    monkeypatch.setenv("SRALLOC_CONFIG", str(path))
+    texts = []
+    for name in ("example", "fir", "dec-fir", "mat", "imi", "pat", "bic"):
+        code, out, err = run(capsys, "simulate", name, "--alg", "all", "--format", "json",
+                             "--ports", "2")
+        assert (code, err) == (0, "")
+        texts.append(out)
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == \
+        "d095689ae8852caf2d0f4ed259b3dc953ef667de6b2fbe78a26137cb24e931f8"
+
+
 def test_analyze_long_loop_counts_exactly(tmp_path, capsys):
     path = tmp_path / "long.knl"
     path.write_text("loop i = 0..100000000 { S1: x[i] = a[i]; }\n")

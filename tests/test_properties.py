@@ -16,11 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 import sralloc as sa
 from conftest import affine_value
-from sralloc import simulate
+from sralloc import allocate, simulate
 from sralloc.allocate import _water_fill
 from sralloc.config import ACCOUNTING_MODES
 from sralloc.dfg import (Dfg, DfgNode, critical_graph, critical_length, find_cuts,
-                         node_latencies)
+                         mem_latency, node_latencies)
 from sralloc.reuse import ReuseInfo, _address_forms
 
 
@@ -364,7 +364,7 @@ def product_walk(model, kernel, a, carrier, clip):
     ``itertools.product`` tuple per address."""
     loops = kernel.loops
     mid = loops[0].lower + (loops[0].trip // 2) * loops[0].step
-    subs = model.index[a][1]
+    subs = model.index[a]
     pats = list(dict.fromkeys(subs))
     form = dict(zip(pats, _address_forms(kernel, a, pats)))
     streams = []
@@ -508,6 +508,104 @@ def test_cost_model_keys_random():
     for seed in range(50):
         assert_cost_model_keys(lambda: kernel_from_seed(seed), seed,
                                latencies_move_t_exec=False)
+
+
+# ---------------------------------------------------------------------------
+# the pricing path against the path it replaced
+
+def reference_latencies(g: Dfg, reuse, alloc=None, latencies=None) -> dict[int, int]:
+    """The earlier ``node_latencies``, kept as a reference: read off each node."""
+    ops = sa.DEFAULT_LATENCIES if latencies is None else latencies
+    beta = {a: 1 for a in reuse} if alloc is None else alloc.beta
+    return {n.node_id: mem_latency(reuse[n.label], beta[n.label]) if n.kind == "mem"
+            else ops[n.label] for n in g.nodes}
+
+
+def heaviest(g: Dfg, lat, backward: bool = False) -> dict[int, int]:
+    """Heaviest path into (or out of) each node, from ``g.edges`` in id order."""
+    before = {n.node_id: [] for n in g.nodes}
+    for a, b in g.edges:
+        before[a if backward else b].append(b if backward else a)
+    best = {}
+    for nid in sorted(before, reverse=backward):
+        best[nid] = lat[nid] + max((best[p] for p in before[nid]), default=0)
+    return best
+
+
+def reference_critical_graph(g: Dfg, lat) -> Dfg:
+    into, out = heaviest(g, lat), heaviest(g, lat, backward=True)
+    t_exec = max(into.values(), default=0)
+    return Dfg(tuple(n for n in g.nodes
+                     if into[n.node_id] + out[n.node_id] - lat[n.node_id] == t_exec),
+               tuple(sorted({(a, b) for a, b in g.edges if into[a] + out[b] == t_exec})))
+
+
+def reference_report(kernel, reuse, alloc, policy, ports, latencies, columns):
+    """The earlier pricing path: ``T_exec`` from the reference latencies and
+    longest path, and each node's misses by a per-access ``rank >= t`` compare
+    on the product walk's rank columns (``columns`` memoises them)."""
+    g = sa.build_dfg(kernel)
+    points = sa.iteration_space_size(kernel, 1)
+    everywhere = int.from_bytes(b"\1" * points, "little")
+    miss = {}
+    for a, info in reuse.items():
+        nodes = sorted(n.node_id for n in g.mem_nodes() if n.label == a)
+        t = simulate._threshold(info, alloc.beta[a], policy)
+        if t <= 0 or t == math.inf or info.carrier is None:
+            bits = [everywhere if t <= 0 else 0] * len(nodes)
+        else:
+            key = (a, info.carrier, info.required_regs)
+            if key not in columns:
+                ref = {r.ref_id: r for r in kernel.refs}
+                subs = [ref[g.nodes[nid].ref_ids[0]].subscripts for nid in nodes]
+                model = SimpleNamespace(index={a: subs}, points=points)
+                columns[key] = product_walk(model, kernel, *key)
+            col = columns[key]
+            bits = [int.from_bytes(bytes(map(t.__le__, col[q::len(nodes)])), "little")
+                    for q in range(len(nodes))]
+        miss.update(zip(nodes, bits))
+    per_level = tuple(sum(any(miss[nid] >> 8 * p & 1 for nid in level) for p in range(points))
+                      for level in sa.memory_levels(g, ports))
+    per_array = tuple(sorted((a, sum(miss[n.node_id].bit_count() for n in g.mem_nodes()
+                                     if n.label == a)) for a in reuse))
+    t_exec = max(heaviest(g, reference_latencies(g, reuse, alloc, latencies)).values(), default=0)
+    return simulate.CycleReport(kernel.name, alloc.algorithm, policy, alloc.register_budget,
+                                alloc.registers_used, tuple(sorted(alloc.beta.items())),
+                                sum(per_level), per_level, per_array, t_exec, points)
+
+
+#: a non-default table: multiply, add and accumulate slower, every other kind at 1
+SLOW_ARITH = {**{op: 1 for op in sa.DEFAULT_LATENCIES}, "multiply": 3, "add": 2, "accumulate": 2}
+
+
+def assert_pricing_matches_reference(kernel):
+    """Every report field and every cpa-ra allocation, at three budgets, under
+    both tables, both policies and one and two ports."""
+    reuse = sa.analyze_all(kernel)
+    n, full = len(reuse), sum(i.required_regs for i in reuse.values())
+    columns = {}
+    for budget in sorted({n, (n + full) // 2, max(n, full - 1)}):
+        for lat in (None, SLOW_ARITH):
+            cpa = sa.critical_path_aware(kernel, reuse, budget, lat)
+            with mock.patch.object(allocate, "node_latencies", reference_latencies), \
+                    mock.patch.object(allocate, "critical_graph", reference_critical_graph):
+                assert cpa == sa.critical_path_aware(kernel, reuse, budget, lat), (budget, lat)
+            for alloc in (sa.full_reuse(reuse, budget), sa.partial_reuse(reuse, budget), cpa):
+                for policy in sa.POLICIES:
+                    for ports in (1, 2):
+                        got = sa.steady_state_cycles(kernel, reuse, alloc, policy, ports, lat)
+                        want = reference_report(kernel, reuse, alloc, policy, ports, lat, columns)
+                        assert got == want, (alloc.beta, policy, ports, lat)
+
+
+@pytest.mark.parametrize("name", sa.KERNEL_NAMES)
+def test_pricing_matches_the_earlier_path_bundled(name):
+    assert_pricing_matches_reference(sa.parse_kernel(sa.kernel_source(name), name=name))
+
+
+def test_pricing_matches_the_earlier_path_random():
+    for seed in range(200):
+        assert_pricing_matches_reference(kernel_from_seed(seed))
 
 
 # ---------------------------------------------------------------------------

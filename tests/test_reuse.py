@@ -13,7 +13,9 @@ from sralloc import (
     analyze_all,
     bc_order,
     forwarded_read_ids,
+    full_reuse,
     parse_kernel,
+    partial_reuse,
     random_kernel,
 )
 
@@ -96,6 +98,39 @@ def test_bc_tie_breaks_by_source_order(reuse_map):
     # fir: coeff and in tie at 972; coeff appears first in the statement
     order = bc_order(reuse_map["fir"])
     assert order == ["out", "coeff", "in"]
+
+
+def negated_key_order(reuse):
+    """The earlier ``bc_order``, kept as a reference: sorted on ``(-bc, position)``."""
+    ranked = sorted(enumerate(reuse), key=lambda pos_name: (-reuse[pos_name[1]].bc, pos_name[0]))
+    return [name for _, name in ranked]
+
+
+def leftover_by_order(reuse, budget):
+    """The earlier ``partial_reuse`` leftover, kept as a reference: the first
+    unserved array in the negated-key order."""
+    alloc = full_reuse(reuse, budget)
+    left = budget - alloc.registers_used
+    for a in negated_key_order(reuse):
+        info = reuse[a]
+        if left > 0 and alloc.beta[a] == 1 and info.save > 0 and info.required_regs > 1:
+            alloc.beta[a] = min(1 + left, info.required_regs)
+            break
+    return alloc.beta
+
+
+def test_bc_order_matches_the_negated_key(reuse_map):
+    # each reuse dict also in reversed source order, so equal-bc ties change sides
+    cases = list(reuse_map.values())
+    cases += [analyze_all(random_kernel(random.Random(seed))) for seed in range(300)]
+    ties = 0
+    for reuse in cases:
+        for r in (reuse, dict(reversed(reuse.items()))):
+            assert bc_order(r) == negated_key_order(r)
+            for budget in range(len(r), sum(i.required_regs for i in r.values()) + 1, 3):
+                assert partial_reuse(r, budget).beta == leftover_by_order(r, budget), budget
+        ties += len({i.bc for i in reuse.values()}) < len(reuse)
+    assert ties > 30
 
 
 def test_reuse_invariants_bundled(reuse_map, kernels):
