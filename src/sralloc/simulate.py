@@ -23,11 +23,23 @@ calls read: each level's member nodes, each array's node subscripts, the
 all-miss bitset, and per walked array, carrier and ``required_regs`` a rank
 column over the interior inner points, clipped at ``required_regs`` (beta =
 ``required_regs`` prices at infinity) and walked as ``range`` runs of at
-most ``BLOCK`` addresses.  A call prices ``T_exec`` with ``node_latencies``
-and ``critical_length``, then each array's misses (``array_misses``, a
-byte-plane compare of its column with the threshold) and each level's cycles
-(``level_cycles``, the popcount of an OR).  The model keeps nothing per
-threshold or allocation, and dies with its kernel.
+most ``BLOCK`` addresses.
+
+Ranks also do not change when a window is translated, so a walk ranks only
+what decides the column and copies the rest.  A loop inside the carrier
+window along which no node of the array moves is still: after its first
+value it touches ranked addresses again, in the same order, so its chunk of
+the column repeats.  An enclosing loop (between the outermost loop and the
+carrier, the carrier included) along which all nodes move alike only
+translates the window, so its chunk repeats too.  The walk streams the
+other loops, and builds each repeated chunk by slice assignments into one
+preallocated column.
+
+A call prices ``T_exec`` with ``node_latencies`` and ``critical_length``,
+then each array's misses (``array_misses``, a byte-plane compare of its
+column with the threshold) and each level's cycles (``level_cycles``, the
+popcount of an OR).  The model keeps nothing per threshold or allocation,
+and dies with its kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, filterfalse, groupby, islice, repeat, tee
+from itertools import chain, compress, filterfalse, groupby, islice, repeat, tee
 from operator import add, or_
 
 from .config import CapExceededError, POLICIES, POLICY_ELEMENT, POLICY_STAGING
@@ -185,24 +197,68 @@ class _CostModel:
 
     def _walk(self, kernel: Kernel, a: str, carrier: int, clip: int) -> array:
         """``a``'s ranks, clipped at ``clip``: inner points in loop order, the outermost
-        index at its middle value, and at each point ``a``'s nodes in execution order."""
+        index at its middle value, and at each point ``a``'s nodes in execution order.
+
+        Streams only the loops that move some node inside the window, or move
+        the nodes apart outside it; the chunks along the other loops are copies
+        (the rules are in the module docstring).
+        """
         outer, inner = kernel.loops[0], kernel.loops[1:]
         subs = self.index[a]  # a repeated pattern gets the same form: no wider box
         mid = outer.lower + (outer.trip // 2) * outer.step
-        streams = [chain.from_iterable(_runs(base + c0 * mid, cs, inner))
-                   for base, (c0, *cs) in _address_forms(kernel, a, subs)]
+        forms = [(base + c0 * mid, cs) for base, (c0, *cs) in _address_forms(kernel, a, subs)]
+        k, span, loops = len(subs), iteration_space_size(kernel, carrier + 1), inner
+        windows = self.points // span
+        if carrier or 0 in forms[0][1]:  # enclosing loops, or one the first node stays along
+            cols = [*zip(*[cs for _, cs in forms])]  # each inner loop's coefficients, by node
+            walked = [len(set(c)) > 1 for c in cols[:carrier]]  # moves the nodes apart,
+            walked += map(any, cols[carrier:])  # or moves some node in the window
+            loops = list(compress(inner, walked))
+            forms = [(base, [*compress(cs, walked)]) for base, cs in forms]
+            trips = [lp.trip for lp in inner]
+            span = math.prod(compress(trips[carrier:], walked[carrier:]))
+            windows = math.prod(compress(trips[:carrier], walked))
+        streams = [chain.from_iterable(_runs(base, cs, loops)) for base, cs in forms]
         stream = streams[0] if len(streams) == 1 else chain.from_iterable(zip(*streams))
-        span = iteration_space_size(kernel, carrier + 1)
         column = array("B" if clip < 1 << 8 else "H" if clip < 1 << 16 else "I")
         pack, append = (bytes, column.frombytes) if clip < 1 << 8 else (list, column.fromlist)
-        for _ in range(self.points // span):
+        for _ in range(windows):
             first: dict[int, int] = {}
             for lo in range(0, span, BLOCK):
-                seg = list(islice(stream, min(BLOCK, span - lo) * len(subs)))
+                seg = list(islice(stream, min(BLOCK, span - lo) * k))
                 # the filter reads the dict as it grows: first accesses only
                 first.update(zip(filterfalse(first.__contains__, seg), range(len(first), clip)))
                 append(pack(map(first.get, seg, repeat(clip))))
+        if len(loops) < len(inner):
+            size = k  # entries per point of the loops inside ``lp``
+            for lp, kept in zip(reversed(inner), reversed(walked)):
+                if not kept and lp.trip > 1:
+                    column = _repeated(column, size, lp.trip)
+                size *= lp.trip
         return column
+
+
+def _repeated(column: array, size: int, n: int) -> array:
+    """``column`` with each chunk of ``size`` entries repeated ``n`` times.
+
+    Filled in place by slice assignments, with no object per chunk: per chunk,
+    one copy and then doublings of it, or, when that takes more assignments,
+    one strided copy per entry of a repeated chunk.
+    """
+    out = array(column.typecode, [0]) * (len(column) * n)
+    src, dst, whole = memoryview(column), memoryview(out), size * n
+    if len(column) // size * n.bit_length() <= whole:
+        for at in range(0, len(out), whole):
+            dst[at:at + size] = src[at // n:at // n + size]
+            done = size  # entries filled
+            while done < whole:  # double them
+                m = min(done, whole - done)
+                dst[at + done:at + done + m] = dst[at:at + m]
+                done += m
+    else:
+        for j in range(whole):
+            dst[j::whole] = src[j % size::size]
+    return out
 
 
 #: each live kernel's cost models by port count; an entry dies with its kernel

@@ -24,12 +24,19 @@ beta at budgets n, n + 10 and n + 60 for n arrays, and each allocation's
   keep distinct addresses, in the same order, under a stride of ``W``.
 
 Some rewrites change the answers on purpose and are not relations:
-renaming an array, because ties break by name; loop interchange and
-strip-mining, because they move carriers; and a unit-trip *outermost*
-loop, because it changes the measured window.
+renaming an array, because ties break by name; strip-mining, because it
+moves carriers; and a unit-trip *outermost* loop, because it changes the
+measured window.
+
+Permuting the loops moves carriers too, so it keeps fewer answers: the
+point set and the statement order stay, and with them every array's
+``total``, ``after``, ``save`` and ``forwarded_store``.  Under each loop
+order, the analyzer and the oracle must still agree on every array's
+carrier and registers, and on each allocation's cycles under both policies.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -201,3 +208,34 @@ def test_stepped_loop_answers_as_its_substitution(case):
         stepped, substituted = stepped_pair(kernel, level, rng.choice([-4, 0, 5]),
                                             rng.choice([2, 3]))
         assert answers(stepped) == answers(substituted), stepped.loops
+
+
+def permute_loops(kernel, order):
+    """``kernel`` with its loops in ``order``, a permutation of their positions;
+    the subscripts name the indices, so they stay as they are."""
+    return dataclasses.replace(kernel, loops=tuple(kernel.loops[level] for level in order))
+
+
+#: the fields that depend on the point set and the statement order alone
+ORDER_FREE = ("total_accesses", "after_accesses", "save", "forwarded_store")
+
+
+@pytest.mark.parametrize("case", KERNELS)
+def test_permuted_loops_keep_counts_and_agree_with_the_oracle(case):
+    kernel = KERNELS[case]()
+    reuse = analyze_all(kernel)
+    want = {a: [getattr(i, f) for f in ORDER_FREE] for a, i in reuse.items()}
+    for order in itertools.permutations(range(kernel.depth)):
+        permuted = permute_loops(kernel, order)
+        mine = analyze_all(permuted)
+        assert {a: [getattr(i, f) for f in ORDER_FREE] for a, i in mine.items()} == want, order
+        theirs = oracle_analysis(permuted)
+        assert {a: (i.carrier, i.required_regs, i.total_accesses, i.after_accesses, i.save,
+                    i.forwarded_store) for a, i in mine.items()} == \
+            {a: (t["carrier"], t["required_regs"], t["total"], t["after"], t["save"],
+                 t["forwarded_store"]) for a, t in theirs.items()}, order
+        for alg in ("fr", "pr", "cpa"):
+            alloc = run_allocator(alg, permuted, mine, len(mine) + 10)
+            for policy in POLICIES:
+                assert steady_state_cycles(permuted, mine, alloc, policy).memory_cycles == \
+                    oracle_replay(permuted, alloc, policy)[0], (order, alg, policy)

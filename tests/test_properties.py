@@ -388,10 +388,29 @@ def product_walk(model, kernel, a, carrier, clip):
     return column
 
 
-#: more inner points than the default BLOCK (three nodes of a); an
-#: innermost loop longer than a BLOCK of 7, under a unit-trip middle loop;
-#: and a step, a lower bound and negative coefficients
+#: the walk's cases, each with a step and a negative coefficient
+RULE_SHAPES = {
+    # a's window j, h, k, and h, which a does not use, between loops that
+    # move; a's 300 ranks take two bytes
+    "still-between":
+        "loop i = 0..3 { loop j = 0..20 { loop h = 1..10 step 4 { loop k = 0..15 {"
+        " S1: y[h][k] += a[j][-k] * b[j - h]; } } } }",
+    # y's carrier is k, and its window, the loop l, does not move it
+    "window-still":
+        "loop i = 0..4 { loop j = 0..3 { loop k = 0..5 { loop l = 2..14 step 3 {"
+        " S1: y[i][j] += a[k][-l] * a[k][l - 2]; } } } }",
+    # a's carrier is j, and its nodes move apart along g and j, so both are
+    # walked; the window loop h moves none of them
+    "nodes-apart":
+        "loop i = 0..3 { loop g = 0..3 { loop j = 1..9 step 2 { loop h = 0..2 { loop k = 0..5 {"
+        " S1: y[i][g][j][h][k] = a[i][g - j] + a[i][g - j - 2*k];"
+        " S2: z[i][g][j][h][k] = a[i][3*g + j - 2*k]; } } } } }",
+}
+#: the rule shapes; more inner points than the default BLOCK (three nodes
+#: of a); an innermost loop longer than a BLOCK of 7, under a unit-trip
+#: middle loop; and a step, a lower bound and negative coefficients
 WALK_SHAPES = [
+    *RULE_SHAPES.values(),
     "loop i = 0..3 { loop j = 0..40 { loop k = 0..500 {"
     " S1: y[j] = a[j + k] + a[2*j + k + 1]; S2: z[k] = b[k] * a[j + k]; } } }",
     "loop i = 0..3 { loop h = 0..1 { loop j = 0..3 { loop k = 0..11 {"
@@ -399,6 +418,37 @@ WALK_SHAPES = [
     "loop i = 0..4 { loop j = 2..14 step 3 { loop k = 1..7 {"
     " S1: y[k] += a[9 - j][k - 2*i] * b[-k][j]; } } }",
 ]
+
+
+def walk_cases(kernel) -> set[str]:
+    """The rules a walk of ``kernel`` exercises, read from the subscripts of
+    each array walked: a still window loop between two that move an access,
+    a window in which no loop moves one, and an enclosing loop along which
+    the accesses move apart."""
+    found = set()
+    model = simulate._CostModel(kernel, sa.build_dfg(kernel), 1)
+    for a, info in sa.analyze_all(kernel).items():
+        if info.carrier is None or a not in model.index:
+            continue
+        subs = model.index[a]
+        moves = [any(e.coeff(lp.index) for p in subs for e in p)
+                 for lp in kernel.loops[info.carrier + 1:]]
+        if any(m and not s and t for m, s, t in itertools.combinations(moves, 3)):
+            found.add("still-between")
+        if moves and not any(moves):
+            found.add("window-still")
+        if any(len({tuple(e.coeff(lp.index) for e in p) for p in subs}) > 1
+               for lp in kernel.loops[1:info.carrier + 1]):
+            found.add("nodes-apart")
+    return found
+
+
+def test_rule_shapes_cover_their_cases():
+    for name, src in RULE_SHAPES.items():
+        k = sa.parse_kernel(src)
+        assert name in walk_cases(k), name
+        assert any(lp.step > 1 for lp in k.loops), name
+        assert any(c < 0 for r in k.refs for e in r.subscripts for _, c in e.terms), name
 
 
 @pytest.mark.parametrize("block", [7, simulate.BLOCK])

@@ -288,8 +288,9 @@ def test_compare_walks_each_array_once():
 
 def test_long_innermost_runs_are_built_in_blocks(monkeypatch):
     # an innermost loop longer than BLOCK: each moving run is built as ranges
-    # of at most BLOCK points, not as one block shifted once per address; z's
-    # row is k's run, so j's move joins it into one run of 160 points
+    # of at most BLOCK points, not as one block shifted once per address; b
+    # does not move along j, so its one run of 40 is built once; z's row is
+    # k's run, so j's move joins it into one run of 160 points
     monkeypatch.setattr(simulate, "BLOCK", 7)
     kernel = parse_kernel("loop i = 0..3 { loop j = 0..4 { loop k = 0..40 {"
                           " S1: y[j] = a[j + k] + b[k]; S2: z[j][k] = a[j + k]; } } }")
@@ -305,12 +306,60 @@ def test_long_innermost_runs_are_built_in_blocks(monkeypatch):
     for a, sizes in (("b", [7] * 5 + [5]), ("z", [7] * 22 + [6])):
         built.clear()
         model._walk(kernel, a, 0, 160)
-        [blocks] = built  # one node: four runs of 40 addresses, or one of 160
-        assert [len(b) for b in blocks] == sizes * (4 if a == "b" else 1), a
+        [blocks] = built  # one node: one run of 40 addresses, or one of 160
+        assert [len(b) for b in blocks] == sizes, a
         assert all(isinstance(b, range) for b in blocks)
     built.clear()
     model._walk(kernel, "a", 0, 160)
     assert [[len(b) for b in blocks] for blocks in built] == [([7] * 5 + [5]) * 4] * 2  # two nodes
+
+
+def test_walks_stream_only_the_points_that_decide_a_rank(monkeypatch):
+    # bic's tpl does not move along j, so 64 of its window's 3,648 points are
+    # walked; example's d does not move along j, the loop that places its 20
+    # windows of 30 points, so one window is walked
+    runs, streamed = simulate._runs, []
+
+    def counted(*args):
+        blocks = list(runs(*args))
+        streamed.append(sum(map(len, blocks)))
+        return iter(blocks)
+
+    monkeypatch.setattr(simulate, "_runs", counted)
+    for name, a, points in (("bic", "tpl", 64), ("example", "d", 30)):
+        kernel = parse_kernel(kernel_source(name), name=name)
+        info = analyze_all(kernel)[a]
+        model = simulate._CostModel(kernel, build_dfg(kernel), 1)
+        streamed.clear()
+        column = model._walk(kernel, a, info.carrier, info.required_regs)
+        assert streamed == [points], name  # one node, one stream
+        assert len(column) == model.points, name
+
+
+def test_copied_chunks_need_no_memory_past_the_column():
+    # b's carrier is i: j is walked and k is still, so each of b's 2^16 ranks
+    # is one chunk, repeated twice; the copies into the column make no object
+    # per chunk, so a trip of 2 peaks higher than a trip of 1 by about the
+    # column that it builds
+    peaks, columns = [], []
+    for trip in (1, 2):
+        kernel = parse_kernel(f"loop i = 0..4 {{ loop j = 0..65536 {{ loop k = 0..{trip} {{"
+                              " S1: y[k] += b[j]; } } }")
+        info = analyze_all(kernel)["b"]
+        model = simulate._CostModel(kernel, build_dfg(kernel), 1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            columns.append(model._walk(kernel, "b", info.carrier, info.required_regs))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    once, twice = columns
+    assert info.carrier == 0 and twice == array(once.typecode, [r for r in once for _ in "ab"])
+    # measured (Python 3.11): 0.65 MB more, for a column of 0.52 MB; 8.7 MB
+    # more when each repeated chunk was a bytes object of its own
+    assert peaks[1] - peaks[0] <= 2 * len(twice) * twice.itemsize
 
 
 def test_cost_model_lives_as_long_as_its_kernel():
